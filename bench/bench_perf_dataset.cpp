@@ -353,8 +353,10 @@ struct FitRow {
 // re-takes every log on every Newton pass (and evaluates score and slope
 // as two separate passes), and every family's KS runs as a
 // std::function-dispatched full scan over a freshly copied-and-sorted
-// sample. The gamma/lognormal/exponential span fits are unchanged from
-// the seed, so the library entry points stand in for them.
+// sample. The gamma/lognormal/exponential MLEs come from the library's
+// span fits, which are now the unified SuffStats engine (one pass of
+// shifted moments, then the closed forms) rather than the seed's own
+// reductions.
 dist::FitResult seed_fit(dist::Family family, std::span<const double> xs,
                          double floor_at) {
   dist::FitResult result;

@@ -7,10 +7,10 @@
 // observation — so rates are comparable across sample sizes and against
 // the end-to-end sweep in `bench_perf_dataset --pr6`.
 //
-// BM_FitAllStandard (the fused fit_report engine: one SuffStats pass and
-// one sorted copy shared across families) vs BM_FitPerFamilyStandard
-// (one independent fit() per family, the engine fit_report replaced) is
-// the batched-fitting speedup this suite tracks; BM_FitReportManyNodes
+// BM_FitAllStandard (fit_report: one SuffStats pass, one sorted copy and
+// one log cache shared across families) vs BM_FitPerFamilyStandard (one
+// independent fit() per family, each preparing the sample itself) is the
+// batched-fitting speedup this suite tracks; BM_FitReportManyNodes
 // is the paper's per-node Fig 6 sweep shape — thousands of small
 // samples through fit_report_many.
 #include <benchmark/benchmark.h>

@@ -5,7 +5,6 @@
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
-#include "stats/descriptive.hpp"
 
 namespace hpcfail::dist {
 
@@ -15,19 +14,11 @@ Exponential::Exponential(double rate) : rate_(rate) {
 }
 
 Exponential Exponential::fit_mle(std::span<const double> xs) {
-  HPCFAIL_EXPECTS(!xs.empty(), "exponential fit on empty sample");
-  for (const double x : xs) {
-    HPCFAIL_EXPECTS(x >= 0.0, "exponential fit requires non-negative data");
-  }
-  const double m = hpcfail::stats::mean(xs);
-  HPCFAIL_EXPECTS(m > 0.0, "exponential fit requires positive sample mean");
-  return Exponential(1.0 / m);
+  return fit_mle(SuffStats::compute(xs));
 }
 
 Exponential Exponential::fit_mle(const SuffStats& stats) {
   HPCFAIL_EXPECTS(stats.n > 0, "exponential fit on empty sample");
-  // Same accumulation order as stats::mean over the raw sample, so the
-  // rate matches the span overload bit for bit.
   const double m = stats.sum_raw / static_cast<double>(stats.n);
   HPCFAIL_EXPECTS(m > 0.0, "exponential fit requires positive sample mean");
   return Exponential(1.0 / m);

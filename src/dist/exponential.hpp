@@ -18,11 +18,12 @@ class Exponential final : public Distribution {
   static Exponential from_mean(double mean) { return Exponential(1.0 / mean); }
 
   /// Closed-form MLE: lambda = 1 / sample mean. Requires a non-empty
-  /// sample of non-negative values with positive mean.
+  /// sample of non-negative values with positive mean. Forwards to the
+  /// SuffStats overload.
   static Exponential fit_mle(std::span<const double> xs);
 
-  /// MLE from precomputed sufficient statistics: lambda = n / sum of the
-  /// raw (unfloored) sample, bit-identical to the span overload.
+  /// MLE from sufficient statistics: lambda = n / sum of the raw
+  /// (unfloored) sample.
   static Exponential fit_mle(const SuffStats& stats);
 
   double rate() const noexcept { return rate_; }

@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -23,20 +24,6 @@
 #include "stats/special.hpp"
 
 namespace hpcfail::dist {
-
-namespace {
-std::vector<double> floored(std::span<const double> xs, double floor_at) {
-  std::vector<double> out(xs.begin(), xs.end());
-  for (double& x : out) {
-    if (x < floor_at) x = floor_at;
-  }
-  return out;
-}
-
-bool positive_support(Family family) noexcept {
-  return family != Family::normal;
-}
-}  // namespace
 
 std::string to_string(Family family) {
   switch (family) {
@@ -86,30 +73,140 @@ int parameter_count(Family family) noexcept {
   }
 }
 
-FitResult fit(Family family, std::span<const double> xs, double floor_at) {
-  HPCFAIL_EXPECTS(!xs.empty(), "fit on empty sample");
-  HPCFAIL_EXPECTS(floor_at > 0.0, "fit floor must be positive");
-  // solver_steps() is thread-local and the family MLE runs on this
-  // thread, so the difference is exactly this fit's iteration count.
+namespace {
+
+// The paper's four families, which fit through SuffStats; the others
+// (normal, poisson, pareto, hyperexp) keep their span fitters.
+bool standard(Family family) noexcept {
+  switch (family) {
+    case Family::exponential:
+    case Family::weibull:
+    case Family::gamma:
+    case Family::lognormal:
+      return true;
+    default:
+      return false;
+  }
+}
+
+// One place for the per-family obs metrics of a successful fit.
+void record_fit(const FitResult& result, std::size_t sample_size) {
+  if (!hpcfail::obs::enabled()) return;
+  hpcfail::obs::Registry& reg = hpcfail::obs::registry();
+  const std::string label = "{family=" + to_string(result.family) + "}";
+  reg.counter("dist.fit.total" + label).add(1);
+  reg.counter("dist.fit.solver_steps" + label).add(result.iterations);
+  reg.histogram("dist.fit.sample_size" + label)
+      .record(static_cast<double>(sample_size));
+}
+
+// A sample prepared for the standard families: its sufficient statistics,
+// its floored values sorted ascending (for KS) and their logs in sample
+// order (for the Weibull solver). Built once per sample and shared by
+// every standard family fitted to it.
+struct Prepared {
+  SuffStats stats;
+  std::vector<double> sorted;
+  std::vector<double> logs;
+
+  Prepared(std::span<const double> xs, double floor_at)
+      : stats(SuffStats::compute(xs, floor_at)) {
+    sorted.reserve(xs.size());
+    logs.reserve(xs.size());
+    for (const double x : xs) {
+      const double v = x < floor_at ? floor_at : x;
+      sorted.push_back(v);
+      logs.push_back(std::log(v));
+    }
+    std::sort(sorted.begin(), sorted.end());
+  }
+};
+
+// The fitting engine of the standard families, shared by fit(),
+// fit_report() and fit_report_from_stats(): the MLE from the sufficient
+// statistics, the closed-form nll at it, and the KS distance over the
+// sorted floored sample — 0 (with ks_pvalue 0) when no sample is given.
+// `logs` feeds the Weibull solver, the one family that needs the sample
+// itself.
+FitResult fit_standard(Family family, const SuffStats& stats,
+                       std::span<const double> sorted,
+                       std::span<const double> logs) {
+  const double mean_log = stats.log_shift + stats.log_mean_dev;
+  // solver_steps() is thread-local and the MLE runs on this thread, so
+  // the difference is exactly this fit's iteration count.
+  const std::uint64_t steps_before = hpcfail::stats::solver_steps();
+  FitResult result;
+  result.family = family;
+  // Mean log-likelihood per floored observation at the MLE.
+  double loglik = 0.0;
+  switch (family) {
+    case Family::exponential: {
+      const Exponential model = Exponential::fit_mle(stats);
+      const double rate = model.rate();
+      loglik = std::log(rate) - rate * stats.mean();
+      result.model = std::make_unique<Exponential>(model);
+      break;
+    }
+    case Family::weibull: {
+      const Weibull model = Weibull::fit_mle_from_logs(
+          logs, mean_log, Weibull::shape_hint_from(stats));
+      const double k = model.shape();
+      const double scale = model.scale();
+      // log f = ln(k/scale) + (k-1) ln(x/scale) - (x/scale)^k; the last
+      // term averages to exactly 1 at the MLE (the scale equation).
+      loglik = std::log(k / scale) +
+               (k - 1.0) * (mean_log - std::log(scale)) - 1.0;
+      result.model = std::make_unique<Weibull>(model);
+      break;
+    }
+    case Family::gamma: {
+      const GammaDist model = GammaDist::fit_mle(stats);
+      const double k = model.shape();
+      const double scale = model.scale();
+      loglik = (k - 1.0) * mean_log - stats.mean() / scale -
+               hpcfail::stats::log_gamma_unchecked(k) - k * std::log(scale);
+      result.model = std::make_unique<GammaDist>(model);
+      break;
+    }
+    case Family::lognormal: {
+      const LogNormal model = LogNormal::fit_mle(stats);
+      // The squared z-score averages to exactly 1 at the MLE.
+      loglik = -0.5 - mean_log - std::log(model.sigma()) -
+               0.5 * std::log(2.0 * 3.14159265358979323846);
+      result.model = std::make_unique<LogNormal>(model);
+      break;
+    }
+    default:
+      throw InvalidArgument(to_string(family) +
+                            " is not fitted from sufficient statistics");
+  }
+  result.iterations = hpcfail::stats::solver_steps() - steps_before;
+  result.nll = -static_cast<double>(stats.n) * loglik;
+  result.aic = 2.0 * parameter_count(family) + 2.0 * result.nll;
+  if (!sorted.empty()) {
+    const Distribution& model = *result.model;
+    result.ks = hpcfail::stats::ks_statistic_sorted(
+        sorted.size(), [&](std::size_t i) { return model.cdf(sorted[i]); });
+    result.ks_pvalue = hpcfail::stats::ks_pvalue(result.ks, sorted.size());
+  }
+  record_fit(result, stats.n);
+  if (hpcfail::obs::enabled()) {
+    hpcfail::obs::registry()
+        .counter(sorted.empty() ? "fit.streaming_fits" : "fit.suffstat_reuse")
+        .add(1);
+  }
+  return result;
+}
+
+// The span fitters of the other families: the MLE on the sample, the
+// elementwise likelihood and a full-scan KS, on the floored sample for the
+// positive-support families so likelihoods compare on an equal footing.
+FitResult fit_span(Family family, std::span<const double> xs,
+                   double floor_at) {
   const std::uint64_t steps_before = hpcfail::stats::solver_steps();
   FitResult result;
   result.family = family;
   switch (family) {
-    case Family::exponential:
-      result.model = std::make_unique<Exponential>(Exponential::fit_mle(xs));
-      break;
-    case Family::weibull:
-      result.model =
-          std::make_unique<Weibull>(Weibull::fit_mle(xs, floor_at));
-      break;
-    case Family::gamma:
-      result.model =
-          std::make_unique<GammaDist>(GammaDist::fit_mle(xs, floor_at));
-      break;
-    case Family::lognormal:
-      result.model =
-          std::make_unique<LogNormal>(LogNormal::fit_mle(xs, floor_at));
-      break;
     case Family::normal:
       result.model = std::make_unique<Normal>(Normal::fit_mle(xs));
       break;
@@ -123,260 +220,52 @@ FitResult fit(Family family, std::span<const double> xs, double floor_at) {
       result.model =
           std::make_unique<HyperExp>(HyperExp::fit_em(xs, floor_at));
       break;
+    default:
+      throw InvalidArgument(to_string(family) +
+                            " is fitted from sufficient statistics");
   }
   result.iterations = hpcfail::stats::solver_steps() - steps_before;
 
-  // Evaluate all families on the same (floored where relevant) data so
-  // their likelihoods are comparable.
-  const std::vector<double> eval =
-      positive_support(family) ? floored(xs, floor_at)
-                               : std::vector<double>(xs.begin(), xs.end());
+  std::vector<double> eval(xs.begin(), xs.end());
+  if (family != Family::normal) {
+    for (double& x : eval) {
+      if (x < floor_at) x = floor_at;
+    }
+  }
   result.nll = -result.model->log_likelihood(eval);
   result.aic = 2.0 * parameter_count(family) + 2.0 * result.nll;
   const Distribution& model = *result.model;
   result.ks = hpcfail::stats::ks_statistic(
       eval, [&model](double x) { return model.cdf(x); });
   result.ks_pvalue = hpcfail::stats::ks_pvalue(result.ks, eval.size());
-
-  if (hpcfail::obs::enabled()) {
-    hpcfail::obs::Registry& reg = hpcfail::obs::registry();
-    const std::string label = "{family=" + to_string(family) + "}";
-    reg.counter("dist.fit.total" + label).add(1);
-    reg.counter("dist.fit.solver_steps" + label).add(result.iterations);
-    reg.histogram("dist.fit.sample_size" + label)
-        .record(static_cast<double>(xs.size()));
-  }
+  record_fit(result, xs.size());
   return result;
 }
 
-namespace {
-
-// ---------------------------------------------------------------------------
-// Fused fit_report engine.
-//
-// When every requested family is one of the four standard positive-support
-// distributions, fitting them independently wastes most of the work: each
-// family re-floors the sample, re-reduces the same sums, re-sorts for KS and
-// re-evaluates logarithms the previous family already computed. The fused
-// path performs the shared work once per sample —
-//
-//   * one SuffStats pass (sum, sum of logs, sum of squared logs, extrema),
-//   * one floored copy + cached elementwise logs,
-//   * one sort (+ logs of the order statistics),
-//
-// — and then derives every family from it: exponential / gamma / lognormal
-// MLEs become O(1) in the sample size, the weibull solver iterates over the
-// cached logs, likelihoods use their closed forms in the sufficient
-// statistics, and the KS loops run over the shared order statistics with the
-// family CDF inlined.
-//
-// Semantics are identical to the scalar path: same MLE parameters and solver
-// iteration counts bit-for-bit, same error types and messages per family,
-// same obs counters, same ranking rule. The nll/ks values agree to float
-// noise (closed-form likelihood vs elementwise summation), which is below
-// the precision anything downstream consumes (reports format ~6 significant
-// digits; rankings are separated by far more than ulps — the golden analyzer
-// outputs are unchanged).
-// ---------------------------------------------------------------------------
-
-bool fused_eligible(std::span<const Family> families) noexcept {
-  if (families.empty()) return false;
-  for (const Family family : families) {
-    switch (family) {
-      case Family::exponential:
-      case Family::weibull:
-      case Family::gamma:
-      case Family::lognormal:
-        break;
-      default:
-        return false;
+// Adds `family`'s fit to the report, or counts the family as failed when
+// the fit throws (e.g. a degenerate sample for that family), so one
+// family's legitimate failure does not abort the comparison.
+template <typename FitFn>
+void add_fit(FitReport& report, Family family, FitFn&& fit_family) {
+  try {
+    FitResult fitted = fit_family();
+    report.total_iterations += fitted.iterations;
+    report.ranked.push_back(std::move(fitted));
+  } catch (const Error&) {
+    if (hpcfail::obs::enabled()) {
+      hpcfail::obs::registry()
+          .counter("dist.fit.failures{family=" + to_string(family) + "}")
+          .add(1);
     }
-  }
-  return true;
-}
-
-// Per-thread scratch reused across samples in batched sweeps.
-struct FusedWorkspace {
-  std::vector<double> logs;    ///< log(floored x), sample order
-  std::vector<double> sorted;  ///< floored x, ascending
-};
-
-void count_fit_failure(Family family) {
-  if (hpcfail::obs::enabled()) {
-    hpcfail::obs::registry()
-        .counter("dist.fit.failures{family=" + to_string(family) + "}")
-        .add(1);
+    ++report.failed_families;
   }
 }
 
-FitResult fused_fit_family(Family family, std::span<const double> xs,
-                           const SuffStats& stats, const FusedWorkspace& ws) {
-  const std::size_t size = stats.n;
-  const auto n = static_cast<double>(size);
-  const std::span<const double> sorted = ws.sorted;
-
-  FitResult result;
-  result.family = family;
-  // solver_steps() is thread-local and the MLE below runs on this thread,
-  // so the delta is exactly this fit's iteration count (matching fit()).
-  const std::uint64_t steps_before = hpcfail::stats::solver_steps();
-
-  double nll = 0.0;
-  double ks = 0.0;
-  switch (family) {
-    case Family::exponential: {
-      const Exponential model = Exponential::fit_mle(stats);
-      result.iterations = hpcfail::stats::solver_steps() - steps_before;
-      const double rate = model.rate();
-      // sum log f(x) = n ln(rate) - rate * sum x over the floored data.
-      nll = -(n * std::log(rate) - rate * stats.sum);
-      ks = hpcfail::stats::ks_statistic_sorted(size, [&](std::size_t i) {
-        return -std::expm1(-rate * sorted[i]);
-      });
-      result.model = std::make_unique<Exponential>(model);
-      break;
-    }
-    case Family::weibull: {
-      HPCFAIL_EXPECTS(size >= 2, "weibull fit needs at least 2 observations");
-      if (stats.constant()) {
-        throw FitError("weibull fit is degenerate on a constant sample");
-      }
-      const Weibull model = Weibull::fit_mle_from_logs(
-          ws.logs, stats.sum_log / n, Weibull::shape_hint_from(stats));
-      result.iterations = hpcfail::stats::solver_steps() - steps_before;
-      const double k = model.shape();
-      const double scale = model.scale();
-      // sum log f = n ln(k/scale) + (k-1) sum ln(x/scale) - sum (x/scale)^k;
-      // the last sum is exactly n at the MLE (the scale equation).
-      nll = -(n * std::log(k / scale) +
-              (k - 1.0) * (stats.sum_log - n * std::log(scale)) - n);
-      ks = hpcfail::stats::ks_statistic_sorted(size, [&](std::size_t i) {
-        return -std::expm1(-std::pow(sorted[i] / scale, k));
-      });
-      result.model = std::make_unique<Weibull>(model);
-      break;
-    }
-    case Family::gamma: {
-      HPCFAIL_EXPECTS(size >= 2, "gamma fit needs at least 2 observations");
-      const GammaDist model = GammaDist::fit_mle(stats);
-      result.iterations = hpcfail::stats::solver_steps() - steps_before;
-      const double k = model.shape();
-      const double scale = model.scale();
-      const double lg = hpcfail::stats::log_gamma_unchecked(k);
-      // sum log f = (k-1) sum ln x - sum x / scale - n lnGamma(k)
-      //             - n k ln(scale).
-      nll = -((k - 1.0) * stats.sum_log - stats.sum / scale - n * lg -
-              n * k * std::log(scale));
-      ks = hpcfail::stats::ks_statistic_sorted(size, [&](std::size_t i) {
-        return hpcfail::stats::reg_gamma_lower_cached(k, sorted[i] / scale, lg);
-      });
-      result.model = std::make_unique<GammaDist>(model);
-      break;
-    }
-    case Family::lognormal: {
-      HPCFAIL_EXPECTS(size >= 2,
-                      "lognormal fit needs at least 2 observations");
-      if (stats.constant()) {
-        throw FitError("lognormal fit is degenerate on a constant sample");
-      }
-      const double mu = stats.sum_log / n;
-      // Two-pass variance over the cached logs: bit-identical to the span
-      // fit_mle (same values, same order), unlike the one-pass SuffStats
-      // form.
-      double ss = 0.0;
-      for (const double lx : ws.logs) {
-        const double d = lx - mu;
-        ss += d * d;
-      }
-      const double sigma = std::sqrt(ss / n);
-      if (!(sigma > 0.0)) {
-        throw FitError("lognormal fit is degenerate on a constant sample");
-      }
-      const LogNormal model(mu, sigma);
-      result.iterations = hpcfail::stats::solver_steps() - steps_before;
-      // sum log f = -n/2 - sum ln x - n ln(sigma) - n/2 ln(2 pi); the
-      // z-score square sum is exactly n at the MLE.
-      nll = 0.5 * n + stats.sum_log + n * std::log(sigma) +
-            0.5 * n * std::log(2.0 * 3.14159265358979323846);
-      // log() runs lazily inside the adaptive KS (which evaluates far
-      // fewer points than n), with the same bits as a precomputed table.
-      ks = hpcfail::stats::ks_statistic_sorted(size, [&](std::size_t i) {
-        return hpcfail::stats::normal_cdf((std::log(sorted[i]) - mu) / sigma);
-      });
-      result.model = std::make_unique<LogNormal>(model);
-      break;
-    }
-    default:
-      throw InvalidArgument("family not supported by the fused fit path");
-  }
-
-  result.nll = nll;
-  result.aic = 2.0 * parameter_count(family) + 2.0 * nll;
-  result.ks = ks;
-  result.ks_pvalue = hpcfail::stats::ks_pvalue(ks, size);
-
-  if (hpcfail::obs::enabled()) {
-    hpcfail::obs::Registry& reg = hpcfail::obs::registry();
-    const std::string label = "{family=" + to_string(family) + "}";
-    reg.counter("dist.fit.total" + label).add(1);
-    reg.counter("dist.fit.solver_steps" + label).add(result.iterations);
-    reg.histogram("dist.fit.sample_size" + label)
-        .record(static_cast<double>(xs.size()));
-    reg.counter("fit.suffstat_reuse").add(1);
-  }
-  return result;
-}
-
-FitReport fit_report_fused(std::span<const double> xs,
-                           std::span<const Family> families, double floor_at) {
-  FitReport report;
-  report.sample_size = xs.size();
-  report.floor_at = floor_at;
-  report.ranked.reserve(families.size());
-
-  // Shared precomputation. Anything that fails here (empty sample,
-  // non-positive floor, negative data) would fail every family's own
-  // precondition checks on the scalar path, so chalk it up against each
-  // of them and raise the same all-failed error fit_report would.
-  thread_local FusedWorkspace ws;
-  SuffStats stats;
-  bool shared_ok = !xs.empty() && floor_at > 0.0;
-  if (shared_ok) {
-    try {
-      stats = SuffStats::compute(xs, floor_at);
-      const std::size_t n = xs.size();
-      ws.logs.clear();
-      ws.logs.reserve(n);
-      ws.sorted.clear();
-      ws.sorted.reserve(n);
-      for (const double x : xs) {
-        const double v = x < floor_at ? floor_at : x;
-        ws.sorted.push_back(v);
-        ws.logs.push_back(std::log(v));
-      }
-      std::sort(ws.sorted.begin(), ws.sorted.end());
-    } catch (const Error&) {
-      shared_ok = false;
-    }
-  }
-  if (!shared_ok) {
-    for (const Family family : families) count_fit_failure(family);
-    throw FitError("no distribution family could be fitted");
-  }
-
-  // Sequential over the families: they share the workspace, and the whole
-  // point is that each one is a few cheap passes over precomputed arrays.
-  // Batched sweeps parallelize across samples (fit_report_many).
-  for (const Family family : families) {
-    try {
-      FitResult fitted = fused_fit_family(family, xs, stats, ws);
-      report.total_iterations += fitted.iterations;
-      report.ranked.push_back(std::move(fitted));
-    } catch (const Error&) {
-      count_fit_failure(family);
-      ++report.failed_families;
-    }
-  }
+// Ranks the successful fits best-first by nll; throws FitError when none
+// succeeded. Equal likelihoods tie-break by enum order, so the ranking is
+// a pure function of the sample — independent of the order the families
+// were requested in and of the thread count.
+FitReport ranked(FitReport report) {
   if (report.ranked.empty()) {
     throw FitError("no distribution family could be fitted");
   }
@@ -389,6 +278,14 @@ FitReport fit_report_fused(std::span<const double> xs,
 }
 
 }  // namespace
+
+FitResult fit(Family family, std::span<const double> xs, double floor_at) {
+  HPCFAIL_EXPECTS(!xs.empty(), "fit on empty sample");
+  HPCFAIL_EXPECTS(floor_at > 0.0, "fit floor must be positive");
+  if (!standard(family)) return fit_span(family, xs, floor_at);
+  const Prepared prep(xs, floor_at);
+  return fit_standard(family, prep.stats, prep.sorted, prep.logs);
+}
 
 std::span<const Family> standard_families() noexcept {
   static constexpr std::array<Family, 4> kFamilies = {
@@ -412,56 +309,22 @@ std::span<const Family> all_families() noexcept {
 
 FitReport fit_report(std::span<const double> xs,
                      std::span<const Family> families, double floor_at) {
-  // All-standard-family requests (the overwhelmingly common case: the
-  // paper's Fig 6/7 sweeps) take the fused path, which shares the sample
-  // reductions, the sort and the cached logarithms across the families.
-  if (fused_eligible(families)) {
-    return fit_report_fused(xs, families, floor_at);
-  }
-  // The families are independent MLE problems on a shared read-only
-  // sample; fit them concurrently. Failed fits become nullopt so one
-  // family's legitimate failure (e.g. constant sample) does not abort
-  // the comparison; collecting in family order before the sort keeps the
-  // result independent of the thread count.
-  auto fitted = hpcfail::parallel_map(
-      families.size(),
-      [&families, xs, floor_at](std::size_t i) -> std::optional<FitResult> {
-        try {
-          return fit(families[i], xs, floor_at);
-        } catch (const Error&) {
-          if (hpcfail::obs::enabled()) {
-            hpcfail::obs::registry()
-                .counter("dist.fit.failures{family=" +
-                         to_string(families[i]) + "}")
-                .add(1);
-          }
-          return std::nullopt;
-        }
-      });
   FitReport report;
   report.sample_size = xs.size();
   report.floor_at = floor_at;
   report.ranked.reserve(families.size());
-  for (auto& f : fitted) {
-    if (f) {
-      report.total_iterations += f->iterations;
-      report.ranked.push_back(std::move(*f));
-    } else {
-      ++report.failed_families;
-    }
+  // The standard families share one preparation of the sample, built on
+  // first use. When it throws (non-positive floor, negative data) every
+  // standard family counts as failed, as its own fit() would have.
+  std::optional<Prepared> prep;
+  for (const Family family : families) {
+    add_fit(report, family, [&] {
+      if (!standard(family)) return fit(family, xs, floor_at);
+      if (!prep) prep.emplace(xs, floor_at);
+      return fit_standard(family, prep->stats, prep->sorted, prep->logs);
+    });
   }
-  if (report.ranked.empty()) {
-    throw FitError("no distribution family could be fitted");
-  }
-  // Tie-break equal likelihoods by enum order so the ranking is a pure
-  // function of the sample — permutation-stable in the requested family
-  // order and reproducible at any thread count.
-  std::sort(report.ranked.begin(), report.ranked.end(),
-            [](const FitResult& a, const FitResult& b) {
-              if (a.nll != b.nll) return a.nll < b.nll;
-              return a.family < b.family;
-            });
-  return report;
+  return ranked(std::move(report));
 }
 
 std::vector<FitReport> fit_report_many(
@@ -496,82 +359,11 @@ FitReport fit_report_from_stats(const SuffStats& stats) {
   FitReport report;
   report.sample_size = stats.n;
   report.floor_at = stats.floor_at;
-  const std::span<const Family> families = streamable_families();
-  if (stats.n == 0) {
-    for (const Family family : families) count_fit_failure(family);
-    report.failed_families = families.size();
-    throw FitError("no distribution family could be fitted");
+  for (const Family family : streamable_families()) {
+    add_fit(report, family,
+            [&] { return fit_standard(family, stats, {}, {}); });
   }
-
-  const auto n = static_cast<double>(stats.n);
-  for (const Family family : families) {
-    try {
-      FitResult result;
-      result.family = family;
-      const std::uint64_t steps_before = hpcfail::stats::solver_steps();
-      double nll = 0.0;
-      switch (family) {
-        case Family::exponential: {
-          const Exponential model = Exponential::fit_mle(stats);
-          const double rate = model.rate();
-          nll = -(n * std::log(rate) - rate * stats.sum);
-          result.model = std::make_unique<Exponential>(model);
-          break;
-        }
-        case Family::gamma: {
-          const GammaDist model = GammaDist::fit_mle(stats);
-          const double k = model.shape();
-          const double scale = model.scale();
-          const double lg = hpcfail::stats::log_gamma_unchecked(k);
-          nll = -((k - 1.0) * stats.sum_log - stats.sum / scale - n * lg -
-                  n * k * std::log(scale));
-          result.model = std::make_unique<GammaDist>(model);
-          break;
-        }
-        case Family::lognormal: {
-          const LogNormal model = LogNormal::fit_mle(stats);
-          // Same closed form as the fused path; the z-score square sum is
-          // exactly n at the (one-pass) MLE sigma.
-          nll = 0.5 * n + stats.sum_log + n * std::log(model.sigma()) +
-                0.5 * n * std::log(2.0 * 3.14159265358979323846);
-          result.model = std::make_unique<LogNormal>(model);
-          break;
-        }
-        default:
-          throw InvalidArgument("family is not streamable");
-      }
-      result.iterations = hpcfail::stats::solver_steps() - steps_before;
-      result.nll = nll;
-      result.aic = 2.0 * parameter_count(family) + 2.0 * nll;
-      // KS needs the order statistics, which a moment accumulator does
-      // not retain; 0 marks "not computed" (ks_pvalue likewise).
-      result.ks = 0.0;
-      result.ks_pvalue = 0.0;
-      report.total_iterations += result.iterations;
-
-      if (hpcfail::obs::enabled()) {
-        hpcfail::obs::Registry& reg = hpcfail::obs::registry();
-        const std::string label = "{family=" + to_string(family) + "}";
-        reg.counter("dist.fit.total" + label).add(1);
-        reg.counter("dist.fit.solver_steps" + label).add(result.iterations);
-        reg.histogram("dist.fit.sample_size" + label).record(n);
-        reg.counter("fit.streaming_fits").add(1);
-      }
-      report.ranked.push_back(std::move(result));
-    } catch (const Error&) {
-      count_fit_failure(family);
-      ++report.failed_families;
-    }
-  }
-  if (report.ranked.empty()) {
-    throw FitError("no distribution family could be fitted");
-  }
-  std::sort(report.ranked.begin(), report.ranked.end(),
-            [](const FitResult& a, const FitResult& b) {
-              if (a.nll != b.nll) return a.nll < b.nll;
-              return a.family < b.family;
-            });
-  return report;
+  return ranked(std::move(report));
 }
 
 FitResult best_standard_fit(std::span<const double> xs) {

@@ -10,6 +10,14 @@
 // fit_report_many() is the batched form used for the paper's per-node
 // (Fig 6) and per-system (Fig 7) sweeps.
 //
+// The paper's four standard families (exponential, Weibull, gamma,
+// lognormal) have one fitting engine, shared by fit(), fit_report() and
+// fit_report_from_stats(): the MLE from the sample's SuffStats, the
+// closed-form nll at it, and the KS distance over the sorted floored
+// sample (0 when only statistics are given). Weibull alone also reads the
+// sample's cached logs. The three entry points therefore agree bit for
+// bit wherever they overlap.
+//
 // Beyond the paper's four standard families and the Fig 3(b) count
 // models, the fitter also knows Pareto (the heavy-tailed alternative the
 // paper rejects for interarrival data) and the two-phase hyperexponential
@@ -88,7 +96,9 @@ int parameter_count(Family family) noexcept;
 /// fitters; the likelihood is evaluated on the same floored data so
 /// families compete on an equal footing. Callers choose the floor from the
 /// data's resolution (e.g. 1.0 for second-resolution interarrival times
-/// with exact-zero simultaneous failures). Throws InvalidArgument on
+/// with exact-zero simultaneous failures). For a standard family the
+/// result equals fit_report(xs, {family}, floor_at)[0] bit for bit, nll,
+/// KS and solver iterations included. Throws InvalidArgument on
 /// structurally unusable samples (empty, negative floor) and FitError
 /// when the family is degenerate on the sample — e.g. a constant-valued
 /// (zero-variance) sample for any two-parameter family; fit_report()
@@ -112,8 +122,9 @@ std::span<const Family> all_families() noexcept;
 /// the order families were requested in). Families whose fit throws
 /// (e.g. degenerate sample for that family) are counted in
 /// `failed_families` and skipped; throws FitError if none succeed.
-/// Families are fitted concurrently on the shared pool (see
-/// common/thread_pool.hpp).
+/// Families are fitted in turn on the calling thread, the standard ones
+/// from one shared preparation of the sample (SuffStats, sorted copy,
+/// logs); batched sweeps parallelize across samples (fit_report_many).
 FitReport fit_report(std::span<const double> xs,
                      std::span<const Family> families,
                      double floor_at = 1e-9);
@@ -136,11 +147,11 @@ std::span<const Family> streamable_families() noexcept;
 
 /// Streaming FitReport from sufficient statistics alone — no sample is
 /// rescanned or even retained, so windowed live fits are O(1) in the
-/// window size. Fits streamable_families(); parameters and nll use the
-/// same closed forms as the fused batch path, so a streaming report
-/// agrees with fit_report() over the rescanned window sample to float
-/// noise (exponential bit-exactly). KS distances are not computable from
-/// moments: ks/ks_pvalue are reported as 0. Degenerate families are
+/// window size. Fits streamable_families() through the standard-family
+/// engine with no sample, so fit_report_from_stats(SuffStats::compute(xs,
+/// floor)) equals fit_report(xs, streamable_families(), floor) bit for
+/// bit in families, parameters, nll and AIC. KS distances need the
+/// sample: ks/ks_pvalue are reported as 0. Degenerate families are
 /// counted into failed_families; throws FitError when none succeed
 /// (including the empty-stats case).
 FitReport fit_report_from_stats(const SuffStats& stats);

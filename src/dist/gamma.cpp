@@ -1,5 +1,6 @@
 #include "dist/gamma.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -11,24 +12,31 @@
 namespace hpcfail::dist {
 
 GammaDist::GammaDist(double shape, double scale)
-    : shape_(shape), scale_(scale) {
+    : shape_(shape),
+      scale_(scale),
+      log_gamma_shape_(hpcfail::stats::log_gamma_unchecked(shape)) {
   HPCFAIL_EXPECTS(shape > 0.0 && std::isfinite(shape),
                   "gamma shape must be positive and finite");
   HPCFAIL_EXPECTS(scale > 0.0 && std::isfinite(scale),
                   "gamma scale must be positive and finite");
 }
 
-namespace {
+GammaDist GammaDist::fit_mle(std::span<const double> xs, double floor_at) {
+  return fit_mle(SuffStats::compute(xs, floor_at));
+}
 
-// Shared solver tail of the MLE: both fit_mle overloads reduce their input
-// to (sum of floored x, sum of log floored x, n) and the parameter search
-// below only ever touches those sums, so precomputed statistics give the
-// same bits as a fresh span reduction.
-GammaDist gamma_from_sums(double sum, double sum_log, double n) {
-  const double mean = sum / n;
+GammaDist GammaDist::fit_mle(const SuffStats& stats) {
+  HPCFAIL_EXPECTS(stats.n >= 2, "gamma fit needs at least 2 observations");
+  const double mean = stats.mean();
+  const double log_mean = std::log(mean);
   // s = ln(mean) - mean(ln x) >= 0 by Jensen, = 0 only for constant data.
-  const double s = std::log(mean) - sum_log / n;
-  HPCFAIL_ASSERT(s > 0.0);
+  // Both terms carry a few ulps of |ln mean|, so a smaller s (a
+  // near-constant sample, shape beyond ~1e13) is rounding noise.
+  const double s = log_mean - (stats.log_shift + stats.log_mean_dev);
+  if (!(s > 8.0 * std::numeric_limits<double>::epsilon() *
+                std::max(1.0, std::fabs(log_mean)))) {
+    throw FitError("gamma fit is degenerate on a constant sample");
+  }
 
   // Minka's starting point, then bracketed Newton on ln k - psi(k) = s.
   double k = (3.0 - s + std::sqrt((s - 3.0) * (s - 3.0) + 24.0 * s)) /
@@ -47,51 +55,16 @@ GammaDist gamma_from_sums(double sum, double sum_log, double n) {
   return GammaDist(k, mean / k);
 }
 
-}  // namespace
-
-GammaDist GammaDist::fit_mle(std::span<const double> xs, double floor_at) {
-  HPCFAIL_EXPECTS(xs.size() >= 2, "gamma fit needs at least 2 observations");
-  HPCFAIL_EXPECTS(floor_at > 0.0, "gamma fit floor must be positive");
-  double sum = 0.0;
-  double sum_log = 0.0;
-  bool varies = false;
-  double first = -1.0;
-  for (const double x : xs) {
-    HPCFAIL_EXPECTS(x >= 0.0, "gamma fit requires non-negative data");
-    const double v = x < floor_at ? floor_at : x;
-    if (first < 0.0) {
-      first = v;
-    } else if (v != first) {
-      varies = true;
-    }
-    sum += v;
-    sum_log += std::log(v);
-  }
-  if (!varies) {
-    throw FitError("gamma fit is degenerate on a constant sample");
-  }
-  return gamma_from_sums(sum, sum_log, static_cast<double>(xs.size()));
-}
-
-GammaDist GammaDist::fit_mle(const SuffStats& stats) {
-  HPCFAIL_EXPECTS(stats.n >= 2, "gamma fit needs at least 2 observations");
-  if (stats.constant()) {
-    throw FitError("gamma fit is degenerate on a constant sample");
-  }
-  return gamma_from_sums(stats.sum, stats.sum_log,
-                         static_cast<double>(stats.n));
-}
-
 double GammaDist::log_pdf(double x) const {
   if (x <= 0.0) return -std::numeric_limits<double>::infinity();
-  return (shape_ - 1.0) * std::log(x) - x / scale_ -
-         hpcfail::stats::log_gamma_unchecked(shape_) -
+  return (shape_ - 1.0) * std::log(x) - x / scale_ - log_gamma_shape_ -
          shape_ * std::log(scale_);
 }
 
 double GammaDist::cdf(double x) const {
   if (x <= 0.0) return 0.0;
-  return hpcfail::stats::reg_gamma_lower(shape_, x / scale_);
+  return hpcfail::stats::reg_gamma_lower_cached(shape_, x / scale_,
+                                                log_gamma_shape_);
 }
 
 double GammaDist::quantile(double p) const {

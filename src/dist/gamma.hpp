@@ -18,13 +18,14 @@ class GammaDist final : public Distribution {
   /// MLE: Newton iteration on ln k - psi(k) = ln(mean) - mean(ln x),
   /// started from the Minka closed-form approximation; then
   /// scale = mean / k. Non-positive observations are floored at `floor_at`
-  /// (same rationale as Weibull::fit_mle). Requires >= 2 observations;
-  /// a constant-valued sample throws FitError.
+  /// (same rationale as Weibull::fit_mle). Forwards to the SuffStats
+  /// overload.
   static GammaDist fit_mle(std::span<const double> xs, double floor_at = 1e-9);
 
-  /// MLE from precomputed sufficient statistics: O(1) in the sample size
-  /// (the Newton iteration only touches the sums). Bit-identical to the
-  /// span overload on the same sample and floor.
+  /// MLE from sufficient statistics: O(1) in the sample size (the Newton
+  /// iteration only touches the moments). Requires >= 2 observations; a
+  /// constant sample — or one whose ln(mean) - mean(ln x) is below the
+  /// rounding of its logs — throws FitError.
   static GammaDist fit_mle(const SuffStats& stats);
 
   double shape() const noexcept { return shape_; }
@@ -43,6 +44,7 @@ class GammaDist final : public Distribution {
  private:
   double shape_;
   double scale_;
+  double log_gamma_shape_;  ///< ln Gamma(shape), shared by pdf and cdf
 };
 
 }  // namespace hpcfail::dist

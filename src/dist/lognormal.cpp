@@ -1,6 +1,5 @@
 #include "dist/lognormal.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -26,50 +25,16 @@ LogNormal LogNormal::from_mean_median(double mean, double median) {
 }
 
 LogNormal LogNormal::fit_mle(std::span<const double> xs, double floor_at) {
-  HPCFAIL_EXPECTS(xs.size() >= 2,
-                  "lognormal fit needs at least 2 observations");
-  HPCFAIL_EXPECTS(floor_at > 0.0, "lognormal fit floor must be positive");
-  double sum = 0.0;
-  double lo = std::numeric_limits<double>::infinity();
-  double hi = -std::numeric_limits<double>::infinity();
-  for (const double x : xs) {
-    HPCFAIL_EXPECTS(x >= 0.0, "lognormal fit requires non-negative data");
-    const double floored = x < floor_at ? floor_at : x;
-    lo = std::min(lo, floored);
-    hi = std::max(hi, floored);
-    sum += std::log(floored);
-  }
-  // Check the data, not the accumulated sigma: on a long constant sample
-  // rounding in the mean leaves sigma ~1e-17 instead of exactly zero.
-  if (lo == hi) {
-    throw FitError("lognormal fit is degenerate on a constant sample");
-  }
-  const auto n = static_cast<double>(xs.size());
-  const double mu = sum / n;
-  double ss = 0.0;
-  for (const double x : xs) {
-    const double d = std::log(x < floor_at ? floor_at : x) - mu;
-    ss += d * d;
-  }
-  const double sigma = std::sqrt(ss / n);
-  if (!(sigma > 0.0)) {
-    throw FitError("lognormal fit is degenerate on a constant sample");
-  }
-  return LogNormal(mu, sigma);
+  return fit_mle(SuffStats::compute(xs, floor_at));
 }
 
 LogNormal LogNormal::fit_mle(const SuffStats& stats) {
   HPCFAIL_EXPECTS(stats.n >= 2, "lognormal fit needs at least 2 observations");
-  if (stats.constant()) {
-    throw FitError("lognormal fit is degenerate on a constant sample");
-  }
-  const auto n = static_cast<double>(stats.n);
-  const double mu = stats.sum_log / n;
-  // One-pass variance from the precomputed log sums; clamp the rounding
-  // residual that can leave it a hair below zero on near-constant data.
-  double var = stats.sum_log_sq / n - mu * mu;
-  if (var < 0.0) var = 0.0;
-  const double sigma = std::sqrt(var);
+  // Shifted deviations of a constant sample are exactly zero, so sigma
+  // is exactly zero on it.
+  const double mu = stats.log_shift + stats.log_mean_dev;
+  const double sigma =
+      std::sqrt(stats.log_m2 / static_cast<double>(stats.n));
   if (!(sigma > 0.0)) {
     throw FitError("lognormal fit is degenerate on a constant sample");
   }

@@ -24,14 +24,12 @@ class LogNormal final : public Distribution {
 
   /// Closed-form MLE: mu/sigma are the mean/stddev of ln x (with the
   /// population 1/n variance, as MLE prescribes). Non-positive values are
-  /// floored at `floor_at`. Requires >= 2 observations; a constant
-  /// sample throws FitError (sigma would be zero).
+  /// floored at `floor_at`. Forwards to the SuffStats overload.
   static LogNormal fit_mle(std::span<const double> xs, double floor_at = 1e-9);
 
-  /// MLE from precomputed sufficient statistics: O(1) in the sample size,
-  /// using the one-pass variance form sigma^2 = sum_log_sq/n - mu^2.
-  /// Agrees with the span overload (two-pass variance) to float noise;
-  /// mu is bit-identical.
+  /// MLE from sufficient statistics: O(1) in the sample size, reading mu
+  /// and sigma from the shifted log moments. Requires >= 2 observations;
+  /// a constant sample throws FitError (sigma would be zero).
   static LogNormal fit_mle(const SuffStats& stats);
 
   double mu() const noexcept { return mu_; }

@@ -1,34 +1,41 @@
 #include "dist/suffstats.hpp"
 
 #include <cmath>
-#include <limits>
 
 #include "common/error.hpp"
 
 namespace hpcfail::dist {
 
+namespace {
+
+// Welford step for one shifted moment pair: `d` is the new observation's
+// deviation from the shift, `n` the count including it.
+void welford_add(double d, double n, double& mean_dev, double& m2) {
+  const double delta = d - mean_dev;
+  mean_dev += delta / n;
+  m2 += delta * (d - mean_dev);
+}
+
+// Chan's pairwise update of (mean_dev, m2) about `shift` with another
+// pair about `other_shift`. The shift difference is taken first: nearby
+// shifts subtract exactly, so deviations keep their precision.
+void chan_merge(double na, double nb, double shift, double& mean_dev,
+                double& m2, double other_shift, double other_mean_dev,
+                double other_m2) {
+  const double total = na + nb;
+  const double delta = (other_shift - shift) + other_mean_dev - mean_dev;
+  mean_dev += delta * (nb / total);
+  m2 += other_m2 + delta * delta * (na * nb / total);
+}
+
+}  // namespace
+
 SuffStats SuffStats::compute(std::span<const double> xs, double floor_at) {
   HPCFAIL_EXPECTS(floor_at > 0.0,
                   "sufficient statistics require a positive floor");
   SuffStats s;
-  s.n = xs.size();
   s.floor_at = floor_at;
-  if (xs.empty()) return s;
-  s.min = std::numeric_limits<double>::infinity();
-  s.max = -std::numeric_limits<double>::infinity();
-  for (const double x : xs) {
-    HPCFAIL_EXPECTS(x >= 0.0,
-                    "sufficient statistics require non-negative data");
-    const double v = x < floor_at ? floor_at : x;
-    const double lx = std::log(v);
-    s.sum_raw += x;
-    s.sum += v;
-    s.sum_sq += v * v;
-    s.sum_log += lx;
-    s.sum_log_sq += lx * lx;
-    if (v < s.min) s.min = v;
-    if (v > s.max) s.max = v;
-  }
+  for (const double x : xs) s.add(x);
   return s;
 }
 
@@ -37,18 +44,17 @@ void SuffStats::add(double x) {
                   "sufficient statistics require a positive floor");
   HPCFAIL_EXPECTS(x >= 0.0,
                   "sufficient statistics require non-negative data");
+  const double v = x < floor_at ? floor_at : x;
+  const double lv = std::log(v);
   if (n == 0) {
-    min = std::numeric_limits<double>::infinity();
-    max = -std::numeric_limits<double>::infinity();
+    shift = min = max = v;
+    log_shift = lv;
   }
   ++n;
-  const double v = x < floor_at ? floor_at : x;
-  const double lx = std::log(v);
+  const auto count = static_cast<double>(n);
   sum_raw += x;
-  sum += v;
-  sum_sq += v * v;
-  sum_log += lx;
-  sum_log_sq += lx * lx;
+  welford_add(v - shift, count, mean_dev, m2);
+  welford_add(lv - log_shift, count, log_mean_dev, log_m2);
   if (v < min) min = v;
   if (v > max) max = v;
 }
@@ -61,12 +67,14 @@ void SuffStats::merge(const SuffStats& other) {
     *this = other;
     return;
   }
+  const auto na = static_cast<double>(n);
+  const auto nb = static_cast<double>(other.n);
   n += other.n;
   sum_raw += other.sum_raw;
-  sum += other.sum;
-  sum_sq += other.sum_sq;
-  sum_log += other.sum_log;
-  sum_log_sq += other.sum_log_sq;
+  chan_merge(na, nb, shift, mean_dev, m2, other.shift, other.mean_dev,
+             other.m2);
+  chan_merge(na, nb, log_shift, log_mean_dev, log_m2, other.log_shift,
+             other.log_mean_dev, other.log_m2);
   if (other.min < min) min = other.min;
   if (other.max > max) max = other.max;
 }

@@ -20,56 +20,18 @@ Weibull::Weibull(double shape, double scale) : shape_(shape), scale_(scale) {
 }
 
 Weibull Weibull::fit_mle(std::span<const double> xs, double floor_at) {
-  HPCFAIL_EXPECTS(xs.size() >= 2, "weibull fit needs at least 2 observations");
-  HPCFAIL_EXPECTS(floor_at > 0.0, "weibull fit floor must be positive");
-  std::vector<double> logs;
-  logs.reserve(xs.size());
-  double mean_log = 0.0;
-  double first = 0.0;
-  bool all_equal = true;
-  for (const double x : xs) {
-    HPCFAIL_EXPECTS(x >= 0.0, "weibull fit requires non-negative data");
-    const double v = x < floor_at ? floor_at : x;
-    if (logs.empty()) {
-      first = v;
-    } else if (v != first) {
-      all_equal = false;
-    }
-    const double lx = std::log(v);
-    logs.push_back(lx);
-    mean_log += lx;
-  }
-  mean_log /= static_cast<double>(logs.size());
-
-  if (all_equal) {
-    throw FitError("weibull fit is degenerate on a constant sample");
-  }
-  return fit_mle_from_logs(logs, mean_log);
-}
-
-Weibull Weibull::fit_mle(std::span<const double> xs, const SuffStats& stats) {
-  HPCFAIL_EXPECTS(xs.size() >= 2, "weibull fit needs at least 2 observations");
-  HPCFAIL_EXPECTS(xs.size() == stats.n,
-                  "weibull fit statistics do not match the sample");
-  if (stats.constant()) {
-    throw FitError("weibull fit is degenerate on a constant sample");
-  }
+  const SuffStats stats = SuffStats::compute(xs, floor_at);
   std::vector<double> logs;
   logs.reserve(xs.size());
   for (const double x : xs) {
-    HPCFAIL_EXPECTS(x >= 0.0, "weibull fit requires non-negative data");
-    const double v = x < stats.floor_at ? stats.floor_at : x;
-    logs.push_back(std::log(v));
+    logs.push_back(std::log(x < floor_at ? floor_at : x));
   }
-  const double mean_log = stats.sum_log / static_cast<double>(stats.n);
-  return fit_mle_from_logs(logs, mean_log, shape_hint_from(stats));
+  return fit_mle_from_logs(logs, stats.log_shift + stats.log_mean_dev,
+                           shape_hint_from(stats));
 }
 
 double Weibull::shape_hint_from(const SuffStats& stats) noexcept {
-  if (stats.n == 0) return 0.0;
-  const auto n = static_cast<double>(stats.n);
-  const double mean_log = stats.sum_log / n;
-  const double var_log = stats.sum_log_sq / n - mean_log * mean_log;
+  const double var_log = stats.log_m2 / static_cast<double>(stats.n);
   if (!(var_log > 0.0)) return 0.0;
   // For Weibull data, log x is Gumbel with stddev (pi/sqrt(6)) / shape.
   return 1.2825498301618641 / std::sqrt(var_log);
@@ -79,6 +41,10 @@ Weibull Weibull::fit_mle_from_logs(std::span<const double> logs,
                                    double mean_log, double shape_hint) {
   HPCFAIL_EXPECTS(logs.size() >= 2,
                   "weibull fit needs at least 2 observations");
+  if (std::all_of(logs.begin(), logs.end(),
+                  [&](double lx) { return lx == logs.front(); })) {
+    throw FitError("weibull fit is degenerate on a constant sample");
+  }
   // Profile-likelihood score in the shape k. Work with x scaled by its
   // geometric mean (subtract mean_log in the exponent) for stability on
   // second-scale data spanning 7 orders of magnitude. Only the cached

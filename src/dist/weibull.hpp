@@ -23,35 +23,30 @@ class Weibull final : public Distribution {
   /// Non-positive observations are floored at `floor_at` (failure records
   /// have 1-second resolution; exact-zero interarrivals from simultaneous
   /// failures would otherwise have zero likelihood under any Weibull).
+  /// Builds the sample's SuffStats and logs, then runs
+  /// fit_mle_from_logs with the statistics' log-mean and shape hint — the
+  /// same call the batch fitters make, so the results are bit-identical.
   /// Requires at least 2 observations and non-negative data; a
   /// constant-valued sample throws FitError (the shape is unidentified).
   static Weibull fit_mle(std::span<const double> xs, double floor_at = 1e-9);
 
-  /// MLE sharing a precomputed SuffStats pass (same sample, same floor):
-  /// the degeneracy check and the log-mean come from the statistics
-  /// instead of a fresh reduction. Agrees with the span overload to
-  /// float noise (see dist/suffstats.hpp).
-  static Weibull fit_mle(std::span<const double> xs, const SuffStats& stats);
-
   /// Solver core over cached logarithms: logs[i] = log(max(x_i, floor)),
   /// mean_log their mean. The profile-likelihood iteration touches only
-  /// the logs, so batched callers that already hold them (the fused
-  /// fit_report path) skip every per-iteration log() call. The logs must
-  /// come from a varying sample of size >= 2.
+  /// the logs, so each solver step is log()-free. Requires at least 2
+  /// logs; constant logs throw FitError.
   ///
-  /// A positive `shape_hint` (e.g. the Gumbel method-of-moments estimate
-  /// (pi/sqrt(6)) / stddev(log x), which callers with SuffStats get for
-  /// free) starts the bracket around the hint instead of the cold [1e-3,
-  /// 10] interval, roughly halving the solver iterations. The root the
-  /// solver converges to is the same to solver tolerance (~1e-12), but
-  /// the iterate sequence — and hence the last few bits of the result —
-  /// may differ from the cold start.
+  /// A positive `shape_hint` (shape_hint_from()) starts the bracket
+  /// around the hint instead of the cold [1e-3, 10] interval, roughly
+  /// halving the solver iterations. The root the solver converges to is
+  /// the same to solver tolerance (~1e-12), but the iterate sequence —
+  /// and hence the last few bits of the result — may differ from the
+  /// cold start.
   static Weibull fit_mle_from_logs(std::span<const double> logs,
                                    double mean_log, double shape_hint = 0.0);
 
-  /// Gumbel method-of-moments shape estimate from precomputed statistics
-  /// (the `shape_hint` the overloads above want); 0 when the statistics
-  /// cannot produce one (degenerate or empty sample).
+  /// Gumbel method-of-moments shape estimate (pi/sqrt(6)) / stddev(log x)
+  /// from the statistics' log-variance; 0 when the statistics cannot
+  /// produce one (empty or zero log-variance).
   static double shape_hint_from(const SuffStats& stats) noexcept;
 
   /// MLE with right-censoring: `events` are observed failure intervals,

@@ -1,6 +1,8 @@
 #include "stats/special.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "common/error.hpp"
 
@@ -47,6 +49,14 @@ double trigamma(double x) {
 
 namespace {
 
+// Iteration cap of the series and the continued fraction below. Near
+// x ~ a both need O(sqrt(a)) terms — the series terms decay like
+// exp(-n^2 / 2a), so 1e-16 takes about 9 sqrt(a) of them — and a fixed
+// cap of 500 fails from a ~ 3000 on.
+std::int64_t iteration_cap(double a) {
+  return 500 + static_cast<std::int64_t>(std::min(20.0 * std::sqrt(a), 1e9));
+}
+
 // Series representation of P(a, x), valid/fast for x < a + 1. `lg` is the
 // caller-supplied ln Gamma(a), hoisted so repeated evaluations at a fixed
 // shape (KS loops over a sorted sample) compute it once.
@@ -54,7 +64,8 @@ double gamma_p_series(double a, double x, double lg) {
   double term = 1.0 / a;
   double sum = term;
   double ap = a;
-  for (int n = 0; n < 500; ++n) {
+  const std::int64_t cap = iteration_cap(a);
+  for (std::int64_t n = 0; n < cap; ++n) {
     ap += 1.0;
     term *= x / ap;
     sum += term;
@@ -73,7 +84,8 @@ double gamma_q_cont_fraction(double a, double x, double lg) {
   double c = 1.0 / kTiny;
   double d = 1.0 / b;
   double h = d;
-  for (int i = 1; i <= 500; ++i) {
+  const std::int64_t cap = iteration_cap(a);
+  for (std::int64_t i = 1; i <= cap; ++i) {
     const double an = -static_cast<double>(i) * (static_cast<double>(i) - a);
     b += 2.0;
     d = an * d + b;

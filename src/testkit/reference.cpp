@@ -1,5 +1,9 @@
 #include "testkit/reference.hpp"
 
+#include <cmath>
+
+#include "common/error.hpp"
+
 namespace hpcfail::testkit {
 
 std::vector<trace::FailureRecord> ref_for_system(
@@ -56,6 +60,37 @@ std::map<int, std::size_t> ref_failures_per_node(
     if (r.system_id == system_id) ++counts[r.node_id];
   }
   return counts;
+}
+
+RefMoments ref_moments(std::span<const double> xs, double floor_at) {
+  HPCFAIL_EXPECTS(!xs.empty(), "reference moments of an empty sample");
+  const auto floored = [floor_at](double x) {
+    return x < floor_at ? floor_at : x;
+  };
+  RefMoments ref;
+  ref.n = xs.size();
+  const auto n = static_cast<long double>(xs.size());
+  long double sum = 0.0L;
+  long double sum_log = 0.0L;
+  for (const double x : xs) {
+    const double v = floored(x);
+    sum += v;
+    sum_log += std::log(v);
+  }
+  ref.mean = sum / n;
+  ref.mean_log = sum_log / n;
+  long double ss = 0.0L;
+  long double ss_log = 0.0L;
+  for (const double x : xs) {
+    const double v = floored(x);
+    const long double d = v - ref.mean;
+    const long double d_log = std::log(v) - ref.mean_log;
+    ss += d * d;
+    ss_log += d_log * d_log;
+  }
+  ref.variance = ss / n;
+  ref.log_variance = ss_log / n;
+  return ref;
 }
 
 CampaignAggregate ref_campaign_aggregate(

@@ -28,7 +28,7 @@ bool record_order(const FailureRecord& a, const FailureRecord& b) noexcept {
 /// Fused columnar form of FailureRecord::is_consistent(): per-row checks
 /// plus (start, system, node) sortedness, one streaming pass per column
 /// group. Returns whether the columns are sorted; throws on the first
-/// inconsistent row, reporting its index like the record constructor.
+/// inconsistent row, reporting its index.
 bool validate_columns(const ColumnStore& c) {
   const std::size_t n = c.size();
   for (std::size_t i = 0; i < n; ++i) {
@@ -58,24 +58,17 @@ void record_bytes_gauge(const ColumnStore& columns) {
 
 }  // namespace
 
-FailureDataset::FailureDataset(std::vector<FailureRecord> records) {
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    if (!records[i].is_consistent()) {
-      throw_inconsistent(i);
-    }
-  }
-  std::sort(records.begin(), records.end(), record_order);
-  columns_ = ColumnStore::from_records(records);
-  record_bytes_gauge(columns_);
-}
+FailureDataset::FailureDataset(std::vector<FailureRecord> records)
+    : FailureDataset(from_columns(ColumnStore::from_records(records))) {}
 
 FailureDataset FailureDataset::from_columns(ColumnStore columns) {
   const bool sorted = validate_columns(columns);
   if (!sorted) {
-    // Rare slow path (the generator always produces sorted columns):
-    // permuting seven parallel arrays is simplest through records.
+    // Rare slow path (the generator and every CSV this library writes
+    // arrive sorted): permuting seven parallel arrays is simplest
+    // through records. Stable, so equal keys keep their input order.
     std::vector<FailureRecord> records = columns.to_records();
-    std::sort(records.begin(), records.end(), record_order);
+    std::stable_sort(records.begin(), records.end(), record_order);
     columns = ColumnStore::from_records(records);
   }
   FailureDataset out;

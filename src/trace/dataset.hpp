@@ -32,16 +32,18 @@ class DatasetView;
 
 class FailureDataset {
  public:
-  /// Takes ownership of the records and sorts them by (start, system,
-  /// node). Throws InvalidArgument if any record has end < start or a
-  /// cause/detail mismatch; the offending index is reported.
+  /// from_columns(ColumnStore::from_records(records)): the same
+  /// validation and the same stable (start, system, node) order, so
+  /// records with equal keys keep their input order and
+  /// read_csv(write_csv(ds)) reproduces ds row for row.
   explicit FailureDataset(std::vector<FailureRecord> records);
 
   /// Takes ownership of already-columnar storage — the zero-copy path the
-  /// trace generator feeds. Validation is one fused pass over the columns
-  /// (same per-row rule and error message as the record constructor);
-  /// columns that arrive (start, system, node)-sorted are adopted as-is,
-  /// anything else is sorted through a one-time AoS round trip.
+  /// trace generator feeds. Validation is one fused pass over the columns:
+  /// InvalidArgument if any row has end < start, bad ids or a cause/detail
+  /// mismatch, reporting the offending index. Columns that arrive
+  /// (start, system, node)-sorted are adopted as-is; anything else is
+  /// stably sorted through a one-time AoS round trip.
   static FailureDataset from_columns(ColumnStore columns);
 
   /// The empty dataset.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "dist/poisson.hpp"
@@ -109,6 +111,28 @@ TEST(NodeOutliers, SortedByPValue) {
     EXPECT_GE(n.p_value, prev);
     prev = n.p_value;
   }
+}
+
+TEST(NodeOutliers, NodeWithTensOfThousandsOfFailures) {
+  // System 22 is a single node, so its expected count equals its
+  // observed count: the p-value is 1 - Q(a, a) at a = 10^4, where the
+  // incomplete-gamma series needs ~900 terms (it used to stop at 500 and
+  // throw NumericError).
+  std::vector<FailureRecord> records;
+  Seconds t = to_epoch(2005, 1, 1);
+  for (int i = 0; i < 10000; ++i) records.push_back(rec(22, 0, t += 600));
+  const OutlierReport report = node_outlier_analysis(
+      FailureDataset(std::move(records)), SystemCatalog::lanl(), 22);
+  ASSERT_EQ(report.nodes.size(), 1u);
+  const NodeOutlier& node = report.nodes.front();
+  EXPECT_EQ(node.failures, 10000u);
+  EXPECT_DOUBLE_EQ(node.expected, 10000.0);
+  // P(X >= a) for X ~ Poisson(a) is P(a, a) = 1/2 + 1/(3 sqrt(2 pi a))
+  // + O(a^-3/2).
+  constexpr double kPi = 3.14159265358979323846;
+  EXPECT_NEAR(node.p_value,
+              0.5 + 1.0 / (3.0 * std::sqrt(2.0 * kPi * 10000.0)), 1e-7);
+  EXPECT_FALSE(node.significant);
 }
 
 TEST(NodeOutliers, ValidatesArguments) {

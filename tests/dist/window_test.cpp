@@ -10,12 +10,15 @@
 #include <limits>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "common/time.hpp"
 #include "dist/fit.hpp"
 #include "dist/suffstats.hpp"
+#include "testkit/generators.hpp"
 
 namespace hpcfail::dist {
 namespace {
@@ -29,20 +32,31 @@ std::vector<double> lognormal_sample(std::size_t n, std::uint32_t seed) {
 }
 
 TEST(SuffStatsStreaming, AddIsBitIdenticalToCompute) {
-  const std::vector<double> xs = lognormal_sample(500, 7);
-  const double floor = 0.5;
-  const SuffStats batch = SuffStats::compute(xs, floor);
-  SuffStats streamed;
-  streamed.floor_at = floor;
-  for (const double x : xs) streamed.add(x);
-  EXPECT_EQ(streamed.n, batch.n);
-  EXPECT_EQ(streamed.sum_raw, batch.sum_raw);
-  EXPECT_EQ(streamed.sum, batch.sum);
-  EXPECT_EQ(streamed.sum_sq, batch.sum_sq);
-  EXPECT_EQ(streamed.sum_log, batch.sum_log);
-  EXPECT_EQ(streamed.sum_log_sq, batch.sum_log_sq);
-  EXPECT_EQ(streamed.min, batch.min);
-  EXPECT_EQ(streamed.max, batch.max);
+  // compute() is a loop over add(), so the two agree in every field: on a
+  // lognormal sample and on 60 samples from the stock gap generator, some
+  // of whose values sit below the 1 s floor.
+  std::vector<std::pair<std::vector<double>, double>> cases = {
+      {lognormal_sample(500, 7), 0.5}};
+  const auto gaps = testkit::vectors(testkit::positive_reals(3600.0), 2, 400);
+  Rng rng(0x5eed03);
+  for (int c = 0; c < 60; ++c) cases.emplace_back(gaps.sample(rng), 1.0);
+  for (const auto& [xs, floor] : cases) {
+    const SuffStats batch = SuffStats::compute(xs, floor);
+    SuffStats streamed;
+    streamed.floor_at = floor;
+    for (const double x : xs) streamed.add(x);
+    EXPECT_EQ(streamed.n, batch.n);
+    EXPECT_EQ(streamed.floor_at, batch.floor_at);
+    EXPECT_EQ(streamed.sum_raw, batch.sum_raw);
+    EXPECT_EQ(streamed.shift, batch.shift);
+    EXPECT_EQ(streamed.mean_dev, batch.mean_dev);
+    EXPECT_EQ(streamed.m2, batch.m2);
+    EXPECT_EQ(streamed.log_shift, batch.log_shift);
+    EXPECT_EQ(streamed.log_mean_dev, batch.log_mean_dev);
+    EXPECT_EQ(streamed.log_m2, batch.log_m2);
+    EXPECT_EQ(streamed.min, batch.min);
+    EXPECT_EQ(streamed.max, batch.max);
+  }
 }
 
 TEST(SuffStatsStreaming, MergeMatchesConcatenationToFloatNoise) {
@@ -54,13 +68,16 @@ TEST(SuffStatsStreaming, MergeMatchesConcatenationToFloatNoise) {
       std::vector<double>(xs.begin() + 300, xs.end()), 1e-9);
   left.merge(right);
   EXPECT_EQ(left.n, whole.n);
-  EXPECT_NEAR(left.sum, whole.sum, 1e-9 * std::abs(whole.sum));
-  EXPECT_NEAR(left.sum_log, whole.sum_log, 1e-9 * std::abs(whole.sum_log));
-  EXPECT_NEAR(left.sum_sq, whole.sum_sq, 1e-9 * std::abs(whole.sum_sq));
+  EXPECT_NEAR(left.sum_raw, whole.sum_raw, 1e-12 * whole.sum_raw);
   EXPECT_EQ(left.min, whole.min);
   EXPECT_EQ(left.max, whole.max);
-  EXPECT_NEAR(left.mean(), whole.mean(), 1e-9 * whole.mean());
-  EXPECT_NEAR(left.cv_squared(), whole.cv_squared(), 1e-6);
+  EXPECT_NEAR(left.mean(), whole.mean(), 1e-12 * whole.mean());
+  EXPECT_NEAR(left.variance(), whole.variance(), 1e-12 * whole.variance());
+  EXPECT_NEAR(left.cv_squared(), whole.cv_squared(),
+              1e-12 * whole.cv_squared());
+  EXPECT_NEAR(left.log_shift + left.log_mean_dev,
+              whole.log_shift + whole.log_mean_dev, 1e-12);
+  EXPECT_NEAR(left.log_m2, whole.log_m2, 1e-12 * whole.log_m2);
 }
 
 TEST(SuffStatsStreaming, MergeRejectsFloorMismatch) {
@@ -140,9 +157,10 @@ TEST(SlidingSuffStats, WindowMatchesBruteForceRescan) {
                                               opts.floor_at);
     EXPECT_EQ(got.n, want.n);
     if (want.n == 0) continue;
-    EXPECT_NEAR(got.sum, want.sum, 1e-9 * std::abs(want.sum));
-    EXPECT_NEAR(got.sum_log, want.sum_log,
-                1e-9 * std::abs(want.sum_log) + 1e-12);
+    EXPECT_NEAR(got.mean(), want.mean(), 1e-10 * want.mean());
+    EXPECT_NEAR(got.variance(), want.variance(), 1e-10 * want.variance());
+    EXPECT_NEAR(got.log_shift + got.log_mean_dev,
+                want.log_shift + want.log_mean_dev, 1e-10);
     EXPECT_EQ(got.min, want.min);
     EXPECT_EQ(got.max, want.max);
   }
@@ -316,6 +334,8 @@ TEST(SlidingSuffStats, EvictBeforeMatchesAnEventListModel) {
 }
 
 TEST(StreamingFits, MatchRescanningFitReport) {
+  // Both reports run the same standard-family engine on the same
+  // statistics, so they agree bit for bit; only KS needs the sample.
   const std::vector<double> xs = lognormal_sample(1500, 41);
   const double floor = 1e-9;
   const SuffStats stats = SuffStats::compute(xs, floor);
@@ -327,13 +347,13 @@ TEST(StreamingFits, MatchRescanningFitReport) {
   EXPECT_EQ(streaming.sample_size, rescan.sample_size);
   for (std::size_t i = 0; i < streaming.size(); ++i) {
     EXPECT_EQ(streaming[i].family, rescan[i].family) << "rank " << i;
-    EXPECT_NEAR(streaming[i].nll, rescan[i].nll,
-                1e-6 * std::abs(rescan[i].nll))
+    EXPECT_EQ(streaming[i].nll, rescan[i].nll)
         << to_string(streaming[i].family);
-    EXPECT_NEAR(streaming[i].aic, rescan[i].aic,
-                1e-6 * std::abs(rescan[i].aic));
-    EXPECT_NEAR(streaming[i].model->mean(), rescan[i].model->mean(),
-                1e-6 * std::abs(rescan[i].model->mean()));
+    EXPECT_EQ(streaming[i].aic, rescan[i].aic);
+    EXPECT_EQ(streaming[i].model->describe(), rescan[i].model->describe());
+    EXPECT_EQ(streaming[i].model->mean(), rescan[i].model->mean());
+    EXPECT_EQ(streaming[i].ks, 0.0);
+    EXPECT_GT(rescan[i].ks, 0.0);
   }
 }
 

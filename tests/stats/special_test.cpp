@@ -82,6 +82,29 @@ TEST(RegGammaUpperLower, SumToOne) {
   }
 }
 
+TEST(RegGammaUpperLower, ConvergesForLargeShapesNearTheMode) {
+  // Near x ~ a the series and the continued fraction need ~9 sqrt(a)
+  // terms; a fixed 500-term cap threw NumericError from a ~ 3000 on
+  // (Poisson CDFs of nodes with thousands of failures).
+  constexpr double kPi = 3.14159265358979323846;
+  for (const double a : {1e3, 1e4, 1e6}) {
+    for (const double k : {-3.0, 0.0, 3.0}) {
+      const double x = a + k * std::sqrt(a);
+      EXPECT_NEAR(reg_gamma_lower(a, x) + reg_gamma_upper(a, x), 1.0, 1e-12)
+          << "a = " << a << " x = " << x;
+    }
+    // Large-a asymptotic: Q(a, a) = 1/2 - 1/(3 sqrt(2 pi a)) + O(a^-3/2).
+    EXPECT_NEAR(reg_gamma_upper(a, a),
+                0.5 - 1.0 / (3.0 * std::sqrt(2.0 * kPi * a)), 1e-7)
+        << "a = " << a;
+    // The series (x < a + 1) and the continued fraction (x >= a + 1)
+    // meet continuously.
+    EXPECT_NEAR(reg_gamma_upper(a, std::nextafter(a + 1.0, 0.0)),
+                reg_gamma_upper(a, a + 1.0), 1e-9)
+        << "a = " << a;
+  }
+}
+
 TEST(RegGammaLower, RejectsBadDomain) {
   EXPECT_THROW(reg_gamma_lower(0.0, 1.0), InvalidArgument);
   EXPECT_THROW(reg_gamma_lower(1.0, -1.0), InvalidArgument);

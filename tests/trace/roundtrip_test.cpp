@@ -3,7 +3,11 @@
 // and the umbrella header must compile.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "hpcfail.hpp"
 
@@ -63,6 +67,48 @@ TEST(RoundTrip, RandomizedRecordsSurviveCsv) {
   ASSERT_EQ(reread.size(), original.size());
   for (std::size_t i = 0; i < original.size(); ++i) {
     ASSERT_EQ(reread.records()[i], original.records()[i]) << "record " << i;
+  }
+}
+
+TEST(RoundTrip, EqualKeysKeepInputOrder) {
+  // 1200 records over 30 (start, system, node) keys, told apart by their
+  // end times. The dataset order is the stable sort of the input, so
+  // ties keep their input order — through the record constructor and
+  // through a CSV round trip, whose reader feeds already-sorted rows.
+  const Seconds t0 = to_epoch(2004, 1, 1);
+  std::vector<FailureRecord> sorted;
+  for (int key = 0; key < 30; ++key) {
+    for (int i = 0; i < 40; ++i) {
+      FailureRecord r;
+      r.system_id = 20;
+      r.node_id = key % 3;
+      r.start = t0 + (key / 3) * 3600;
+      r.end = r.start + 1 + (key * 7919 + i * 104729) % 50000;
+      r.cause = RootCause::hardware;
+      r.detail = DetailCause::cpu;
+      sorted.push_back(r);
+    }
+  }
+  std::vector<FailureRecord> shuffled = sorted;
+  hpcfail::Rng rng(0x71E5);
+  for (std::size_t i = shuffled.size() - 1; i > 0; --i) {
+    std::swap(shuffled[i], shuffled[rng.uniform_index(i + 1)]);
+  }
+  const auto key_order = [](const FailureRecord& a, const FailureRecord& b) {
+    return std::tie(a.start, a.system_id, a.node_id) <
+           std::tie(b.start, b.system_id, b.node_id);
+  };
+  std::vector<FailureRecord> shuffled_expected = shuffled;
+  std::stable_sort(shuffled_expected.begin(), shuffled_expected.end(),
+                   key_order);
+
+  for (const auto& [input, expected] :
+       {std::pair{sorted, sorted}, std::pair{shuffled, shuffled_expected}}) {
+    const FailureDataset ds{std::vector<FailureRecord>(input)};
+    EXPECT_EQ(ds.records().to_records(), expected);
+    std::stringstream buffer;
+    write_csv(buffer, ds);
+    EXPECT_EQ(read_csv(buffer).records().to_records(), expected);
   }
 }
 

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <string>
 
 #include "analysis/compare.hpp"
@@ -34,6 +35,13 @@ constexpr OracleCase kCases[] = {
     {"mistral", 2.0, 0.08, 0.06, 0.08, 0.08, 0.03},
     {"tan", 2.0, 0.08, 0.06, 0.08, 0.08, 0.03},
 };
+
+// Prints the registry name. gtest's default dump of the raw bytes would
+// put the address of `profile` into the discovered ctest name, so the
+// name would change from build to build.
+void PrintTo(const OracleCase& oracle, std::ostream* os) {
+  *os << oracle.profile;
+}
 
 class SiteCalibration : public ::testing::TestWithParam<OracleCase> {};
 

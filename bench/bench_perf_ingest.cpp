@@ -5,8 +5,8 @@
 // whole per-event hot path on one core, sockets excluded (they are
 // kernel cost, not ours): line-protocol text in 64KB chunks ->
 // LineSource framing/parsing -> LiveDataset::append (tail columns +
-// live posting lists + amortized epoch seals) -> LiveAnalytics::observe
-// (sliding repair/gap cells). That is exactly the work `hpcfail serve`
+// amortized epoch seals) -> LiveAnalytics::observe (the per-node table's
+// sliding repair/gap cells). That is exactly the work `hpcfail serve`
 // does between recv() and the next poll round.
 //
 // `--pr9` mode writes BENCH_PR9.json (gated by

@@ -1,7 +1,7 @@
 #include "serve/analytics.hpp"
 
-#include <algorithm>
-#include <tuple>
+#include <map>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
@@ -9,77 +9,77 @@
 
 namespace hpcfail::serve {
 
-LiveAnalytics::LiveAnalytics(Options options) : options_(options) {
-  repair_opts_.bucket_seconds = options_.bucket_seconds;
-  repair_opts_.max_buckets = options_.max_buckets;
-  repair_opts_.floor_at = options_.repair_floor_minutes;
-  gap_opts_.bucket_seconds = options_.bucket_seconds;
-  gap_opts_.max_buckets = options_.max_buckets;
-  gap_opts_.floor_at = options_.gap_floor_seconds;
+namespace {
+
+/// Gap floor of 1 second: the traces have second resolution and
+/// simultaneous failures yield exact zeros (same convention as the
+/// batch interarrival fits). Repair minutes keep SuffStats' default
+/// floor.
+constexpr double kGapFloorSeconds = 1.0;
+
+/// Adds the gap from `last` to `at` and advances `last` — unless the
+/// gap is negative (an out-of-order arrival), which is skipped.
+void add_gap(dist::SlidingSuffStats& gaps, Seconds& last, Seconds at) {
+  const Seconds gap = at - last;
+  if (gap < 0) return;
+  gaps.add(at, static_cast<double>(gap));
+  last = at;
 }
 
-LiveAnalytics::Cell& LiveAnalytics::cell(int system_id, int node_id,
-                                         trace::RootCause cause) {
-  const auto key = std::make_tuple(system_id, node_id, cause);
-  auto it = cells_.find(key);
-  if (it == cells_.end()) {
-    Cell fresh{dist::SlidingSuffStats(repair_opts_),
-               dist::SlidingSuffStats(gap_opts_)};
-    it = cells_.emplace(key, std::move(fresh)).first;
-  }
-  return it->second;
+}  // namespace
+
+LiveAnalytics::LiveAnalytics(Options options) {
+  repair_opts_.bucket_seconds = options.bucket_seconds;
+  repair_opts_.max_buckets = options.max_buckets;
+  gap_opts_ = repair_opts_;
+  gap_opts_.floor_at = kGapFloorSeconds;
 }
 
 void LiveAnalytics::observe(const trace::FailureRecord& r) {
   ++events_;
   if (r.start > latest_at_) latest_at_ = r.start;
 
-  Cell& c = cell(r.system_id, r.node_id, r.cause);
-  c.repair_minutes.add(r.start, r.downtime_minutes());
-
-  // Per-node gap: consecutive failures of the same node, attributed at
-  // (and to the cause of) the later event. Out-of-order arrivals with a
-  // negative gap are skipped — the live posting lists in trace::
-  // LiveDataset remain the exact source for those.
-  const std::pair<int, int> node_key{r.system_id, r.node_id};
-  auto last = last_node_start_.find(node_key);
-  if (last != last_node_start_.end()) {
-    const Seconds gap = r.start - last->second;
-    if (gap >= 0) {
-      c.node_gaps.add(r.start, static_cast<double>(gap));
-      last->second = r.start;
-    }
-  } else {
-    last_node_start_.emplace(node_key, r.start);
-  }
-
   auto sit = systems_.find(r.system_id);
   if (sit == systems_.end()) {
-    SystemState fresh;
+    SystemRow fresh;
     fresh.system_gaps = dist::SlidingSuffStats(gap_opts_);
     sit = systems_.emplace(r.system_id, std::move(fresh)).first;
   }
-  SystemState& sys = sit->second;
-  ++sys.events;
-  if (sys.has_last) {
-    const Seconds gap = r.start - sys.last_start;
-    if (gap >= 0) {
-      sys.system_gaps.add(r.start, static_cast<double>(gap));
-      sys.last_start = r.start;
-    }
-  } else {
+  SystemRow& sys = sit->second;
+  if (sys.events++ == 0) {
     sys.last_start = r.start;
-    sys.has_last = true;
+  } else {
+    add_gap(sys.system_gaps, sys.last_start, r.start);
+  }
+
+  const auto [nit, first_node_event] = sys.nodes.try_emplace(r.node_id);
+  NodeRow& node = nit->second;
+  auto cit = node.cells.find(r.cause);
+  if (cit == node.cells.end()) {
+    Cell fresh{dist::SlidingSuffStats(repair_opts_),
+               dist::SlidingSuffStats(gap_opts_)};
+    cit = node.cells.emplace(r.cause, std::move(fresh)).first;
+  }
+  Cell& c = cit->second;
+  c.repair_minutes.add(r.start, r.downtime_minutes());
+  // Per-node gap: consecutive failures of the same node, attributed at
+  // (and to the cause of) the later event.
+  if (first_node_event) {
+    node.last_start = r.start;
+  } else {
+    add_gap(c.node_gaps, node.last_start, r.start);
   }
 }
 
 void LiveAnalytics::compact_before(Seconds horizon) {
-  for (auto& [key, c] : cells_) {
-    compacted_ += c.repair_minutes.evict_before(horizon).n;
-    compacted_ += c.node_gaps.evict_before(horizon).n;
-  }
-  for (auto& [id, sys] : systems_) {
-    compacted_ += sys.system_gaps.evict_before(horizon).n;
+  for (auto& [system_id, sys] : systems_) {
+    sys.system_gaps.evict_before(horizon);
+    for (auto& [node_id, node] : sys.nodes) {
+      for (auto& [cause, c] : node.cells) {
+        c.repair_minutes.evict_before(horizon);
+        c.node_gaps.evict_before(horizon);
+      }
+    }
   }
 }
 
@@ -89,36 +89,28 @@ WindowReport LiveAnalytics::report(int system_id, Seconds window) const {
   out.now = latest_at_;
   out.window = window > 0 ? window : 24 * kSecondsPerHour;
 
-  out.repair_minutes.floor_at = options_.repair_floor_minutes;
-  out.node_gaps_seconds.floor_at = options_.gap_floor_seconds;
-  out.system_gaps_seconds.floor_at = options_.gap_floor_seconds;
-
-  std::map<trace::RootCause, dist::SuffStats> by_cause;
-  const auto first = cells_.lower_bound(
-      std::make_tuple(system_id, 0, static_cast<trace::RootCause>(0)));
-  for (auto it = first;
-       it != cells_.end() && std::get<0>(it->first) == system_id; ++it) {
-    const dist::SuffStats repair =
-        it->second.repair_minutes.window_stats(out.now, out.window);
-    const dist::SuffStats gaps =
-        it->second.node_gaps.window_stats(out.now, out.window);
-    out.repair_minutes.merge(repair);
-    out.node_gaps_seconds.merge(gaps);
-    if (repair.n > 0) {
-      auto& slot = by_cause[std::get<2>(it->first)];
-      if (slot.n == 0) slot.floor_at = repair.floor_at;
-      slot.merge(repair);
-    }
-  }
-  for (auto& [cause, stats] : by_cause) {
-    out.by_cause.push_back(CauseWindow{cause, stats});
-  }
+  out.node_gaps_seconds.floor_at = kGapFloorSeconds;
+  out.system_gaps_seconds.floor_at = kGapFloorSeconds;
 
   const auto sys = systems_.find(system_id);
   if (sys != systems_.end()) {
     out.events_total = sys->second.events;
     out.system_gaps_seconds =
         sys->second.system_gaps.window_stats(out.now, out.window);
+    std::map<trace::RootCause, dist::SuffStats> by_cause;
+    for (const auto& [node_id, node] : sys->second.nodes) {
+      for (const auto& [cause, c] : node.cells) {
+        const dist::SuffStats repair =
+            c.repair_minutes.window_stats(out.now, out.window);
+        out.repair_minutes.merge(repair);
+        out.node_gaps_seconds.merge(
+            c.node_gaps.window_stats(out.now, out.window));
+        if (repair.n > 0) by_cause[cause].merge(repair);
+      }
+    }
+    for (const auto& [cause, stats] : by_cause) {
+      out.by_cause.push_back(CauseWindow{cause, stats});
+    }
   }
 
   try {
@@ -136,7 +128,7 @@ WindowReport LiveAnalytics::report(int system_id, Seconds window) const {
 std::vector<int> LiveAnalytics::system_ids() const {
   std::vector<int> ids;
   ids.reserve(systems_.size());
-  for (const auto& [id, state] : systems_) ids.push_back(id);
+  for (const auto& [id, row] : systems_) ids.push_back(id);
   return ids;
 }
 

@@ -1,26 +1,36 @@
 // Windowed live analytics for the streaming daemon.
 //
-// LiveAnalytics keeps one SlidingSuffStats cell per (system, node,
-// root-cause) for repair times and per-node failure gaps, plus a
-// per-system cell for the system-view failure process (Section 5.3's two
-// views), all updated in O(log buckets) per event. report() merges the
-// covered buckets and derives the windowed moments (mean, C²) and a
-// streaming FitReport (dist::fit_report_from_stats) — no trace rescan,
-// no retained samples, so a report over any window is O(cells x buckets)
-// regardless of how many events were ingested.
+// LiveAnalytics keeps one table, system -> node -> root cause. A system
+// row holds the system's event count, its last failure start and the
+// system-view gap window; each of its node rows holds the node's last
+// failure start and one cell per cause with sliding windows of repair
+// minutes and per-node failure gaps (Section 5.3's two views). An event
+// updates one system row and one node row in O(log buckets). report()
+// merges the covered buckets and derives the windowed moments (mean, C²)
+// and a streaming FitReport (dist::fit_report_from_stats) — no trace
+// rescan, no retained samples, so a report over any window is
+// O(cells x buckets) regardless of how many events were ingested.
 //
 // Windows are anchored at the *trace* clock (the latest event timestamp
 // seen), not the wall clock, so replayed historical traces report
 // sensibly. Not thread-safe: the server serializes observe()/report()
 // behind its own mutex (both are cheap — neither ever triggers an index
 // rebuild).
+//
+// Determinism: a cell sees only its node's events, in that node's
+// arrival order, and report() merges cells in ascending (node, cause)
+// order. So events_total, now, repair_minutes, node_gaps_seconds,
+// by_cause, repair_fits and node_gap_fits are bit-identical for any
+// interleaving of different nodes' events — in particular at any ingest
+// shard count, as long as each node's events arrive in one order (one
+// connection per node, as `hpcfail replay` sends them).
+// system_gaps_seconds is not: the system-view gaps depend on how
+// different nodes' events interleave.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <string>
-#include <tuple>
-#include <utility>
 #include <vector>
 
 #include "common/time.hpp"
@@ -61,11 +71,6 @@ class LiveAnalytics {
   struct Options {
     Seconds bucket_seconds = kSecondsPerHour;
     std::size_t max_buckets = 24 * 14;  ///< two weeks of hourly buckets
-    double repair_floor_minutes = 1e-9;
-    /// Gap floor of 1 second: the traces have second resolution and
-    /// simultaneous failures yield exact zeros (same convention as the
-    /// batch interarrival fits).
-    double gap_floor_seconds = 1.0;
   };
 
   LiveAnalytics() : LiveAnalytics(Options{}) {}
@@ -81,16 +86,10 @@ class LiveAnalytics {
 
   /// Evicts every bucket entirely before `horizon` from all cells — the
   /// analytics side of dataset retention, so windows and the sealed
-  /// dataset agree on what history exists. Evicted observations are
-  /// counted (compacted_observations()) and their bucket indices become
+  /// dataset agree on what history exists. Evicted bucket indices become
   /// a floor: late arrivals below it are dropped, never resurrected
   /// (see dist::SlidingSuffStats::evict_before).
   void compact_before(Seconds horizon);
-
-  /// Observations de-windowed by compact_before across all cells.
-  std::uint64_t compacted_observations() const noexcept {
-    return compacted_;
-  }
 
   /// Distinct systems observed, ascending.
   std::vector<int> system_ids() const;
@@ -103,28 +102,27 @@ class LiveAnalytics {
  private:
   struct Cell {
     dist::SlidingSuffStats repair_minutes;
+    /// Node gaps, each filed under its later event's cause.
     dist::SlidingSuffStats node_gaps;
   };
-  struct SystemState {
+  struct NodeRow {
+    Seconds last_start = 0;  ///< set by the node's first event
+    std::map<trace::RootCause, Cell> cells;
+  };
+  struct SystemRow {
     std::uint64_t events = 0;
-    Seconds last_start = 0;
-    bool has_last = false;
+    Seconds last_start = 0;  ///< set by the system's first event
     dist::SlidingSuffStats system_gaps;
+    std::map<int, NodeRow> nodes;
   };
 
-  Cell& cell(int system_id, int node_id, trace::RootCause cause);
-
-  Options options_;
   dist::SlidingSuffStats::Options repair_opts_;
   dist::SlidingSuffStats::Options gap_opts_;
-  /// (system, node, cause) -> repair/gap accumulators.
-  std::map<std::tuple<int, int, trace::RootCause>, Cell> cells_;
-  /// (system, node) -> last failure start, for gap extraction.
-  std::map<std::pair<int, int>, Seconds> last_node_start_;
-  std::map<int, SystemState> systems_;
+  /// Keyed by raw ids, which arrive from the network and are bounded
+  /// only from below, so maps rather than dense vectors.
+  std::map<int, SystemRow> systems_;
   Seconds latest_at_ = 0;
   std::uint64_t events_ = 0;
-  std::uint64_t compacted_ = 0;
 };
 
 /// Renders a WindowReport as the /report JSON document.

@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <map>
@@ -594,12 +596,27 @@ std::string Server::handle_request(const std::string& target, int& status) {
         status = 400;
         return "{\"error\":\"missing required parameter 'system'\"}";
       }
-      const int system_id = static_cast<int>(parse_i64(system_text));
+      // Ids arrive as int64 text; narrowing one outside the valid id
+      // range would alias another system (2^32 + 1 -> 1).
+      const std::int64_t system_arg = parse_i64(system_text);
+      if (system_arg < 1 || system_arg > std::numeric_limits<int>::max()) {
+        status = 400;
+        return "{\"error\":\"parameter 'system' must be in [1, " +
+               std::to_string(std::numeric_limits<int>::max()) + "]\"}";
+      }
+      const int system_id = static_cast<int>(system_arg);
       Seconds window = options_.window_seconds;
       const std::string hours = query_param(target, "window_hours");
       if (!hours.empty()) {
-        window = static_cast<Seconds>(parse_double(hours) *
-                                      static_cast<double>(kSecondsPerHour));
+        const double window_seconds =
+            parse_double(hours) * static_cast<double>(kSecondsPerHour);
+        // Converting a double outside Seconds' range is undefined.
+        constexpr double kSecondsLimit = 0x1p63;
+        if (!(std::abs(window_seconds) < kSecondsLimit)) {
+          status = 400;
+          return "{\"error\":\"parameter 'window_hours' is out of range\"}";
+        }
+        window = static_cast<Seconds>(window_seconds);
       }
       const std::string seconds = query_param(target, "window_seconds");
       if (!seconds.empty()) window = parse_i64(seconds);
@@ -607,14 +624,20 @@ std::string Server::handle_request(const std::string& target, int& status) {
         status = 400;
         return "{\"error\":\"window must be positive\"}";
       }
-      std::lock_guard<std::mutex> lock(analytics_mutex_);
-      const std::vector<int> ids = analytics_.system_ids();
-      if (std::find(ids.begin(), ids.end(), system_id) == ids.end()) {
-        status = 404;
-        return "{\"error\":\"unknown system " + std::to_string(system_id) +
-               "\"}";
+      WindowReport report;
+      {
+        // Every ingest shard's observe flush waits on this lock, so it
+        // covers the analytics reads only: the ledger copy and the
+        // rendering below run outside it.
+        std::lock_guard<std::mutex> lock(analytics_mutex_);
+        const std::vector<int> ids = analytics_.system_ids();
+        if (std::find(ids.begin(), ids.end(), system_id) == ids.end()) {
+          status = 404;
+          return "{\"error\":\"unknown system " + std::to_string(system_id) +
+                 "\"}";
+        }
+        report = analytics_.report(system_id, window);
       }
-      WindowReport report = analytics_.report(system_id, window);
       // Compacted-ledger section: events retention dropped past the
       // horizon still show up as per-cause pooled repair SuffStats, so
       // /report accounts for the full ingested history (satellite of

@@ -24,8 +24,6 @@ LiveDataset::LiveDataset(Options options) : options_(options) {
   HPCFAIL_EXPECTS(options_.shards > 0, "shards must be positive");
   HPCFAIL_EXPECTS(options_.retain_seconds >= 0,
                   "retain_seconds must be non-negative");
-  HPCFAIL_EXPECTS(options_.compaction_repair_floor > 0.0,
-                  "compaction_repair_floor must be positive");
   shards_.reserve(options_.shards);
   for (std::size_t s = 0; s < options_.shards; ++s) {
     shards_.push_back(std::make_unique<Shard>());
@@ -35,7 +33,6 @@ LiveDataset::LiveDataset(Options options) : options_(options) {
 
 LiveDataset::LiveDataset(FailureDataset seed, Options options)
     : LiveDataset(options) {
-  index_starts(seed.columns());
   sealed_count_.store(seed.size(), std::memory_order_release);
   // Build the index on the shared instance (a move would drop it — the
   // dataset move ctor invalidates the source's index), so readers of the
@@ -43,17 +40,6 @@ LiveDataset::LiveDataset(FailureDataset seed, Options options)
   auto next = std::make_shared<const FailureDataset>(std::move(seed));
   next->index();
   publish(std::move(next));
-}
-
-void LiveDataset::index_starts(const ColumnStore& columns) {
-  // Columns are globally start-sorted, so appending per (system, node)
-  // keeps every posting list ascending. The seed lands in shard 0's
-  // lists; queries merge across shards anyway.
-  const std::size_t n = columns.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    shards_[0]->starts[{columns.system_id[i], columns.node_id[i]}].push_back(
-        columns.start[i]);
-  }
 }
 
 std::size_t LiveDataset::seal_threshold() const noexcept {
@@ -73,13 +59,6 @@ void LiveDataset::append(std::size_t shard, const FailureRecord& r) {
   {
     std::lock_guard<std::mutex> lock(s.mutex);
     s.tail.push_back(r);
-    std::vector<Seconds>& starts = s.starts[{r.system_id, r.node_id}];
-    if (starts.empty() || starts.back() <= r.start) {
-      starts.push_back(r.start);  // in-order arrival: the common case
-    } else {
-      starts.insert(std::upper_bound(starts.begin(), starts.end(), r.start),
-                    r.start);
-    }
   }
   const std::size_t tails =
       tail_count_.fetch_add(1, std::memory_order_acq_rel) + 1;
@@ -215,30 +194,12 @@ void LiveDataset::compact_prefix(const ColumnStore& merged, std::size_t cut) {
       dist::SuffStats& cell = compacted_[{merged.system_id[i],
                                           merged.node_id[i],
                                           merged.cause[i]}];
-      if (cell.n == 0) cell.floor_at = options_.compaction_repair_floor;
       cell.add(static_cast<double>(merged.end[i] - merged.start[i]) / 60.0);
     }
   }
   compacted_events_.fetch_add(cut, std::memory_order_acq_rel);
-  const Seconds horizon = merged.start[cut];  // first retained start
-  retention_horizon_.store(horizon, std::memory_order_release);
-
-  // Drop posting-list entries below the horizon. Dropped rows are
-  // exactly {start < horizon}, so each list loses a prefix.
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    for (auto it = shard->starts.begin(); it != shard->starts.end();) {
-      std::vector<Seconds>& starts = it->second;
-      const auto keep =
-          std::lower_bound(starts.begin(), starts.end(), horizon);
-      if (keep == starts.end()) {
-        it = shard->starts.erase(it);
-        continue;
-      }
-      starts.erase(starts.begin(), keep);
-      ++it;
-    }
-  }
+  // The first retained start: every compacted row started before it.
+  retention_horizon_.store(merged.start[cut], std::memory_order_release);
 
   if (obs::enabled()) {
     obs::Counter* counter =
@@ -270,34 +231,6 @@ std::shared_ptr<const FailureDataset> LiveDataset::snapshot() const {
 void LiveDataset::publish(std::shared_ptr<const FailureDataset> next) {
   std::lock_guard<std::mutex> lock(sealed_mutex_);
   sealed_ = std::move(next);
-}
-
-std::vector<Seconds> LiveDataset::node_starts(int system_id,
-                                              int node_id) const {
-  std::vector<Seconds> merged;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    const auto it = shard->starts.find({system_id, node_id});
-    if (it == shard->starts.end()) continue;
-    merged.insert(merged.end(), it->second.begin(), it->second.end());
-  }
-  // Each shard's list is ascending; the union is a k-way merge, and the
-  // merged values are independent of shard order.
-  std::sort(merged.begin(), merged.end());
-  return merged;
-}
-
-std::vector<double> LiveDataset::node_interarrivals(int system_id,
-                                                    int node_id) const {
-  const std::vector<Seconds> starts = node_starts(system_id, node_id);
-  std::vector<double> gaps;
-  if (starts.size() >= 2) {
-    gaps.reserve(starts.size() - 1);
-    for (std::size_t i = 1; i < starts.size(); ++i) {
-      gaps.push_back(static_cast<double>(starts[i] - starts[i - 1]));
-    }
-  }
-  return gaps;
 }
 
 }  // namespace hpcfail::trace

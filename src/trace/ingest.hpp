@@ -8,10 +8,11 @@
 //   * the *sealed* prefix: an immutable FailureDataset (with its index
 //     already built) published to readers as a shared_ptr snapshot;
 //   * the *tails*: recent appends, kept columnar in arrival order in one
-//     tail per ingest shard, plus per-shard per-(system, node) posting
-//     lists (each node's start times, ascending) that are updated in
-//     O(1) amortized per append and cover sealed + tails, so exact
-//     per-node interarrival queries never wait for a rebuild.
+//     tail per ingest shard.
+//
+// Per-node queries go to the sealed snapshot's DatasetIndex, which has
+// exact per-node posting lists; the live per-node view of unsealed
+// events is serve::LiveAnalytics' per-node table.
 //
 // When the combined tails outgrow the rebuild policy
 // (max(min_rebuild_tail, rebuild_fraction x sealed size) — geometric
@@ -35,17 +36,16 @@
 // set is exactly {rows : start < horizon} and compaction commutes with
 // re-partitioning. Late arrivals older than the horizon are accepted
 // into a tail, then compacted at the next seal — they never resurrect
-// dropped raw rows, and posting lists cover only the retained horizon.
+// dropped raw rows.
 //
 // Threading contract: append(shard, r)/drain(shard, ...) are
 // single-writer *per shard*; distinct shards may ingest concurrently.
 // seal() is safe from any thread (serialized internally) and runs
 // concurrently with appends — it holds each shard mutex only to swap
-// the tail out and to trim posting lists. snapshot()/epoch()/
-// sealed_size()/tail_size()/size()/compacted_events()/
-// compaction_cells()/node_starts()/node_interarrivals() are safe from
-// any thread. Snapshots are immutable and remain valid after further
-// appends and seals.
+// the tail out. snapshot()/epoch()/sealed_size()/tail_size()/size()/
+// compacted_events()/retention_horizon()/compaction_cells() are safe
+// from any thread. Snapshots are immutable and remain valid after
+// further appends and seals.
 #pragma once
 
 #include <atomic>
@@ -55,7 +55,6 @@
 #include <memory>
 #include <mutex>
 #include <tuple>
-#include <utility>
 #include <vector>
 
 #include "dist/suffstats.hpp"
@@ -86,8 +85,8 @@ class LiveDataset {
     /// tails reach max(min_rebuild_tail, rebuild_fraction * sealed).
     std::size_t min_rebuild_tail = 8192;
     double rebuild_fraction = 0.5;
-    /// Ingest partitions. Each shard has its own tail and posting
-    /// lists and accepts appends concurrently with the other shards.
+    /// Ingest partitions. Each shard has its own tail and accepts
+    /// appends concurrently with the other shards.
     std::size_t shards = 1;
     /// Raw events whose start is more than retain_seconds behind the
     /// latest sealed start are compacted at seal time (0 = keep all).
@@ -95,15 +94,12 @@ class LiveDataset {
     /// Sealed store is trimmed to at most this many raw events at seal
     /// time, rounded down to a start-timestamp boundary (0 = no limit).
     std::size_t max_sealed_events = 0;
-    /// Resolution floor for the compaction ledger's repair minutes.
-    double compaction_repair_floor = 1e-9;
   };
 
   LiveDataset();
   explicit LiveDataset(Options options);
 
-  /// Seeds the sealed prefix from an existing dataset and derives the
-  /// live posting lists from it.
+  /// Seeds the sealed prefix from an existing dataset.
   LiveDataset(FailureDataset seed, Options options);
   explicit LiveDataset(FailureDataset seed);
 
@@ -175,35 +171,23 @@ class LiveDataset {
     return last_rebuild_ms_.load(std::memory_order_acquire);
   }
 
-  /// Exact per-node interarrival gaps (seconds) over sealed + tails,
-  /// from the live posting lists — no rebuild required. Under
-  /// retention, covers only events at/after the horizon.
-  std::vector<double> node_interarrivals(int system_id, int node_id) const;
-
-  /// Start times of one node, ascending, over sealed + tails (merged
-  /// across shards). Empty when the node has no failures.
-  std::vector<Seconds> node_starts(int system_id, int node_id) const;
-
  private:
-  /// Per-shard ingest state. The mutex guards tail + starts; the hot
-  /// append path takes it uncontended (a seal contends only to swap
-  /// the tail out or trim posting lists).
+  /// Per-shard ingest state. The mutex guards the tail; the hot append
+  /// path takes it uncontended (a seal contends only to swap the tail
+  /// out).
   struct Shard {
-    mutable std::mutex mutex;
+    std::mutex mutex;
     ColumnStore tail;
-    std::map<std::pair<int, int>, std::vector<Seconds>> starts;
   };
 
   void publish(std::shared_ptr<const FailureDataset> next);
-  void index_starts(const ColumnStore& columns);
   std::size_t seal_threshold() const noexcept;
   void maybe_seal();
   void do_seal();  ///< requires seal_mutex_ held
   /// First retained row of the merged store under the retention policy
   /// (always at a start-timestamp boundary; 0 = keep everything).
   std::size_t retention_cut(const ColumnStore& merged) const;
-  /// Folds rows [0, cut) into the ledger, advances the horizon, and
-  /// trims every shard's posting lists below it.
+  /// Folds rows [0, cut) into the ledger and advances the horizon.
   void compact_prefix(const ColumnStore& merged, std::size_t cut);
 
   Options options_;

@@ -11,22 +11,32 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <optional>
+#include <random>
+#include <set>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/time.hpp"
+#include "dist/suffstats.hpp"
+#include "dist/window.hpp"
 #include "serve/analytics.hpp"
 #include "serve/replay.hpp"
 #include "trace/adapters/adapter.hpp"
 #include "trace/dataset.hpp"
 #include "trace/record.hpp"
+#include "trace/types.hpp"
 
 namespace hpcfail::serve {
 namespace {
@@ -110,6 +120,204 @@ TEST(LiveAnalytics, ReportJsonHasSchemaAndSections) {
     EXPECT_NE(json.find(needle), std::string::npos) << needle << "\n"
                                                     << json;
   }
+}
+
+// --- exact /report oracle --------------------------------------------------
+
+void expect_same_bits(const dist::SuffStats& got,
+                      const dist::SuffStats& want) {
+  EXPECT_EQ(got.n, want.n);
+  EXPECT_EQ(got.sum_raw, want.sum_raw);
+  EXPECT_EQ(got.shift, want.shift);
+  EXPECT_EQ(got.mean_dev, want.mean_dev);
+  EXPECT_EQ(got.m2, want.m2);
+  EXPECT_EQ(got.log_shift, want.log_shift);
+  EXPECT_EQ(got.log_mean_dev, want.log_mean_dev);
+  EXPECT_EQ(got.log_m2, want.log_m2);
+  EXPECT_EQ(got.min, want.min);
+  EXPECT_EQ(got.max, want.max);
+}
+
+// report() must equal, bit for bit, a replay that feeds each
+// (system, node, cause) cell only its own events: gaps per node in
+// arrival order attributed to the later event's cause, the same
+// mid-stream compaction, window stats merged in ascending (node, cause)
+// order. Late arrivals make some node gaps negative (skipped), and a
+// small max_buckets makes the bucket bound evict.
+TEST(LiveAnalytics, ReportMatchesPerCellReplayBitForBit) {
+  constexpr trace::DetailCause kDetailOf[] = {
+      trace::DetailCause::memory_dimm, trace::DetailCause::operating_system,
+      trace::DetailCause::network_switch, trace::DetailCause::power_outage,
+      trace::DetailCause::operator_error, trace::DetailCause::undetermined};
+  const std::vector<int> systems = {2, 5, 11};
+  std::mt19937 rng(2006);
+  std::uniform_int_distribution<std::size_t> pick_system(0, 2);
+  std::uniform_int_distribution<int> pick_node(0, 3);
+  std::uniform_int_distribution<std::size_t> pick_cause(0, 5);
+  std::uniform_int_distribution<Seconds> step(1, 1200);
+  std::uniform_int_distribution<Seconds> repair(0, 6 * kSecondsPerHour);
+  std::uniform_int_distribution<Seconds> lateness(1, 8 * kSecondsPerHour);
+  std::uniform_int_distribution<int> late(0, 19);
+  std::vector<trace::FailureRecord> stream;
+  Seconds at = t0;
+  for (int i = 0; i < 3000; ++i) {
+    at += step(rng);
+    trace::FailureRecord r;
+    r.system_id = systems[pick_system(rng)];
+    r.node_id = pick_node(rng);
+    const std::size_t c = pick_cause(rng);
+    r.cause = trace::kAllRootCauses[c];
+    r.detail = kDetailOf[c];
+    r.start = late(rng) == 0 ? at - lateness(rng) : at;
+    r.end = r.start + repair(rng);
+    stream.push_back(r);
+  }
+  const std::size_t compact_at = stream.size() / 2;
+  Seconds horizon = 0;
+  for (std::size_t i = 0; i < compact_at; ++i) {
+    horizon = std::max(horizon, stream[i].start);
+  }
+  horizon -= 48 * kSecondsPerHour;
+
+  LiveAnalytics::Options options;
+  options.max_buckets = 12;
+  LiveAnalytics analytics(options);
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    if (i == compact_at) analytics.compact_before(horizon);
+    analytics.observe(stream[i]);
+  }
+
+  // Reference: per-node and per-system gaps in arrival order.
+  std::vector<std::optional<double>> node_gap(stream.size());
+  std::vector<std::optional<double>> system_gap(stream.size());
+  std::map<std::pair<int, int>, Seconds> last_node;
+  std::map<int, Seconds> last_system;
+  std::map<int, std::uint64_t> events;
+  std::size_t skipped_node_gaps = 0;
+  Seconds now = 0;
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    const trace::FailureRecord& r = stream[i];
+    now = std::max(now, r.start);
+    ++events[r.system_id];
+    const auto gap_of = [&](auto& last, const auto& key,
+                            std::optional<double>& gap) {
+      const auto [it, first] = last.try_emplace(key, r.start);
+      if (first) return false;
+      if (r.start < it->second) return true;
+      gap = static_cast<double>(r.start - it->second);
+      it->second = r.start;
+      return false;
+    };
+    if (gap_of(last_node, std::make_pair(r.system_id, r.node_id),
+               node_gap[i])) {
+      ++skipped_node_gaps;
+    }
+    gap_of(last_system, r.system_id, system_gap[i]);
+  }
+  ASSERT_GT(skipped_node_gaps, 0u);
+
+  // Each cell and each system window replays only its own events, with
+  // the compaction applied where the stream crossed it, and only to
+  // windows that existed by then.
+  dist::SlidingSuffStats::Options repair_opts;
+  repair_opts.max_buckets = options.max_buckets;
+  dist::SlidingSuffStats::Options gap_opts = repair_opts;
+  gap_opts.floor_at = 1.0;
+  struct Cell {
+    dist::SlidingSuffStats repair;
+    dist::SlidingSuffStats gaps;
+  };
+  std::map<std::tuple<int, int, trace::RootCause>, std::vector<std::size_t>>
+      cell_events;
+  std::map<int, std::vector<std::size_t>> system_events;
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    const trace::FailureRecord& r = stream[i];
+    cell_events[{r.system_id, r.node_id, r.cause}].push_back(i);
+    system_events[r.system_id].push_back(i);
+  }
+  std::map<std::tuple<int, int, trace::RootCause>, Cell> cells;
+  std::size_t widest_cell = 0;  // distinct buckets at/after the horizon
+  for (const auto& [key, indices] : cell_events) {
+    Cell cell{dist::SlidingSuffStats(repair_opts),
+              dist::SlidingSuffStats(gap_opts)};
+    std::set<Seconds> buckets;
+    bool compacted = indices.front() >= compact_at;
+    for (const std::size_t i : indices) {
+      if (i >= compact_at && !compacted) {
+        cell.repair.evict_before(horizon);
+        cell.gaps.evict_before(horizon);
+        compacted = true;
+      }
+      cell.repair.add(stream[i].start, stream[i].downtime_minutes());
+      if (node_gap[i]) cell.gaps.add(stream[i].start, *node_gap[i]);
+      if (stream[i].start >= horizon) {
+        buckets.insert(stream[i].start / kSecondsPerHour);
+      }
+    }
+    if (!compacted) {
+      cell.repair.evict_before(horizon);
+      cell.gaps.evict_before(horizon);
+    }
+    cells.emplace(key, std::move(cell));
+    widest_cell = std::max(widest_cell, buckets.size());
+  }
+  ASSERT_GT(widest_cell, options.max_buckets);  // the bucket bound evicts
+  std::map<int, dist::SlidingSuffStats> system_windows;
+  for (const auto& [system, indices] : system_events) {
+    dist::SlidingSuffStats window(gap_opts);
+    bool compacted = indices.front() >= compact_at;
+    for (const std::size_t i : indices) {
+      if (i >= compact_at && !compacted) {
+        window.evict_before(horizon);
+        compacted = true;
+      }
+      if (system_gap[i]) window.add(stream[i].start, *system_gap[i]);
+    }
+    if (!compacted) window.evict_before(horizon);
+    system_windows.emplace(system, std::move(window));
+  }
+
+  EXPECT_EQ(analytics.system_ids(), systems);
+  std::set<trace::RootCause> causes_seen;
+  for (const int system : systems) {
+    for (const Seconds window :
+         {Seconds{0}, 6 * kSecondsPerHour, 72 * kSecondsPerHour,
+          100000 * kSecondsPerHour}) {
+      SCOPED_TRACE("system " + std::to_string(system) + " window " +
+                   std::to_string(window));
+      const Seconds span = window > 0 ? window : 24 * kSecondsPerHour;
+      dist::SuffStats repair;
+      dist::SuffStats node_gaps;
+      node_gaps.floor_at = 1.0;
+      std::map<trace::RootCause, dist::SuffStats> by_cause;
+      for (const auto& [key, cell] : cells) {
+        if (std::get<0>(key) != system) continue;
+        const dist::SuffStats r = cell.repair.window_stats(now, span);
+        repair.merge(r);
+        node_gaps.merge(cell.gaps.window_stats(now, span));
+        if (r.n > 0) by_cause[std::get<2>(key)].merge(r);
+      }
+
+      const WindowReport got = analytics.report(system, window);
+      EXPECT_EQ(got.system_id, system);
+      EXPECT_EQ(got.now, now);
+      EXPECT_EQ(got.window, span);
+      EXPECT_EQ(got.events_total, events[system]);
+      expect_same_bits(got.repair_minutes, repair);
+      expect_same_bits(got.node_gaps_seconds, node_gaps);
+      expect_same_bits(got.system_gaps_seconds,
+                       system_windows.at(system).window_stats(now, span));
+      ASSERT_EQ(got.by_cause.size(), by_cause.size());
+      auto want = by_cause.begin();
+      for (const CauseWindow& slice : got.by_cause) {
+        EXPECT_EQ(slice.cause, want->first);
+        expect_same_bits(slice.repair_minutes, want->second);
+        causes_seen.insert(slice.cause);
+        ++want;
+      }
+    }
+  }
+  EXPECT_EQ(causes_seen.size(), trace::kAllRootCauses.size());
 }
 
 // --- socket helpers -------------------------------------------------------
@@ -352,6 +560,43 @@ TEST(Server, SeededServerServesReportsBeforeAnyIngest) {
   server.stop();
   server.wait();
   EXPECT_EQ(server.dataset().snapshot()->size(), 100u);
+}
+
+TEST(Server, ReportRejectsOutOfRangeQueryParameters) {
+  std::vector<trace::FailureRecord> records;
+  for (int i = 0; i < 10; ++i) {
+    records.push_back(rec(1, i % 2, t0 + i * 3600, 600));
+  }
+  Server server(ServerOptions{}, trace::FailureDataset(std::move(records)));
+  server.start();
+  const int port = server.http_port();
+  const auto expect_rejected = [port](const std::string& target,
+                                      const std::string& parameter) {
+    const HttpResponse r = http_get(port, target);
+    EXPECT_EQ(r.status, 400) << target;
+    EXPECT_NE(r.body.find("'" + parameter + "'"), std::string::npos)
+        << r.body;
+  };
+
+  // 2^32 + 1 narrowed to an int would alias system 1.
+  expect_rejected("/report?system=4294967297", "system");
+  expect_rejected("/report?system=2147483648", "system");
+  expect_rejected("/report?system=0", "system");
+  expect_rejected("/report?system=-1", "system");
+  // Hours whose seconds overflow Seconds: converting them is undefined.
+  expect_rejected("/report?system=1&window_hours=1e300", "window_hours");
+  expect_rejected("/report?system=1&window_hours=-1e300", "window_hours");
+  expect_rejected("/report?system=1&window_hours=2.6e15", "window_hours");
+  // The widest windows that fit are still served.
+  const std::string widest_hours = "/report?system=1&window_hours=2.5e15";
+  EXPECT_EQ(http_get(port, widest_hours).status, 200);
+  const std::string widest_seconds =
+      "/report?system=1&window_seconds=9223372036854775807";
+  EXPECT_EQ(http_get(port, widest_seconds).status, 200);
+  EXPECT_EQ(http_get(port, "/report?system=2147483647").status, 404);
+
+  server.stop();
+  server.wait();
 }
 
 TEST(Server, TailsAnAppendedFile) {
@@ -742,6 +987,109 @@ TEST(Replay, ForeignFormatReplayMatchesBatchLoadByteForByte) {
   seeded.stop();
   live.wait();
   seeded.wait();
+}
+
+/// The raw JSON value (object, array, string or number) of the first
+/// `"key":` in `json`; empty when the key is absent.
+std::string json_field(const std::string& json, const std::string& key) {
+  const std::string needle = "\"" + key + "\":";
+  const std::size_t begin = json.find(needle);
+  if (begin == std::string::npos) return {};
+  std::size_t end = begin + needle.size();
+  int depth = 0;
+  bool in_string = false;
+  for (; end < json.size(); ++end) {
+    const char ch = json[end];
+    if (in_string) {
+      if (ch == '\\') {
+        ++end;
+      } else if (ch == '"') {
+        in_string = false;
+      }
+    } else if (ch == '"') {
+      in_string = true;
+    } else if (ch == '{' || ch == '[') {
+      ++depth;
+    } else if ((ch == '}' || ch == ']') && depth > 0) {
+      --depth;
+    } else if ((ch == ',' || ch == '}' || ch == ']') && depth == 0) {
+      break;
+    }
+  }
+  return json.substr(begin + needle.size(), end - begin - needle.size());
+}
+
+// The determinism contract in serve/analytics.hpp: every node-scoped
+// /report field is byte-identical at any ingest shard count, because
+// replay's stable (system, node) hash keeps each node's events on one
+// connection, in trace order. system_gaps_seconds is deliberately not
+// compared: it depends on how different nodes' events interleave.
+TEST(Replay, ShardCountLeavesNodeScopedReportFieldsByteIdentical) {
+  constexpr trace::DetailCause kDetails[] = {
+      trace::DetailCause::memory_dimm, trace::DetailCause::cpu,
+      trace::DetailCause::operating_system, trace::DetailCause::nic,
+      trace::DetailCause::ac_failure, trace::DetailCause::operator_error,
+      trace::DetailCause::undetermined};
+  std::mt19937 rng(7);
+  std::uniform_int_distribution<int> system(1, 3);
+  std::uniform_int_distribution<int> node(0, 15);
+  std::uniform_int_distribution<std::size_t> detail(0, 6);
+  std::uniform_int_distribution<Seconds> start(0, 30 * 24 * kSecondsPerHour);
+  std::uniform_int_distribution<Seconds> repair(0, 8 * kSecondsPerHour);
+  // Large enough that replay flushes each connection's 64 KiB buffer
+  // several times, so different nodes' events interleave differently at
+  // 1 and 4 ingest threads.
+  std::vector<trace::FailureRecord> records;
+  for (int i = 0; i < 24000; ++i) {
+    trace::FailureRecord r;
+    r.system_id = system(rng);
+    r.node_id = node(rng);
+    r.detail = kDetails[detail(rng)];
+    r.cause = trace::category_of(r.detail);
+    r.start = t0 + start(rng);
+    r.end = r.start + repair(rng);
+    records.push_back(r);
+  }
+  const trace::FailureDataset dataset{std::move(records)};
+
+  std::vector<std::string> targets;
+  for (const int system_id : {1, 2, 3}) {
+    for (const char* hours : {"87600", "48"}) {
+      targets.push_back("/report?system=" + std::to_string(system_id) +
+                        "&window_hours=" + hours);
+    }
+  }
+  std::vector<std::vector<std::string>> bodies;
+  for (const std::size_t threads : {1u, 4u}) {
+    ServerOptions sopts;
+    sopts.ingest_threads = threads;
+    Server server(sopts);
+    server.start();
+    ReplayOptions ropts;
+    ropts.port = server.ingest_port();
+    ropts.connections = 4;
+    replay_dataset(dataset, ropts);
+    wait_until_ingested(server, dataset.size());
+    bodies.emplace_back();
+    for (const std::string& target : targets) {
+      const HttpResponse r = http_get(server.http_port(), target);
+      EXPECT_EQ(r.status, 200) << target;
+      bodies.back().push_back(r.body);
+    }
+    server.stop();
+    server.wait();
+  }
+
+  for (std::size_t t = 0; t < targets.size(); ++t) {
+    for (const char* field :
+         {"events_total", "now", "repair_minutes", "node_gaps_seconds",
+          "by_cause", "repair_fits", "node_gap_fits"}) {
+      const std::string one_shard = json_field(bodies[0][t], field);
+      EXPECT_FALSE(one_shard.empty()) << targets[t] << " " << field;
+      EXPECT_EQ(one_shard, json_field(bodies[1][t], field))
+          << targets[t] << " " << field;
+    }
+  }
 }
 
 TEST(Replay, SpeedupPacesTheWallClock) {

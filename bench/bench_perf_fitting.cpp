@@ -5,7 +5,7 @@
 // build the data before `for (auto _ : state)`), and every benchmark
 // reports items/sec via SetItemsProcessed where an "item" is one fitted
 // observation — so rates are comparable across sample sizes and against
-// the end-to-end sweep in `bench_perf_dataset --pr6`.
+// perfbench's end-to-end `dist.fit_points` / `dist.fit_cpu_s`.
 //
 // BM_FitAllStandard (fit_report: one SuffStats pass, one sorted copy and
 // one log cache shared across families) vs BM_FitPerFamilyStandard (one

@@ -10,9 +10,10 @@
 //
 // BM_GenerateBulk scales every system's failure volume by range(0) so the
 // bulk pipeline (columnar emission + radix merge) dominates instead of
-// the per-system planning cost that bounds the paper-scale runs; the full
-// 10M-record sweep with per-stage numbers lives in
-// `bench_perf_dataset --pr6` (committed as BENCH_PR6.json).
+// the per-system planning cost that bounds the paper-scale runs; the
+// end-to-end generation numbers (`synth.generate_s`,
+// `synth.generate_cpu_s` on a ~1M-record trace) come from perfbench's
+// traced `batch_pipeline` run.
 #include <benchmark/benchmark.h>
 
 #include "common/thread_pool.hpp"

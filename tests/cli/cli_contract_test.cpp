@@ -208,7 +208,7 @@ TEST(CliContract, ReplayValidatesOptionsAfterReadingTheTrace) {
     out << "20,3,2005-01-02 09:00:00,2005-01-02 10:00:00,compute,hardware,"
            "memory_dimm\n";
   }
-  for (const std::string bad :
+  for (const std::string& bad :
        {std::string("--port 70000"), std::string("--port 1 --speedup -2"),
         std::string("--port 1 --connections 0"),
         std::string("--port 1 --host not.an.ip")}) {

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "trace/dataset.hpp"
 #include "trace/index.hpp"
@@ -469,6 +470,34 @@ TEST(LiveDataset, LateArrivalBelowHorizonCompactsAndNeverResurrects) {
   for (std::size_t i = 0; i < rows.size(); ++i) {
     EXPECT_GE(rows.starts()[i], horizon);
   }
+}
+
+TEST(LiveDataset, CountRetentionPeakStaysWithinTheRebuildAllowance) {
+  // Between seals the tail grows to rebuild_fraction x sealed before the
+  // next seal trims the store back to the cap, so live events never
+  // exceed (1 + rebuild_fraction) x cap. Sampled after every append.
+  constexpr std::uint64_t kEvents = 500'000;
+  constexpr std::size_t kCap = 100'000;
+  LiveDataset::Options opts;
+  opts.max_sealed_events = kCap;
+  LiveDataset live(opts);
+  const double allowance = 1 + opts.rebuild_fraction;
+  const auto bound = static_cast<std::size_t>(allowance * kCap);
+  Rng rng(4242);
+  Seconds at = t0;
+  std::size_t peak = 0;
+  for (std::uint64_t i = 0; i < kEvents; ++i) {
+    at += 1 + static_cast<Seconds>(rng.uniform_index(30));
+    const int system = 1 + static_cast<int>(rng.uniform_index(8));
+    const int node = static_cast<int>(rng.uniform_index(128));
+    const Seconds repair = 60 + static_cast<Seconds>(rng.uniform_index(7200));
+    live.append(rec(system, node, at, repair));
+    peak = std::max(peak, live.size());
+  }
+  EXPECT_LE(peak, bound);
+  EXPECT_GT(live.compacted_events(), 0u);
+  EXPECT_EQ(live.sealed_size() + live.tail_size() + live.compacted_events(),
+            kEvents);
 }
 
 TEST(LiveDataset, RetentionNeverEmptiesTheStore) {

@@ -5,54 +5,66 @@
 // MTBF with lognormal jitter, plus a hot tail failing 5x as often.
 // Placement can only help below saturation, and the benefit should grow
 // as more slack is available -- that is the shape this bench reports.
+// Each policy runs as its own single-policy campaign at one seed, so both
+// meet the same faults. EXPERIMENTS.md compares these numbers with the
+// cluster simulator this bench ran on before the campaign engine.
 #include <iostream>
+#include <limits>
+#include <string>
 
 #include "report/table.hpp"
-#include "sim/cluster.hpp"
+#include "sim/campaign.hpp"
+#include "sim/policy.hpp"
+#include "sim/scenario.hpp"
 
 int main() {
   using namespace hpcfail;
   constexpr double kDay = 86400.0;
+  constexpr std::size_t kReps = 3;
 
-  sim::ClusterConfig cfg;
-  cfg.nodes = sim::heterogeneous_nodes(64, 20.0 * kDay, 0.3, 0.08, 5.0, 99);
-  cfg.job_width = 8;
-  cfg.job_work_seconds = 24.0 * 3600.0;
-  cfg.job_count = 150;
+  sim::CampaignScenario scenario;
+  scenario.name = "hot-tail";
+  scenario.node_count = 64;
+  scenario.horizon_seconds = std::numeric_limits<double>::infinity();
+  scenario.faults = sim::renewal_fault_model(
+      sim::heterogeneous_nodes(64, 20.0 * kDay, 0.3, 0.08, 5.0, 99));
+  scenario.job_width = 8;
+  scenario.job_work_seconds = 24.0 * 3600.0;
+  scenario.job_count = 150;
+
+  // Per-policy means of waste fraction, interruptions and makespan.
+  struct Means {
+    double waste = 0.0;
+    double interruptions = 0.0;
+    double makespan = 0.0;
+  };
+  const auto run = [&scenario](sim::CampaignPolicy policy) {
+    sim::CampaignSpec spec;
+    spec.scenarios = {scenario};
+    spec.policies = {std::move(policy)};
+    spec.runs_per_cell = kReps;
+    Means m;
+    for (const sim::CampaignRunResult& r : sim::Campaign(spec).run().runs) {
+      m.waste += r.waste_fraction() / kReps;
+      m.interruptions += static_cast<double>(r.interruptions) / kReps;
+      m.makespan += r.makespan / kReps;
+    }
+    return m;
+  };
 
   report::TextTable table({"concurrent jobs", "load", "waste rnd %",
                            "waste ranked %", "interrupts rnd",
                            "interrupts ranked", "makespan gain %"});
   for (const std::size_t concurrent : {2u, 4u, 6u, 8u}) {
-    cfg.max_concurrent_jobs = concurrent;
-    double waste_random = 0.0;
-    double waste_ranked = 0.0;
-    double interrupts_random = 0.0;
-    double interrupts_ranked = 0.0;
-    double makespan_random = 0.0;
-    double makespan_ranked = 0.0;
-    constexpr int kReps = 3;
-    for (int rep = 0; rep < kReps; ++rep) {
-      Rng r1(static_cast<std::uint64_t>(rep));
-      Rng r2(static_cast<std::uint64_t>(rep));
-      cfg.policy = sim::PlacementPolicy::random;
-      const sim::ClusterStats a = sim::simulate_cluster(cfg, r1);
-      cfg.policy = sim::PlacementPolicy::reliability_ranked;
-      const sim::ClusterStats b = sim::simulate_cluster(cfg, r2);
-      waste_random += a.waste_fraction();
-      waste_ranked += b.waste_fraction();
-      interrupts_random += static_cast<double>(a.interruptions);
-      interrupts_ranked += static_cast<double>(b.interruptions);
-      makespan_random += a.makespan;
-      makespan_ranked += b.makespan;
-    }
+    scenario.max_concurrent_jobs = concurrent;
+    const Means random = run(sim::no_protection_policy());
+    const Means ranked = run(sim::reliability_ranked_policy());
     const double load = static_cast<double>(concurrent * 8) / 64.0;
     table.add_row(std::to_string(concurrent),
-                  {load, 100.0 * waste_random / kReps,
-                   100.0 * waste_ranked / kReps, interrupts_random / kReps,
-                   interrupts_ranked / kReps,
-                   100.0 * (makespan_random - makespan_ranked) /
-                       makespan_random},
+                  {load, 100.0 * random.waste, 100.0 * ranked.waste,
+                   random.interruptions, ranked.interruptions,
+                   100.0 * (random.makespan - ranked.makespan) /
+                       random.makespan},
                   3);
   }
   std::cout << "=== ablation: random vs reliability-ranked placement ===\n"

@@ -13,7 +13,7 @@
 
 #include "common/strings.hpp"
 #include "report/table.hpp"
-#include "sim/checkpoint.hpp"
+#include "sim/policy.hpp"
 #include "synth/generator.hpp"
 #include "trace/index.hpp"
 

@@ -1,20 +1,24 @@
 // Reliability-aware node selection (Section 5.1's motivation).
 //
 // Ranks the nodes of one system by observed failure rate, shows the
-// graphics/front-end hot spots, then quantifies the payoff with the
-// cluster simulator: random placement vs placing jobs on the most
-// reliable available nodes.
+// graphics/front-end hot spots, then quantifies the payoff with a
+// campaign: random placement vs placing jobs on the most reliable
+// available nodes, each as a single-policy campaign at one seed so both
+// meet the same faults.
 //
 //   ./reliability_ranking [system_id]
 #include <algorithm>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 
 #include "analysis/outliers.hpp"
 #include "analysis/rates.hpp"
 #include "report/ascii_chart.hpp"
 #include "report/table.hpp"
-#include "sim/cluster.hpp"
+#include "sim/campaign.hpp"
+#include "sim/policy.hpp"
+#include "sim/scenario.hpp"
 #include "synth/generator.hpp"
 
 int main(int argc, char** argv) {
@@ -65,26 +69,30 @@ int main(int argc, char** argv) {
 
   // Policy payoff on a synthetic 64-node cluster with the same kind of
   // heterogeneity, at half load so the scheduler has slack.
-  sim::ClusterConfig cfg;
-  cfg.nodes = sim::heterogeneous_nodes(64, 20.0 * 86400.0, 0.3, 0.08, 5.0,
-                                       99);
-  cfg.job_width = 8;
-  cfg.job_work_seconds = 24.0 * 3600.0;
-  cfg.job_count = 200;
-  cfg.max_concurrent_jobs = 4;
+  sim::CampaignScenario scenario;
+  scenario.name = "hot-tail";
+  scenario.node_count = 64;
+  scenario.horizon_seconds = std::numeric_limits<double>::infinity();
+  scenario.faults = sim::renewal_fault_model(
+      sim::heterogeneous_nodes(64, 20.0 * 86400.0, 0.3, 0.08, 5.0, 99));
+  scenario.job_width = 8;
+  scenario.job_work_seconds = 24.0 * 3600.0;
+  scenario.job_count = 200;
+  scenario.max_concurrent_jobs = 4;
 
   report::TextTable table({"placement policy", "makespan (d)",
                            "wasted work (%)", "job interruptions"});
   for (const auto& [name, policy] :
-       {std::pair{"random", sim::PlacementPolicy::random},
-        std::pair{"reliability-ranked",
-                  sim::PlacementPolicy::reliability_ranked}}) {
-    Rng rng(5);
-    cfg.policy = policy;
-    const sim::ClusterStats stats = sim::simulate_cluster(cfg, rng);
-    table.add_row(name, {stats.makespan / 86400.0,
-                         stats.waste_fraction() * 100.0,
-                         static_cast<double>(stats.interruptions)});
+       {std::pair{"random", sim::no_protection_policy()},
+        std::pair{"reliability-ranked", sim::reliability_ranked_policy()}}) {
+    sim::CampaignSpec spec;
+    spec.scenarios = {scenario};
+    spec.policies = {policy};
+    spec.runs_per_cell = 1;
+    spec.seed = 5;
+    const sim::CampaignRunResult run = sim::Campaign(spec).execute_run(0, 0);
+    table.add_row(name, {run.makespan / 86400.0, run.waste_fraction() * 100.0,
+                         static_cast<double>(run.interruptions)});
   }
   table.render(std::cout);
   return 0;

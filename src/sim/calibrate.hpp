@@ -14,7 +14,7 @@
 
 #include <vector>
 
-#include "sim/cluster.hpp"
+#include "sim/scenario.hpp"
 #include "trace/catalog.hpp"
 #include "trace/dataset.hpp"
 

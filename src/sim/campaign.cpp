@@ -1,14 +1,19 @@
 #include "sim/campaign.hpp"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <bit>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <deque>
 #include <fstream>
+#include <functional>
+#include <numeric>
 #include <queue>
+#include <span>
 #include <sstream>
 #include <utility>
 
@@ -70,24 +75,42 @@ std::uint64_t fingerprint_spec(const CampaignSpec& spec) {
         hash_double(h, f.repair_seconds);
       }
     } else {
-      hash_string(h, s.faults.interarrival->describe());
-      hash_string(h, s.faults.repair ? s.faults.repair->describe()
-                                     : std::string("none"));
+      // Fields added after format version 1 enter only when set, so every
+      // older spec (and its saved checkpoints) keeps its fingerprint.
+      if (s.faults.renewal.size() != 1) hash_u64(h, s.faults.renewal.size());
+      for (const RenewalPair& pair : s.faults.renewal) {
+        hash_string(h, pair.interarrival->describe());
+        hash_string(h, pair.repair ? pair.repair->describe()
+                                   : std::string("none"));
+      }
     }
     hash_u64(h, static_cast<std::uint64_t>(s.job_width));
     hash_double(h, s.job_work_seconds);
     hash_u64(h, s.job_count);
     hash_double(h, s.checkpoint_cost);
     hash_double(h, s.restart_cost);
+    if (s.max_concurrent_jobs != 0) {
+      hash_string(h, "max_concurrent_jobs");
+      hash_u64(h, s.max_concurrent_jobs);
+    }
   }
   hash_u64(h, spec.policies.size());
   for (const CampaignPolicy& p : spec.policies) {
     hash_string(h, p.name);
     hash_u64(h, static_cast<std::uint64_t>(p.placement));
     hash_double(h, p.checkpoint_interval);
+    if (p.hazard_aware) {
+      hash_string(h, "hazard_aware");
+      hash_double(h, p.hazard_aware->min_interval);
+      hash_double(h, p.hazard_aware->max_interval);
+    }
   }
   return h;
 }
+
+/// Bounds a hazard-aware cell's segment table (8 MiB): a segment is at
+/// least min_interval long, so a job may span at most this many of them.
+constexpr double kMaxHazardAwareSegments = 1 << 20;
 
 void validate_spec(const CampaignSpec& spec) {
   HPCFAIL_EXPECTS(!spec.scenarios.empty(),
@@ -104,7 +127,9 @@ void validate_spec(const CampaignSpec& spec) {
     names.push_back(s.name);
     HPCFAIL_EXPECTS(s.node_count > 0, "scenario needs at least one node");
     HPCFAIL_EXPECTS(s.job_count > 0, "scenario needs at least one job");
-    HPCFAIL_EXPECTS(s.job_work_seconds > 0.0, "job work must be positive");
+    HPCFAIL_EXPECTS(s.job_work_seconds > 0.0 &&
+                        std::isfinite(s.job_work_seconds),
+                    "job work must be positive and finite");
     HPCFAIL_EXPECTS(s.job_width >= 1 &&
                         static_cast<std::size_t>(s.job_width) <= s.node_count,
                     "job width must fit the cluster");
@@ -122,8 +147,14 @@ void validate_spec(const CampaignSpec& spec) {
         last = f.time;
       }
     } else {
-      HPCFAIL_EXPECTS(s.faults.interarrival != nullptr,
-                      "renewal scenario needs an interarrival distribution");
+      const std::size_t pairs = s.faults.renewal.size();
+      HPCFAIL_EXPECTS(pairs == 1 || pairs == s.node_count,
+                      "renewal scenario needs one interarrival distribution "
+                      "for all nodes or one per node");
+      for (const RenewalPair& pair : s.faults.renewal) {
+        HPCFAIL_EXPECTS(pair.interarrival != nullptr,
+                        "renewal scenario needs an interarrival distribution");
+      }
       HPCFAIL_EXPECTS(s.horizon_seconds > 0.0,
                       "renewal scenario needs a positive horizon");
     }
@@ -137,53 +168,137 @@ void validate_spec(const CampaignSpec& spec) {
     names.push_back(p.name);
     HPCFAIL_EXPECTS(p.checkpoint_interval >= 0.0,
                     "checkpoint interval must be non-negative");
-  }
-}
-
-/// Materializes one run's injection schedule. Scripted models return the
-/// script; renewal models draw each node's stream from the run RNG via
-/// fork (const — the caller's generator state is untouched, so placement
-/// draws later in the run are independent of schedule length).
-std::vector<InjectedFault> materialize_schedule(const CampaignScenario& scen,
-                                                const Rng& run_rng) {
-  if (scen.faults.kind == FaultModelKind::scripted) {
-    return scen.faults.scripted;
-  }
-  std::vector<InjectedFault> out;
-  for (std::size_t node = 0; node < scen.node_count; ++node) {
-    Rng stream = run_rng.fork(static_cast<std::uint64_t>(node));
-    double t = 0.0;
-    for (;;) {
-      t += scen.faults.interarrival->sample(stream);
-      if (!(t <= scen.horizon_seconds)) break;
-      double repair = 0.0;
-      if (scen.faults.repair) {
-        repair = std::max(0.0, scen.faults.repair->sample(stream));
-      }
-      out.push_back({t, static_cast<int>(node), repair});
+    if (!p.hazard_aware) continue;
+    HPCFAIL_EXPECTS(p.checkpoint_interval == 0.0,
+                    "a hazard-aware policy has no fixed interval");
+    for (const CampaignScenario& s : spec.scenarios) {
+      HPCFAIL_EXPECTS(s.faults.kind == FaultModelKind::renewal &&
+                          s.faults.renewal.size() == 1,
+                      "hazard-aware checkpointing needs a scenario whose "
+                      "nodes share one renewal distribution");
+      HPCFAIL_EXPECTS(s.job_work_seconds <= kMaxHazardAwareSegments *
+                                                p.hazard_aware->min_interval,
+                      "a hazard-aware job may span at most 2^20 minimum "
+                      "checkpoint intervals");
     }
   }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const InjectedFault& a, const InjectedFault& b) {
-                     if (a.time != b.time) return a.time < b.time;
-                     return a.node < b.node;
-                   });
-  return out;
 }
 
-// ---------------------------------------------------------------------
-// The per-run simulation engine. Event-driven with the same (time, seq)
-// total order as sim/cluster.cpp: ties are broken by insertion order, so
-// a fault landing at a job's exact completion instant (the fault events
-// are inserted first) kills the job.
+/// The renewal pair node `node` draws from.
+const RenewalPair& pair_for(const FaultModel& model, std::size_t node) {
+  return model.renewal.size() == 1 ? model.renewal.front()
+                                   : model.renewal[node];
+}
 
-enum class EventKind : std::uint8_t { fault, repair_done, job_complete };
+/// Node ids ordered by expected fault count, fewest first, ties to the
+/// lower id: a scripted model's planned faults per node, or a renewal
+/// node's rate 1/mean.
+std::vector<int> ranked_nodes(const CampaignScenario& scen) {
+  std::vector<double> expected(scen.node_count, 0.0);
+  if (scen.faults.kind == FaultModelKind::scripted) {
+    for (const InjectedFault& f : scen.faults.scripted) {
+      expected[static_cast<std::size_t>(f.node)] += 1.0;
+    }
+  } else {
+    for (std::size_t n = 0; n < scen.node_count; ++n) {
+      expected[n] = 1.0 / pair_for(scen.faults, n).interarrival->mean();
+    }
+  }
+  std::vector<int> order(scen.node_count);
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&expected](int a, int b) {
+    return expected[static_cast<std::size_t>(a)] <
+           expected[static_cast<std::size_t>(b)];
+  });
+  return order;
+}
+
+/// Where the hazard-aware rule's segments end, in work seconds since the
+/// attempt began, until they cover a whole job. The sequence restarts at
+/// every attempt, so a cell's runs share it.
+std::vector<double> hazard_aware_segment_ends(const CampaignScenario& scen,
+                                              const HazardAwareBounds& bounds) {
+  const dist::Distribution& process = *scen.faults.renewal.front().interarrival;
+  std::vector<double> ends;
+  double covered = 0.0;
+  double since_start = 0.0;
+  while (covered < scen.job_work_seconds) {
+    const double tau = hazard_aware_interval(process, scen.checkpoint_cost,
+                                             since_start, bounds);
+    covered += tau;
+    ends.push_back(covered);
+    since_start += tau + scen.checkpoint_cost;
+  }
+  return ends;
+}
+
+/// One run's faults in delivery order: (time, node) for renewal models,
+/// script order for scripted ones. A renewal node keeps one pending fault
+/// and draws from its forked stream (fork is const, so the run RNG's
+/// placement draws stay independent of the faults) in the eager order:
+/// interarrival k, then at delivery repair k and interarrival k + 1.
+class FaultSource {
+ public:
+  FaultSource(const CampaignScenario& scen, const Rng& run_rng)
+      : scen_(scen) {
+    if (scen.faults.kind == FaultModelKind::scripted) return;
+    streams_.reserve(scen.node_count);
+    for (std::size_t node = 0; node < scen.node_count; ++node) {
+      streams_.push_back(run_rng.fork(static_cast<std::uint64_t>(node)));
+      draw_next(node, 0.0);
+    }
+  }
+
+  bool empty() const {
+    return streams_.empty() ? cursor_ == scen_.faults.scripted.size()
+                            : pending_.empty();
+  }
+
+  /// Time of the next fault. Requires !empty().
+  double next_time() const {
+    return streams_.empty() ? scen_.faults.scripted[cursor_].time
+                            : pending_.top().first;
+  }
+
+  /// Delivers the next fault. Requires !empty().
+  InjectedFault next() {
+    if (streams_.empty()) return scen_.faults.scripted[cursor_++];
+    const auto [time, node] = pending_.top();
+    pending_.pop();
+    const RenewalPair& pair = pair_for(scen_.faults, node);
+    const double repair =
+        pair.repair ? std::max(0.0, pair.repair->sample(streams_[node])) : 0.0;
+    draw_next(node, time);
+    return {time, static_cast<int>(node), repair};
+  }
+
+ private:
+  void draw_next(std::size_t node, double after) {
+    const RenewalPair& pair = pair_for(scen_.faults, node);
+    const double t = after + pair.interarrival->sample(streams_[node]);
+    if (t <= scen_.horizon_seconds) pending_.emplace(t, node);
+  }
+
+  const CampaignScenario& scen_;
+  std::size_t cursor_ = 0;  ///< scripted: next script index
+  std::vector<Rng> streams_;  ///< renewal: one stream per node
+  /// Renewal: each node's next (time, node), earliest first.
+  using Pending = std::pair<double, std::size_t>;
+  std::priority_queue<Pending, std::vector<Pending>, std::greater<>> pending_;
+};
+
+// ---------------------------------------------------------------------
+// The per-run simulation engine. Events other than faults run in (time,
+// insertion) order; a fault sorts before any of them at the same instant,
+// so a fault landing at a job's exact completion instant kills the job.
+
+enum class EventKind : std::uint8_t { repair_done, job_complete };
 
 struct Event {
   double time = 0.0;
   std::uint64_t seq = 0;
-  EventKind kind = EventKind::fault;
-  int arg = 0;  ///< fault: schedule index; repair_done: node; complete: job
+  EventKind kind = EventKind::repair_done;
+  int arg = 0;  ///< repair_done: node; job_complete: job
   std::uint64_t stamp = 0;  ///< job attempt stamp (completion staleness)
 };
 
@@ -202,15 +317,14 @@ struct QueuedRepair {
 
 class RunEngine {
  public:
+  /// `ranked` is the scenario's ranked-placement order; `segment_ends`
+  /// the cell's hazard-aware segment ends (empty under a fixed interval).
   RunEngine(const CampaignScenario& scen, const CampaignPolicy& pol,
-            std::vector<InjectedFault> schedule, Rng rng)
-      : scen_(scen), pol_(pol), schedule_(std::move(schedule)),
-        rng_(rng), down_(scen.node_count, 0),
-        node_job_(scen.node_count, -1), sched_faults_(scen.node_count, 0),
-        jobs_(scen.job_count) {
-    for (const InjectedFault& f : schedule_) {
-      ++sched_faults_[static_cast<std::size_t>(f.node)];
-    }
+            std::span<const int> ranked, std::span<const double> segment_ends,
+            Rng rng)
+      : scen_(scen), pol_(pol), ranked_(ranked), segment_ends_(segment_ends),
+        faults_(scen, rng), rng_(rng), down_(scen.node_count, 0),
+        node_job_(scen.node_count, -1), jobs_(scen.job_count) {
     for (Job& job : jobs_) job.remaining = scen.job_work_seconds;
     for (std::size_t j = 0; j < jobs_.size(); ++j) {
       pending_.push_back(static_cast<int>(j));
@@ -218,17 +332,20 @@ class RunEngine {
   }
 
   CampaignRunResult run() {
-    for (std::size_t i = 0; i < schedule_.size(); ++i) {
-      push_event(schedule_[i].time, EventKind::fault, static_cast<int>(i), 0);
-    }
     try_dispatch(0.0);
-    while (!events_.empty() && jobs_done_ < jobs_.size()) {
+    while (jobs_done_ < jobs_.size()) {
+      if (!faults_.empty() &&
+          (events_.empty() || faults_.next_time() <= events_.top().time)) {
+        handle_fault(faults_.next());
+        continue;
+      }
+      // Down nodes always have a repair event in flight or queued behind a
+      // busy crew, so events can only run out with jobs still pending if
+      // the engine is buggy.
+      HPCFAIL_ASSERT(!events_.empty());
       const Event e = events_.top();
       events_.pop();
       switch (e.kind) {
-        case EventKind::fault:
-          handle_fault(e.time, schedule_[static_cast<std::size_t>(e.arg)]);
-          break;
         case EventKind::repair_done:
           handle_repair_done(e.time, e.arg);
           break;
@@ -237,16 +354,13 @@ class RunEngine {
           break;
       }
     }
-    // Down nodes always have a repair event in flight or queued behind a
-    // busy crew, so the queue can only drain with jobs still pending if
-    // the engine is buggy.
-    HPCFAIL_ASSERT(jobs_done_ == jobs_.size());
     return out_;
   }
 
  private:
   struct Job {
     double remaining = 0.0;        ///< work left at the next dispatch
+    double done = 0.0;             ///< work saved since the job began
     double pending_restart = 0.0;  ///< reload cost owed at the next dispatch
     double attempt_start = 0.0;
     double attempt_work = 0.0;     ///< `remaining` when the attempt began
@@ -254,46 +368,55 @@ class RunEngine {
     std::vector<int> nodes;
     std::uint64_t stamp = 0;  ///< bumped per dispatch/kill; stales events
     bool running = false;
-    bool done = false;
   };
 
   void push_event(double time, EventKind kind, int arg, std::uint64_t stamp) {
     events_.push(Event{time, next_seq_++, kind, arg, stamp});
   }
 
-  /// Wall seconds attempt `work` + `restart` takes uninterrupted: a
-  /// checkpoint write follows every full interval except the last
-  /// segment.
-  double attempt_wall(double work, double restart) const {
+  /// Checkpoint writes in an uninterrupted attempt of `work` seconds: one
+  /// after every segment but the last.
+  double writes_for(double work) const {
+    if (!segment_ends_.empty()) {
+      return static_cast<double>(
+          std::lower_bound(segment_ends_.begin(), segment_ends_.end(), work) -
+          segment_ends_.begin());
+    }
     const double tau = pol_.checkpoint_interval;
-    double writes = 0.0;
-    if (tau > 0.0) writes = std::max(0.0, std::ceil(work / tau) - 1.0);
-    return restart + work + writes * scen_.checkpoint_cost;
+    if (tau <= 0.0) return 0.0;
+    return std::max(0.0, std::ceil(work / tau) - 1.0);
   }
 
+  /// Wall seconds attempt `work` + `restart` takes uninterrupted.
+  double attempt_wall(double work, double restart) const {
+    return restart + work + writes_for(work) * scen_.checkpoint_cost;
+  }
+
+  bool node_free(std::size_t n) const { return !down_[n] && node_job_[n] < 0; }
+
   void try_dispatch(double now) {
+    const auto width = static_cast<std::size_t>(scen_.job_width);
+    const bool ranked = pol_.placement == PlacementPolicy::reliability_ranked;
     while (!pending_.empty()) {
+      if (scen_.max_concurrent_jobs != 0 &&
+          running_ >= scen_.max_concurrent_jobs) {
+        return;
+      }
+      // Free nodes, in the scenario's ranked order or ascending by id.
       candidates_.clear();
-      for (std::size_t n = 0; n < scen_.node_count; ++n) {
-        if (!down_[n] && node_job_[n] < 0) {
-          candidates_.push_back(static_cast<int>(n));
+      if (ranked) {
+        for (const int n : ranked_) {
+          if (node_free(static_cast<std::size_t>(n))) candidates_.push_back(n);
+        }
+      } else {
+        for (std::size_t n = 0; n < scen_.node_count; ++n) {
+          if (node_free(n)) candidates_.push_back(static_cast<int>(n));
         }
       }
-      const auto width = static_cast<std::size_t>(scen_.job_width);
       if (candidates_.size() < width) return;
       const int j = pending_.front();
       pending_.pop_front();
-      if (pol_.placement == PlacementPolicy::reliability_ranked) {
-        // Prefer the nodes with the fewest scheduled faults (an operator
-        // who knows the per-node rates); ties by node id.
-        std::sort(candidates_.begin(), candidates_.end(),
-                  [this](int a, int b) {
-                    const auto fa = sched_faults_[static_cast<std::size_t>(a)];
-                    const auto fb = sched_faults_[static_cast<std::size_t>(b)];
-                    if (fa != fb) return fa < fb;
-                    return a < b;
-                  });
-      } else {
+      if (!ranked) {
         // Partial Fisher-Yates over the ascending candidate list: the
         // only RNG consumption in the engine, one draw per chosen node.
         for (std::size_t i = 0; i < width; ++i) {
@@ -313,6 +436,7 @@ class RunEngine {
       job.attempt_restart = job.pending_restart;
       job.running = true;
       ++job.stamp;
+      ++running_;
       push_event(now + attempt_wall(job.attempt_work, job.attempt_restart),
                  EventKind::job_complete, j, job.stamp);
     }
@@ -324,7 +448,8 @@ class RunEngine {
     push_event(now + duration, EventKind::repair_done, node, 0);
   }
 
-  void handle_fault(double now, const InjectedFault& fault) {
+  void handle_fault(const InjectedFault& fault) {
+    const double now = fault.time;
     ++out_.faults_injected;
     const auto n = static_cast<std::size_t>(fault.node);
     if (down_[n]) {
@@ -351,28 +476,44 @@ class RunEngine {
     const double elapsed = now - job.attempt_start;
     // Split the attempt's elapsed node-seconds into restart phase, saved
     // work, checkpoint writes, and the lost tail since the last
-    // checkpoint. e1 + e2 == elapsed, and saved + writes*cost +
-    // (e2 - k*(tau+cost)) == e2, so the four buckets sum exactly to
+    // checkpoint. A cycle (segment + its write) finished at or before the
+    // kill is saved; e1 + e2 == elapsed, and the four buckets sum to
     // elapsed * width.
     const double e1 = std::min(elapsed, job.attempt_restart);
     const double e2 = elapsed - e1;
-    const double tau = pol_.checkpoint_interval;
+    const double cost = scen_.checkpoint_cost;
     double saved = 0.0;
     double write_cost = 0.0;
-    if (tau > 0.0 && e2 > 0.0) {
-      const double cycles = std::floor(e2 / (tau + scen_.checkpoint_cost));
+    if (!segment_ends_.empty()) {
+      // The segment that reaches the end of the work writes no checkpoint.
+      double cycles = 0.0;
+      for (const double end : segment_ends_) {
+        if (end >= job.attempt_work || end + (cycles + 1.0) * cost > e2) break;
+        saved = end;
+        cycles += 1.0;
+      }
+      write_cost = cycles * cost;
+    } else if (pol_.checkpoint_interval > 0.0 && e2 > 0.0) {
+      const double tau = pol_.checkpoint_interval;
+      const double cycles = std::floor(e2 / (tau + cost));
       saved = std::min(cycles * tau, job.attempt_work);
-      write_cost = cycles * scen_.checkpoint_cost;
+      write_cost = cycles * cost;
     }
     out_.restart_overhead += e1 * w;
     out_.useful_work += saved * w;
     out_.checkpoint_overhead += write_cost * w;
     out_.wasted_work += (e2 - saved - write_cost) * w;
     ++out_.interruptions;
-    job.remaining = job.attempt_work - saved;
+    // Hazard-aware segment ends are not round numbers: counting from the
+    // job's start, as useful work does, keeps a lone job's useful work
+    // within one rounding of its work instead of one per kill.
+    job.done += saved;
+    job.remaining = segment_ends_.empty() ? job.attempt_work - saved
+                                          : scen_.job_work_seconds - job.done;
     job.pending_restart = scen_.restart_cost;
     job.running = false;
     ++job.stamp;  // stales the scheduled completion event
+    --running_;
     for (const int n : job.nodes) node_job_[static_cast<std::size_t>(n)] = -1;
     job.nodes.clear();
     pending_.push_back(j);
@@ -395,14 +536,12 @@ class RunEngine {
     Job& job = jobs_[static_cast<std::size_t>(j)];
     if (!job.running || job.stamp != stamp) return;  // stale attempt
     const auto w = static_cast<double>(job.nodes.size());
-    const double tau = pol_.checkpoint_interval;
-    double writes = 0.0;
-    if (tau > 0.0) writes = std::max(0.0, std::ceil(job.attempt_work / tau) - 1.0);
+    const double writes = writes_for(job.attempt_work);
     out_.useful_work += job.attempt_work * w;
     out_.checkpoint_overhead += writes * scen_.checkpoint_cost * w;
     out_.restart_overhead += job.attempt_restart * w;
     job.running = false;
-    job.done = true;
+    --running_;
     for (const int n : job.nodes) node_job_[static_cast<std::size_t>(n)] = -1;
     job.nodes.clear();
     ++jobs_done_;
@@ -412,7 +551,9 @@ class RunEngine {
 
   const CampaignScenario& scen_;
   const CampaignPolicy& pol_;
-  std::vector<InjectedFault> schedule_;
+  std::span<const int> ranked_;
+  std::span<const double> segment_ends_;
+  FaultSource faults_;
   Rng rng_;
   CampaignRunResult out_;
 
@@ -421,11 +562,11 @@ class RunEngine {
 
   std::vector<char> down_;
   std::vector<int> node_job_;
-  std::vector<std::uint64_t> sched_faults_;
   std::vector<int> candidates_;
 
   std::vector<Job> jobs_;
   std::deque<int> pending_;
+  std::size_t running_ = 0;
   std::size_t jobs_done_ = 0;
 
   std::size_t crews_busy_ = 0;
@@ -451,16 +592,18 @@ double parse_double(const std::string& token, const std::string& path) {
   }
 }
 
-std::uint64_t parse_u64(const std::string& token, const std::string& path) {
-  try {
-    std::size_t used = 0;
-    const std::uint64_t v = std::stoull(token, &used);
-    if (used != token.size()) throw std::invalid_argument(token);
-    return v;
-  } catch (const std::exception&) {
+/// A decimal integer that fits unsigned type T: digits only, so a sign or
+/// an out-of-range value is a ParseError, never a wrapped number.
+template <typename T>
+T parse_uint(const std::string& token, const std::string& path) {
+  T v = 0;
+  const char* end = token.data() + token.size();
+  const auto [stop, ec] = std::from_chars(token.data(), end, v);
+  if (ec != std::errc{} || stop != end) {
     throw ParseError("campaign checkpoint " + path + ": bad integer '" +
                      token + "'");
   }
+  return v;
 }
 
 }  // namespace
@@ -480,8 +623,7 @@ std::uint64_t CampaignResult::total_faults_injected() const {
 
 void save_campaign_checkpoint(const std::string& path,
                               const CampaignCheckpoint& checkpoint) {
-  std::ofstream out(path);
-  if (!out) throw IoError("cannot open campaign checkpoint for write: " + path);
+  std::ostringstream out;
   out << "hpcfail-campaign-checkpoint v1\n";
   out << "fingerprint " << checkpoint.fingerprint << "\n";
   out << "total_runs " << checkpoint.total_runs << "\n";
@@ -496,8 +638,24 @@ void save_campaign_checkpoint(const std::string& path,
         << format_double(r.downtime) << ' ' << format_double(r.repair_wait)
         << "\n";
   }
-  out.flush();
-  if (!out) throw IoError("failed writing campaign checkpoint: " + path);
+  // Write a temp file and rename it over `path`: a crash or a full disk
+  // mid-save must not destroy the progress already saved.
+  const std::string content = out.str();
+  const std::string tmp = path + ".tmp";
+  std::FILE* file = std::fopen(tmp.c_str(), "wb");
+  if (file == nullptr) {
+    throw IoError("cannot open campaign checkpoint for write: " + tmp);
+  }
+  bool ok = std::fwrite(content.data(), 1, content.size(), file) ==
+            content.size();
+  ok = std::fflush(file) == 0 && ok;
+  ok = ok && ::fsync(::fileno(file)) == 0;
+  ok = std::fclose(file) == 0 && ok;
+  ok = ok && std::rename(tmp.c_str(), path.c_str()) == 0;
+  if (!ok) {
+    std::remove(tmp.c_str());
+    throw IoError("failed writing campaign checkpoint: " + path);
+  }
 }
 
 CampaignCheckpoint load_campaign_checkpoint(const std::string& path) {
@@ -520,12 +678,13 @@ CampaignCheckpoint load_campaign_checkpoint(const std::string& path) {
     return value;
   };
   CampaignCheckpoint checkpoint;
-  checkpoint.fingerprint = parse_u64(expect_field("fingerprint"), path);
+  checkpoint.fingerprint =
+      parse_uint<std::uint64_t>(expect_field("fingerprint"), path);
   checkpoint.total_runs =
-      static_cast<std::size_t>(parse_u64(expect_field("total_runs"), path));
+      parse_uint<std::size_t>(expect_field("total_runs"), path);
+  // No reserve from the file's count: the run lines below must prove it.
   const auto completed =
-      static_cast<std::size_t>(parse_u64(expect_field("completed"), path));
-  checkpoint.completed.reserve(completed);
+      parse_uint<std::size_t>(expect_field("completed"), path);
   for (std::size_t i = 0; i < completed; ++i) {
     if (!std::getline(in, line)) {
       throw ParseError("campaign checkpoint " + path + ": truncated run list");
@@ -546,11 +705,11 @@ CampaignCheckpoint load_campaign_checkpoint(const std::string& path) {
       throw ParseError("campaign checkpoint " + path + ": long run line");
     }
     CampaignRunResult r;
-    r.cell = static_cast<std::uint32_t>(parse_u64(token[0], path));
-    r.replicate = static_cast<std::uint32_t>(parse_u64(token[1], path));
-    r.faults_injected = parse_u64(token[2], path);
-    r.faults_absorbed = parse_u64(token[3], path);
-    r.interruptions = parse_u64(token[4], path);
+    r.cell = parse_uint<std::uint32_t>(token[0], path);
+    r.replicate = parse_uint<std::uint32_t>(token[1], path);
+    r.faults_injected = parse_uint<std::uint64_t>(token[2], path);
+    r.faults_absorbed = parse_uint<std::uint64_t>(token[3], path);
+    r.interruptions = parse_uint<std::uint64_t>(token[4], path);
     r.makespan = parse_double(token[5], path);
     r.useful_work = parse_double(token[6], path);
     r.wasted_work = parse_double(token[7], path);
@@ -566,6 +725,14 @@ CampaignCheckpoint load_campaign_checkpoint(const std::string& path) {
 Campaign::Campaign(CampaignSpec spec) : spec_(std::move(spec)) {
   validate_spec(spec_);
   fingerprint_ = fingerprint_spec(spec_);
+  for (const CampaignScenario& scen : spec_.scenarios) {
+    ranked_nodes_.push_back(ranked_nodes(scen));
+    for (const CampaignPolicy& pol : spec_.policies) {
+      segment_ends_.push_back(
+          pol.hazard_aware ? hazard_aware_segment_ends(scen, *pol.hazard_aware)
+                           : std::vector<double>{});
+    }
+  }
 }
 
 std::size_t Campaign::cell_count() const {
@@ -591,8 +758,14 @@ std::vector<InjectedFault> Campaign::schedule_for(std::size_t cell,
   HPCFAIL_EXPECTS(cell < cell_count(), "cell index out of range");
   HPCFAIL_EXPECTS(replicate < spec_.runs_per_cell,
                   "replicate index out of range");
-  const Rng run_rng(mix_seed(spec_.seed, cell, replicate));
-  return materialize_schedule(scenario_of_cell(cell), run_rng);
+  const CampaignScenario& scen = scenario_of_cell(cell);
+  HPCFAIL_EXPECTS(scen.faults.kind == FaultModelKind::scripted ||
+                      std::isfinite(scen.horizon_seconds),
+                  "an infinite renewal horizon has no finite schedule");
+  FaultSource source(scen, Rng(mix_seed(spec_.seed, cell, replicate)));
+  std::vector<InjectedFault> schedule;
+  while (!source.empty()) schedule.push_back(source.next());
+  return schedule;
 }
 
 CampaignRunResult Campaign::execute_run(std::size_t cell,
@@ -601,10 +774,10 @@ CampaignRunResult Campaign::execute_run(std::size_t cell,
   HPCFAIL_EXPECTS(replicate < spec_.runs_per_cell,
                   "replicate index out of range");
   const auto started = std::chrono::steady_clock::now();
-  const Rng run_rng(mix_seed(spec_.seed, cell, replicate));
-  const CampaignScenario& scen = scenario_of_cell(cell);
-  RunEngine engine(scen, policy_of_cell(cell),
-                   materialize_schedule(scen, run_rng), run_rng);
+  RunEngine engine(scenario_of_cell(cell), policy_of_cell(cell),
+                   ranked_nodes_[cell / spec_.policies.size()],
+                   segment_ends_[cell],
+                   Rng(mix_seed(spec_.seed, cell, replicate)));
   CampaignRunResult result = engine.run();
   result.cell = static_cast<std::uint32_t>(cell);
   result.replicate = static_cast<std::uint32_t>(replicate);

@@ -1,13 +1,14 @@
-// Fault-injection campaign engine: the simulator scaled from one run to
-// a (scenario x policy x replicate) grid.
+// Fault-injection campaign engine: the library's one failure simulator,
+// from a single job on one node to a (scenario x policy x replicate) grid.
 //
 // A CampaignSpec is declarative: scenarios supply the cluster, workload
-// and fault model (scripted lists, renewal draws from fitted families, or
-// trace replay — sim/scenario.hpp); policies supply placement and
-// checkpointing knobs (sim/policy.hpp). Campaign::run() executes every
-// (cell, replicate) run as an independent shard on the common
-// thread-pool and summarizes each cell with bootstrap confidence
-// intervals.
+// and fault model (scripted lists, renewal draws from fitted families or
+// per-node rates, or trace replay — sim/scenario.hpp); policies supply
+// placement and checkpointing rules (sim/policy.hpp). Campaign::run()
+// executes every (cell, replicate) run as an independent shard on the
+// common thread-pool and summarizes each cell with bootstrap confidence
+// intervals. Each run draws its faults lazily, as they are delivered
+// (DESIGN §8).
 //
 // Determinism contract: run (cell, replicate) is simulated with
 // Rng(mix_seed(spec.seed, cell, replicate)) and touches no shared
@@ -95,11 +96,13 @@ struct CampaignCheckpoint {
 
 /// Reads a checkpoint written by save_campaign_checkpoint. Throws
 /// IoError if the file cannot be opened, ParseError on malformed
-/// content.
+/// content, including a signed integer or one too large for its field.
 CampaignCheckpoint load_campaign_checkpoint(const std::string& path);
 
 /// Writes `checkpoint` to `path` (text, version-tagged, doubles printed
-/// round-trip exact). Throws IoError on failure.
+/// round-trip exact). The content goes to `<path>.tmp`, is flushed and
+/// fsync'd, then renamed over `path`, so a failed save leaves the
+/// previous file intact. Throws IoError on failure.
 void save_campaign_checkpoint(const std::string& path,
                               const CampaignCheckpoint& checkpoint);
 
@@ -134,10 +137,10 @@ class Campaign {
   const CampaignScenario& scenario_of_cell(std::size_t cell) const;
   const CampaignPolicy& policy_of_cell(std::size_t cell) const;
 
-  /// The materialized injection schedule of one run, time-ascending.
+  /// The materialized injection schedule of one run, in delivery order.
   /// Scripted scenarios return the script; renewal scenarios sample each
-  /// node's stream from the run's deterministic RNG. Exposed for tests
-  /// and the CLI's --dry-run.
+  /// node's stream from the run's deterministic RNG. Exposed for tests and
+  /// the CLI's --dry-run. Throws InvalidArgument on an infinite horizon.
   std::vector<InjectedFault> schedule_for(std::size_t cell,
                                           std::size_t replicate) const;
 
@@ -169,6 +172,10 @@ class Campaign {
 
   CampaignSpec spec_;
   std::uint64_t fingerprint_ = 0;
+  /// Per scenario: node ids, fewest expected faults first.
+  std::vector<std::vector<int>> ranked_nodes_;
+  /// Per cell: hazard-aware segment ends (empty under a fixed interval).
+  std::vector<std::vector<double>> segment_ends_;
 };
 
 }  // namespace hpcfail::sim

@@ -5,12 +5,37 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "dist/lognormal.hpp"
 #include "dist/weibull.hpp"
 #include "stats/special.hpp"
 #include "trace/index.hpp"
 
 namespace hpcfail::sim {
+
+namespace {
+
+/// Weibull with the given shape scaled to the given mean:
+/// mean = scale * Gamma(1 + 1/shape).
+std::shared_ptr<const dist::Distribution> weibull_with_mean(double shape,
+                                                            double mean) {
+  return std::make_shared<dist::Weibull>(
+      shape,
+      mean / std::exp(stats::log_gamma_unchecked(1.0 + 1.0 / shape)));
+}
+
+/// Shared workload shape for the scripted scenarios: gang-scheduled
+/// 4-wide jobs of a few hours each, enough of them that the fault window
+/// overlaps execution.
+void default_workload(CampaignScenario& scenario) {
+  scenario.job_width = 4;
+  scenario.job_work_seconds = 2.0 * 3600.0;
+  scenario.job_count = 24;
+  scenario.checkpoint_cost = 60.0;
+  scenario.restart_cost = 120.0;
+}
+
+}  // namespace
 
 FaultModel scripted_fault_model(std::vector<InjectedFault> faults) {
   FaultModel model;
@@ -26,8 +51,7 @@ FaultModel renewal_fault_model(
                   "renewal fault model needs an interarrival distribution");
   FaultModel model;
   model.kind = FaultModelKind::renewal;
-  model.interarrival = std::move(interarrival);
-  model.repair = std::move(repair);
+  model.renewal.push_back({std::move(interarrival), std::move(repair)});
   return model;
 }
 
@@ -41,20 +65,54 @@ FaultModel renewal_fault_model(const dist::FitReport& interarrival_fit,
                              std::move(repair));
 }
 
-namespace {
-
-/// Shared workload shape for the scripted scenarios: gang-scheduled
-/// 4-wide jobs of a few hours each, enough of them that the fault window
-/// overlaps execution.
-void default_workload(CampaignScenario& scenario) {
-  scenario.job_width = 4;
-  scenario.job_work_seconds = 2.0 * 3600.0;
-  scenario.job_count = 24;
-  scenario.checkpoint_cost = 60.0;
-  scenario.restart_cost = 120.0;
+FaultModel renewal_fault_model(std::span<const ClusterNodeConfig> nodes) {
+  HPCFAIL_EXPECTS(!nodes.empty(), "need at least one node");
+  FaultModel model;
+  model.kind = FaultModelKind::renewal;
+  model.renewal.reserve(nodes.size());
+  for (const ClusterNodeConfig& n : nodes) {
+    HPCFAIL_EXPECTS(n.mtbf_seconds > 0.0, "node MTBF must be positive");
+    model.renewal.push_back(
+        {weibull_with_mean(0.7, n.mtbf_seconds),
+         std::make_shared<dist::LogNormal>(dist::LogNormal::from_mean_median(
+             n.repair_mean_seconds, n.repair_median_seconds))});
+  }
+  return model;
 }
 
-}  // namespace
+std::vector<ClusterNodeConfig> heterogeneous_nodes(
+    std::size_t node_count, double base_mtbf_seconds, double jitter_sigma,
+    double hot_fraction, double hot_factor, std::uint64_t seed) {
+  HPCFAIL_EXPECTS(node_count > 0, "need at least one node");
+  HPCFAIL_EXPECTS(base_mtbf_seconds > 0.0, "MTBF must be positive");
+  HPCFAIL_EXPECTS(hot_fraction >= 0.0 && hot_fraction <= 1.0,
+                  "hot fraction must be in [0,1]");
+  HPCFAIL_EXPECTS(hot_factor >= 1.0, "hot factor must be >= 1");
+  Rng rng(seed);
+  std::vector<ClusterNodeConfig> nodes;
+  nodes.reserve(node_count);
+  const auto hot_count = static_cast<std::size_t>(
+      std::lround(hot_fraction * static_cast<double>(node_count)));
+  for (std::size_t i = 0; i < node_count; ++i) {
+    double u1;
+    double u2;
+    double s;
+    do {
+      u1 = rng.uniform(-1.0, 1.0);
+      u2 = rng.uniform(-1.0, 1.0);
+      s = u1 * u1 + u2 * u2;
+    } while (s >= 1.0 || s == 0.0);
+    const double z = u1 * std::sqrt(-2.0 * std::log(s) / s);
+    double mtbf = base_mtbf_seconds * std::exp(jitter_sigma * z);
+    if (i < hot_count) mtbf /= hot_factor;
+    ClusterNodeConfig n;
+    n.mtbf_seconds = mtbf;
+    n.repair_mean_seconds = 6.0 * 3600.0;    // Table 2: mean ~6 hours
+    n.repair_median_seconds = 1.0 * 3600.0;  // median ~1 hour
+    nodes.push_back(n);
+  }
+  return nodes;
+}
 
 CampaignScenario staggered_cascade_scenario(std::size_t node_count,
                                             double fail_fraction,
@@ -149,14 +207,9 @@ CampaignScenario weibull_renewal_scenario(std::size_t node_count,
   scenario.node_count = node_count;
   scenario.horizon_seconds = horizon_seconds;
   // The paper's shapes: decreasing-hazard Weibull interarrivals (shape
-  // 0.7) scaled to the requested MTBF (mean = scale * Gamma(1 + 1/k)),
-  // Table 2's lognormal repairs.
-  const double shape = 0.7;
-  const double scale =
-      mtbf_seconds /
-      std::exp(stats::log_gamma_unchecked(1.0 + 1.0 / shape));
+  // 0.7) scaled to the requested MTBF, Table 2's lognormal repairs.
   scenario.faults = renewal_fault_model(
-      std::make_shared<dist::Weibull>(shape, scale),
+      weibull_with_mean(0.7, mtbf_seconds),
       std::make_shared<dist::LogNormal>(dist::LogNormal::from_mean_median(
           6.0 * 3600.0, 1.0 * 3600.0)));
   default_workload(scenario);

@@ -2,7 +2,7 @@
 //
 // A scenario fixes the environment half of a campaign cell — the cluster
 // size, the workload, and above all the fault model that produces each
-// run's injection schedule. Three model kinds cover the study's regimes:
+// run's faults. Three model kinds cover the study's regimes:
 //
 //   * scripted — a fixed fault list, identical for every replicate. The
 //     scenario library uses this for the staggered cascading mass-failure
@@ -12,15 +12,19 @@
 //   * renewal — each node draws its failure times from an interarrival
 //     distribution (and repair durations from a repair distribution),
 //     re-sampled per replicate from that replicate's deterministic RNG
-//     stream. Plug in the best family of a fitted dist::FitReport to
-//     inject faults "shaped like" an analyzed trace.
+//     stream. One (interarrival, repair) pair serves every node, or each
+//     node has its own (Fig 3a's heterogeneous per-node rates). Plug in
+//     the best family of a fitted dist::FitReport to inject faults
+//     "shaped like" an analyzed trace.
 //   * replay is a scripted model harvested from a real trace: one
 //     injected fault per observed failure record of one system, read
 //     zero-copy through trace::DatasetIndex.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -46,14 +50,27 @@ enum class FaultModelKind {
   renewal,   ///< per-node renewal process, re-sampled per replicate
 };
 
+/// One renewal process: `interarrival` (required) and `repair`
+/// (optional; null = instant repair).
+struct RenewalPair {
+  std::shared_ptr<const dist::Distribution> interarrival;
+  std::shared_ptr<const dist::Distribution> repair;
+};
+
 /// The fault source of a scenario. For `scripted`, `scripted` holds the
-/// time-ascending schedule; for `renewal`, `interarrival` (required) and
-/// `repair` (optional; null = instant repair) supply the per-node draws.
+/// time-ascending schedule; for `renewal`, `renewal` holds one pair shared
+/// by every node or one pair per node.
 struct FaultModel {
   FaultModelKind kind = FaultModelKind::scripted;
   std::vector<InjectedFault> scripted;
-  std::shared_ptr<const dist::Distribution> interarrival;
-  std::shared_ptr<const dist::Distribution> repair;
+  std::vector<RenewalPair> renewal;
+};
+
+/// Per-node reliability parameters, e.g. from sim::calibrate_nodes.
+struct ClusterNodeConfig {
+  double mtbf_seconds = 0.0;  ///< mean time between failures
+  double repair_mean_seconds = 0.0;
+  double repair_median_seconds = 0.0;  ///< < mean (lognormal right skew)
 };
 
 /// Wraps a fixed schedule. The faults must be time-ascending (validated
@@ -72,13 +89,28 @@ FaultModel renewal_fault_model(
 FaultModel renewal_fault_model(const dist::FitReport& interarrival_fit,
                                const dist::FitReport& repair_fit);
 
+/// Per-node renewal model: node i fails with Weibull(0.7) interarrivals
+/// (the paper's shape) scaled to nodes[i]'s MTBF and is repaired in
+/// LogNormal(mean, median) time. Throws InvalidArgument on an empty list,
+/// a non-positive MTBF, or a repair without mean > median > 0.
+FaultModel renewal_fault_model(std::span<const ClusterNodeConfig> nodes);
+
+/// Builds a heterogeneous node set mimicking Fig 3(a): `node_count` nodes
+/// with lognormally-jittered MTBFs around `base_mtbf`, plus a fraction of
+/// "hot" nodes (graphics-like) with `hot_factor` times the failure rate.
+/// Repairs follow Table 2 (mean 6 h, median 1 h).
+std::vector<ClusterNodeConfig> heterogeneous_nodes(
+    std::size_t node_count, double base_mtbf_seconds, double jitter_sigma,
+    double hot_fraction, double hot_factor, std::uint64_t seed);
+
 /// One campaign scenario: topology, workload, and fault model. Names key
 /// the campaign report cells, so they must be unique within a spec.
 struct CampaignScenario {
   std::string name;
   std::size_t node_count = 0;
   /// Renewal injection horizon: no faults are scheduled past this run
-  /// time. Ignored for scripted models (the script bounds itself).
+  /// time; +infinity means no cut-off, so runs go to completion. Ignored
+  /// for scripted models (the script bounds itself).
   double horizon_seconds = 0.0;
   /// Simultaneous repairs in service; 0 = unlimited crews. Failed nodes
   /// beyond the limit queue FIFO (repair-queue contention).
@@ -88,6 +120,10 @@ struct CampaignScenario {
   int job_width = 1;
   double job_work_seconds = 0.0;
   std::size_t job_count = 0;
+  /// Cap on simultaneously running jobs; 0 = unlimited. Placement only
+  /// matters below saturation: with spare nodes, a reliability-aware
+  /// scheduler can leave the failure-prone ones idle.
+  std::size_t max_concurrent_jobs = 0;
   double checkpoint_cost = 0.0;  ///< seconds per checkpoint write
   double restart_cost = 0.0;     ///< seconds to reload after a kill
 };

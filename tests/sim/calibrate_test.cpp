@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "common/error.hpp"
-#include "common/rng.hpp"
-#include "sim/cluster.hpp"
+#include "sim/campaign.hpp"
+#include "sim/policy.hpp"
+#include "sim/scenario.hpp"
 #include "synth/generator.hpp"
 #include "trace/index.hpp"
 
@@ -59,13 +61,21 @@ TEST(Calibrate, MtbfReflectsObservedCounts) {
 TEST(Calibrate, CalibratedClusterSimulates) {
   // The whole point: calibrated configs feed straight into the simulator.
   const FailureDataset ds = synth::generate_lanl_trace(42);
-  ClusterConfig cfg;
-  cfg.nodes = calibrate_nodes(ds, SystemCatalog::lanl(), 20);
-  cfg.job_width = 4;
-  cfg.job_work_seconds = 6.0 * 3600.0;
-  cfg.job_count = 50;
-  hpcfail::Rng rng(7);
-  const ClusterStats stats = simulate_cluster(cfg, rng);
+  const auto nodes = calibrate_nodes(ds, SystemCatalog::lanl(), 20);
+  CampaignScenario scenario;
+  scenario.name = "system-20";
+  scenario.node_count = nodes.size();
+  scenario.horizon_seconds = std::numeric_limits<double>::infinity();
+  scenario.faults = renewal_fault_model(nodes);
+  scenario.job_width = 4;
+  scenario.job_work_seconds = 6.0 * 3600.0;
+  scenario.job_count = 50;
+  CampaignSpec spec;
+  spec.scenarios = {scenario};
+  spec.policies = {no_protection_policy()};
+  spec.runs_per_cell = 1;
+  spec.seed = 7;
+  const CampaignRunResult stats = Campaign(spec).execute_run(0, 0);
   EXPECT_GT(stats.makespan, 0.0);
   EXPECT_GT(stats.useful_work, 0.0);
 }

@@ -3,8 +3,12 @@
 // equality is ==, not near), checkpoint round-trips, and the
 // mid-interruption resume regression — a campaign resumed from a partial
 // checkpoint must reproduce the uninterrupted campaign bit for bit.
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <span>
 #include <string>
@@ -133,6 +137,36 @@ TEST(CampaignScenarioLibrary, RenewalSchedulesRespectTheHorizon) {
   EXPECT_EQ(campaign.schedule_for(0, 0), schedule);
 }
 
+TEST(CampaignScenarioLibrary, InfiniteRenewalHorizonRunsToCompletion) {
+  sim::CampaignSpec spec;
+  spec.scenarios = {sim::weibull_renewal_scenario(
+      8, 86400.0, std::numeric_limits<double>::infinity())};
+  spec.policies = {sim::no_protection_policy()};
+  spec.runs_per_cell = 1;
+  const sim::Campaign campaign(spec);
+  // Faults are drawn as they are delivered, so the run ends with its
+  // jobs; only a materialized schedule needs a finite horizon.
+  EXPECT_THROW(campaign.schedule_for(0, 0), InvalidArgument);
+  const sim::CampaignRunResult r = campaign.execute_run(0, 0);
+  const sim::CampaignScenario& s = spec.scenarios.front();
+  EXPECT_EQ(r.useful_work, static_cast<double>(s.job_count) * s.job_width *
+                               s.job_work_seconds);
+}
+
+TEST(CampaignValidation, NewFieldsChangeTheFingerprintWhenSet) {
+  sim::CampaignSpec spec = exact_spec({}, 0.0);
+  const std::uint64_t base = sim::Campaign(spec).fingerprint();
+  spec.scenarios[0].max_concurrent_jobs = 1;
+  EXPECT_NE(sim::Campaign(spec).fingerprint(), base);
+  sim::CampaignSpec adaptive;
+  adaptive.scenarios = {sim::weibull_renewal_scenario(4)};
+  adaptive.policies = {sim::hazard_aware_checkpoint_policy()};
+  adaptive.runs_per_cell = 1;
+  const std::uint64_t default_bounds = sim::Campaign(adaptive).fingerprint();
+  adaptive.policies[0].hazard_aware->max_interval = 7200.0;
+  EXPECT_NE(sim::Campaign(adaptive).fingerprint(), default_bounds);
+}
+
 TEST(CampaignScenarioLibrary, ReplayMirrorsTheTraceSystem) {
   const auto ds = synth::generate_lanl_trace(11);
   const sim::CampaignScenario scenario = sim::replay_scenario(ds, 20);
@@ -258,6 +292,47 @@ TEST(CampaignCheckpointIo, RejectsForeignAndMalformedCheckpoints) {
     out << "not a campaign checkpoint\n";
   }
   EXPECT_THROW(sim::load_campaign_checkpoint(path), ParseError);
+}
+
+TEST(CampaignCheckpointIo, RejectsSignedAndOversizedIntegers) {
+  const std::string path = testing::TempDir() + "campaign_int_ckpt.txt";
+  const auto load_with = [&path](const std::string& completed,
+                                 const std::string& run_line) {
+    {
+      std::ofstream out(path);
+      out << "hpcfail-campaign-checkpoint v1\nfingerprint 1\ntotal_runs 1\n"
+          << "completed " << completed << "\n"
+          << run_line;
+    }
+    return sim::load_campaign_checkpoint(path);
+  };
+  const std::string tail = " 0 0 0 1 0 0 0 0 0 0\n";
+  EXPECT_EQ(load_with("1", "run 0 0" + tail).completed.size(), 1u);
+  // A cell or replicate past uint32 must not wrap onto a real one.
+  EXPECT_THROW(load_with("1", "run 4294967296 0" + tail), ParseError);
+  EXPECT_THROW(load_with("1", "run 0 4294967296" + tail), ParseError);
+  // A negative count is malformed, not a huge reservation.
+  EXPECT_THROW(load_with("-1", ""), ParseError);
+  EXPECT_THROW(load_with("1", "run -1 0" + tail), ParseError);
+  EXPECT_THROW(load_with("1", "run +0 0" + tail), ParseError);
+}
+
+TEST(CampaignCheckpointIo, FailedSaveKeepsThePreviousCheckpoint) {
+  const sim::Campaign campaign(exact_spec({{320.0, 0, 1000.0}}, 256.0));
+  const sim::CampaignCheckpoint partial = campaign.run_partial(1);
+  const std::string path = testing::TempDir() + "campaign_atomic_ckpt.txt";
+  sim::save_campaign_checkpoint(path, partial);
+  // The temp file cannot be created: the save fails before touching the
+  // saved checkpoint.
+  const std::string tmp = path + ".tmp";
+  ASSERT_EQ(::mkdir(tmp.c_str(), 0700), 0);
+  sim::CampaignCheckpoint advanced = partial;
+  advanced.completed.clear();
+  EXPECT_THROW(sim::save_campaign_checkpoint(path, advanced), IoError);
+  EXPECT_EQ(::rmdir(tmp.c_str()), 0);
+  const sim::CampaignCheckpoint loaded = sim::load_campaign_checkpoint(path);
+  EXPECT_EQ(loaded.completed, partial.completed);
+  EXPECT_EQ(loaded.fingerprint, partial.fingerprint);
 }
 
 // The satellite bugfix regression, extending the PR 5 restart test to

@@ -1,8 +1,15 @@
-#include "sim/cluster.hpp"
-
+// Gang-scheduled clusters with per-node renewal rates on the campaign
+// engine: placement, the concurrency cap, checkpointing, and validation.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 #include "common/error.hpp"
+#include "sim/campaign.hpp"
+#include "sim/policy.hpp"
+#include "sim/scenario.hpp"
 
 namespace hpcfail::sim {
 namespace {
@@ -17,14 +24,39 @@ ClusterNodeConfig reliable_node(double mtbf_days) {
   return n;
 }
 
+/// Per-node renewal faults with no cut-off, no checkpoint or restart cost.
+CampaignScenario cluster(const std::vector<ClusterNodeConfig>& nodes,
+                         int job_width, double job_work, std::size_t jobs,
+                         std::size_t max_concurrent_jobs = 0) {
+  CampaignScenario scenario;
+  scenario.name = "cluster";
+  scenario.node_count = nodes.size();
+  scenario.horizon_seconds = std::numeric_limits<double>::infinity();
+  scenario.faults = renewal_fault_model(nodes);
+  scenario.job_width = job_width;
+  scenario.job_work_seconds = job_work;
+  scenario.job_count = jobs;
+  scenario.max_concurrent_jobs = max_concurrent_jobs;
+  return scenario;
+}
+
+std::vector<CampaignRunResult> run(CampaignScenario scenario,
+                                   CampaignPolicy policy, std::size_t runs,
+                                   std::uint64_t seed) {
+  CampaignSpec spec;
+  spec.scenarios = {std::move(scenario)};
+  spec.policies = {std::move(policy)};
+  spec.runs_per_cell = runs;
+  spec.seed = seed;
+  return Campaign(spec).run().runs;
+}
+
 TEST(Cluster, CompletesAllJobsWithoutFailures) {
-  ClusterConfig cfg;
-  cfg.nodes = std::vector<ClusterNodeConfig>(8, reliable_node(1e9));
-  cfg.job_width = 2;
-  cfg.job_work_seconds = 3600.0;
-  cfg.job_count = 16;
-  hpcfail::Rng rng(1);
-  const ClusterStats s = simulate_cluster(cfg, rng);
+  const CampaignRunResult s =
+      run(cluster(std::vector<ClusterNodeConfig>(8, reliable_node(1e9)), 2,
+                  3600.0, 16),
+          no_protection_policy(), 1, 1)
+          .front();
   EXPECT_EQ(s.interruptions, 0u);
   EXPECT_DOUBLE_EQ(s.wasted_work, 0.0);
   EXPECT_DOUBLE_EQ(s.useful_work, 16.0 * 2.0 * 3600.0);
@@ -33,51 +65,66 @@ TEST(Cluster, CompletesAllJobsWithoutFailures) {
 }
 
 TEST(Cluster, MaxConcurrentJobsLimitsParallelism) {
-  ClusterConfig cfg;
-  cfg.nodes = std::vector<ClusterNodeConfig>(8, reliable_node(1e9));
-  cfg.job_width = 2;
-  cfg.job_work_seconds = 3600.0;
-  cfg.job_count = 16;
-  cfg.max_concurrent_jobs = 2;
-  hpcfail::Rng rng(1);
-  const ClusterStats s = simulate_cluster(cfg, rng);
+  const CampaignRunResult s =
+      run(cluster(std::vector<ClusterNodeConfig>(8, reliable_node(1e9)), 2,
+                  3600.0, 16, 2),
+          no_protection_policy(), 1, 1)
+          .front();
   EXPECT_NEAR(s.makespan, 8.0 * 3600.0, 1.0);
 }
 
 TEST(Cluster, FailuresCauseWasteAndInterruptions) {
-  ClusterConfig cfg;
-  cfg.nodes = std::vector<ClusterNodeConfig>(8, reliable_node(0.5));
-  cfg.job_width = 4;
-  cfg.job_work_seconds = 12.0 * 3600.0;
-  cfg.job_count = 20;
-  hpcfail::Rng rng(3);
-  const ClusterStats s = simulate_cluster(cfg, rng);
+  const CampaignRunResult s =
+      run(cluster(std::vector<ClusterNodeConfig>(8, reliable_node(0.5)), 4,
+                  12.0 * 3600.0, 20),
+          no_protection_policy(), 1, 3)
+          .front();
   EXPECT_GT(s.interruptions, 0u);
   EXPECT_GT(s.wasted_work, 0.0);
-  EXPECT_GT(s.node_failures, 0u);
+  EXPECT_GT(s.faults_injected, 0u);
   EXPECT_DOUBLE_EQ(s.useful_work, 20.0 * 4.0 * 12.0 * 3600.0);
 }
 
 TEST(Cluster, ReliabilityRankedBeatsRandomUnderPartialLoad) {
   // Heterogeneous nodes with a hot tail, half-loaded cluster: preferring
-  // long-MTBF nodes must reduce waste (Section 5.1's motivation).
-  ClusterConfig cfg;
-  cfg.nodes = heterogeneous_nodes(64, 20.0 * kDay, 0.3, 0.08, 5.0, 99);
-  cfg.job_width = 8;
-  cfg.job_work_seconds = 24.0 * 3600.0;
-  cfg.job_count = 150;
-  cfg.max_concurrent_jobs = 4;
+  // long-MTBF nodes must reduce waste (Section 5.1's motivation). One
+  // campaign per policy at one seed, so both see the same faults.
+  const CampaignScenario scenario =
+      cluster(heterogeneous_nodes(64, 20.0 * kDay, 0.3, 0.08, 5.0, 99), 8,
+              24.0 * 3600.0, 150, 4);
   double random_waste = 0.0;
   double ranked_waste = 0.0;
-  for (std::uint64_t seed = 0; seed < 3; ++seed) {
-    hpcfail::Rng r1(seed);
-    hpcfail::Rng r2(seed);
-    cfg.policy = PlacementPolicy::random;
-    random_waste += simulate_cluster(cfg, r1).waste_fraction();
-    cfg.policy = PlacementPolicy::reliability_ranked;
-    ranked_waste += simulate_cluster(cfg, r2).waste_fraction();
+  for (const CampaignRunResult& r :
+       run(scenario, no_protection_policy(), 3, 42)) {
+    random_waste += r.waste_fraction();
+  }
+  for (const CampaignRunResult& r :
+       run(scenario, reliability_ranked_policy(), 3, 42)) {
+    ranked_waste += r.waste_fraction();
   }
   EXPECT_LT(ranked_waste, random_waste);
+}
+
+TEST(Cluster, RankedPlacementPrefersTheLongestMtbf) {
+  // Two flaky nodes and two nearly immortal ones, all repaired within
+  // seconds so the flaky pair is almost always free, and one 2-wide job
+  // at a time: ranked placement never touches the flaky pair.
+  std::vector<ClusterNodeConfig> nodes = {
+      reliable_node(0.01), reliable_node(0.01), reliable_node(1e9),
+      reliable_node(1e9)};
+  for (ClusterNodeConfig& n : nodes) {
+    n.repair_mean_seconds = 2.0;
+    n.repair_median_seconds = 1.0;
+  }
+  const CampaignScenario scenario = cluster(nodes, 2, 10.0 * kDay, 3, 1);
+  const CampaignRunResult ranked =
+      run(scenario, reliability_ranked_policy(), 1, 9).front();
+  EXPECT_GT(ranked.faults_injected, 0u);
+  EXPECT_EQ(ranked.interruptions, 0u);
+  EXPECT_DOUBLE_EQ(ranked.makespan, 30.0 * kDay);
+  const CampaignRunResult random =
+      run(scenario, no_protection_policy(), 1, 9).front();
+  EXPECT_GT(random.interruptions, 0u);
 }
 
 TEST(Cluster, HeterogeneousNodesRespectHotFactor) {
@@ -105,86 +152,78 @@ TEST(Cluster, HeterogeneousNodesValidateArguments) {
 }
 
 TEST(Cluster, RejectsImpossibleConfigs) {
-  hpcfail::Rng rng(1);
-  ClusterConfig cfg;
-  EXPECT_THROW(simulate_cluster(cfg, rng), hpcfail::InvalidArgument);
+  EXPECT_THROW(renewal_fault_model(std::vector<ClusterNodeConfig>{}),
+               hpcfail::InvalidArgument);
 
-  cfg.nodes = std::vector<ClusterNodeConfig>(2, reliable_node(1.0));
-  cfg.job_width = 4;  // wider than the cluster
-  cfg.job_work_seconds = 10.0;
-  cfg.job_count = 1;
-  EXPECT_THROW(simulate_cluster(cfg, rng), hpcfail::InvalidArgument);
+  const std::vector<ClusterNodeConfig> nodes(2, reliable_node(1.0));
+  CampaignSpec spec;
+  spec.policies = {no_protection_policy()};
+  spec.runs_per_cell = 1;
+  spec.scenarios = {cluster(nodes, 4, 10.0, 1)};  // wider than the cluster
+  EXPECT_THROW(Campaign{spec}, hpcfail::InvalidArgument);
+  spec.scenarios = {cluster(nodes, 1, 0.0, 1)};  // no work
+  EXPECT_THROW(Campaign{spec}, hpcfail::InvalidArgument);
+  spec.scenarios = {cluster(nodes, 1, 10.0, 1)};
+  spec.scenarios.front().node_count = 0;  // no nodes
+  EXPECT_THROW(Campaign{spec}, hpcfail::InvalidArgument);
 
-  cfg.job_width = 1;
-  cfg.job_work_seconds = 0.0;
-  EXPECT_THROW(simulate_cluster(cfg, rng), hpcfail::InvalidArgument);
-
-  cfg.job_work_seconds = 10.0;
-  cfg.nodes[0].repair_median_seconds = cfg.nodes[0].repair_mean_seconds;
-  EXPECT_THROW(simulate_cluster(cfg, rng), hpcfail::InvalidArgument);
+  std::vector<ClusterNodeConfig> unskewed = nodes;
+  unskewed[0].repair_median_seconds = unskewed[0].repair_mean_seconds;
+  EXPECT_THROW(renewal_fault_model(unskewed), hpcfail::InvalidArgument);
+  std::vector<ClusterNodeConfig> immortal = nodes;
+  immortal[1].mtbf_seconds = 0.0;
+  EXPECT_THROW(renewal_fault_model(immortal), hpcfail::InvalidArgument);
 }
 
 TEST(Cluster, CheckpointingReducesWasteAndMakespan) {
-  ClusterConfig cfg;
-  cfg.nodes = std::vector<ClusterNodeConfig>(16, reliable_node(1.0));
-  cfg.job_width = 4;
-  cfg.job_work_seconds = 2.0 * kDay;  // long jobs on flaky nodes
-  cfg.job_count = 30;
-  hpcfail::Rng r1(21);
-  hpcfail::Rng r2(21);
-  cfg.checkpoint_interval = 0.0;  // restart from scratch
-  const ClusterStats scratch = simulate_cluster(cfg, r1);
-  cfg.checkpoint_interval = 2.0 * 3600.0;  // save every 2 hours
-  const ClusterStats checkpointed = simulate_cluster(cfg, r2);
+  // Long jobs on flaky nodes; checkpoint writes are free here.
+  const CampaignScenario scenario =
+      cluster(std::vector<ClusterNodeConfig>(16, reliable_node(1.0)), 4,
+              2.0 * kDay, 30);
+  const CampaignRunResult scratch =
+      run(scenario, no_protection_policy(), 1, 21).front();
+  const CampaignRunResult checkpointed =
+      run(scenario, periodic_checkpoint_policy(2.0 * 3600.0), 1, 21).front();
   EXPECT_GT(scratch.interruptions, 0u);
   EXPECT_LT(checkpointed.wasted_work, scratch.wasted_work);
   EXPECT_LT(checkpointed.makespan, scratch.makespan);
   // Useful work is the full workload either way.
-  EXPECT_DOUBLE_EQ(checkpointed.useful_work,
-                   30.0 * 4.0 * 2.0 * kDay);
+  EXPECT_DOUBLE_EQ(checkpointed.useful_work, 30.0 * 4.0 * 2.0 * kDay);
   EXPECT_DOUBLE_EQ(scratch.useful_work, checkpointed.useful_work);
 }
 
 TEST(Cluster, CheckpointProgressIsQuantized) {
-  // One node, one job, a failure mid-run: the job resumes from the last
-  // whole checkpoint, so total elapsed work time exceeds the work by the
-  // replayed remainder.
-  ClusterConfig cfg;
-  cfg.nodes = std::vector<ClusterNodeConfig>(1, reliable_node(1e9));
-  cfg.job_width = 1;
-  cfg.job_work_seconds = 10.0 * 3600.0;
-  cfg.job_count = 1;
-  cfg.checkpoint_interval = 3600.0;
-  hpcfail::Rng rng(5);
-  const ClusterStats s = simulate_cluster(cfg, rng);
+  // One reliable node, one job checkpointing hourly: all work is useful
+  // and nothing is interrupted.
+  const CampaignRunResult s =
+      run(cluster(std::vector<ClusterNodeConfig>(1, reliable_node(1e9)), 1,
+                  10.0 * 3600.0, 1),
+          periodic_checkpoint_policy(3600.0), 1, 5)
+          .front();
   EXPECT_EQ(s.interruptions, 0u);
   EXPECT_DOUBLE_EQ(s.useful_work, 10.0 * 3600.0);
 }
 
 TEST(Cluster, RejectsNegativeCheckpointInterval) {
-  ClusterConfig cfg;
-  cfg.nodes = std::vector<ClusterNodeConfig>(2, reliable_node(1.0));
-  cfg.job_width = 1;
-  cfg.job_work_seconds = 10.0;
-  cfg.job_count = 1;
-  cfg.checkpoint_interval = -1.0;
-  hpcfail::Rng rng(1);
-  EXPECT_THROW(simulate_cluster(cfg, rng), hpcfail::InvalidArgument);
+  CampaignPolicy policy = no_protection_policy();
+  policy.checkpoint_interval = -1.0;
+  CampaignSpec spec;
+  spec.scenarios = {
+      cluster(std::vector<ClusterNodeConfig>(2, reliable_node(1.0)), 1, 10.0,
+              1)};
+  spec.policies = {policy};
+  spec.runs_per_cell = 1;
+  EXPECT_THROW(Campaign{spec}, hpcfail::InvalidArgument);
 }
 
 TEST(Cluster, DeterministicGivenSeed) {
-  ClusterConfig cfg;
-  cfg.nodes = heterogeneous_nodes(16, 5.0 * kDay, 0.2, 0.1, 3.0, 5);
-  cfg.job_width = 4;
-  cfg.job_work_seconds = 6.0 * 3600.0;
-  cfg.job_count = 30;
-  hpcfail::Rng r1(77);
-  hpcfail::Rng r2(77);
-  const ClusterStats a = simulate_cluster(cfg, r1);
-  const ClusterStats b = simulate_cluster(cfg, r2);
-  EXPECT_DOUBLE_EQ(a.makespan, b.makespan);
-  EXPECT_EQ(a.interruptions, b.interruptions);
-  EXPECT_DOUBLE_EQ(a.wasted_work, b.wasted_work);
+  const CampaignScenario scenario =
+      cluster(heterogeneous_nodes(16, 5.0 * kDay, 0.2, 0.1, 3.0, 5), 4,
+              6.0 * 3600.0, 30);
+  const auto a = run(scenario, no_protection_policy(), 2, 77);
+  const auto b = run(scenario, no_protection_policy(), 2, 77);
+  EXPECT_EQ(a, b);
+  EXPECT_GT(a.front().faults_injected, 0u);
 }
 
 }  // namespace

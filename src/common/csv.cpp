@@ -99,6 +99,46 @@ void CsvWriter::write_row(const std::vector<std::string>& fields) {
   out_ << '\n';
 }
 
+bool CsvLineSplitter::next(std::string_view& field) {
+  if (done_) return false;
+  // Consumes the field ending at `end` and the separator after it.
+  const auto consume = [this](std::size_t end) {
+    if (end >= rest_.size()) {
+      done_ = true;
+      rest_ = {};
+    } else {
+      rest_.remove_prefix(end + 1);
+    }
+  };
+  if (rest_.empty() || rest_.front() != '"') {
+    const std::size_t end = rest_.find(sep_);
+    field = rest_.substr(0, end);
+    consume(end);
+    return true;
+  }
+  // Unescaping never yields more bytes than it reads, so reserving the
+  // rest of the line once keeps earlier quoted fields' views valid.
+  if (unquoted_.empty()) unquoted_.reserve(rest_.size());
+  const std::size_t begin = unquoted_.size();
+  std::size_t i = 1;
+  for (;; ++i) {
+    if (i >= rest_.size()) {
+      done_ = unterminated_ = true;
+      return false;
+    }
+    if (rest_[i] == '"') {
+      if (i + 1 >= rest_.size() || rest_[i + 1] != '"') break;
+      ++i;  // "" is one literal quote
+    }
+    unquoted_ += rest_[i];
+  }
+  const std::size_t end = rest_.find(sep_, i + 1);
+  unquoted_ += rest_.substr(i + 1, end - i - 1);  // npos: to the end
+  field = std::string_view(unquoted_).substr(begin);
+  consume(end);
+  return true;
+}
+
 std::string csv_escape(std::string_view field, char separator) {
   const bool needs_quotes =
       field.find(separator) != std::string_view::npos ||

@@ -4,7 +4,8 @@
 // provides the lossless round-trip layer used by hpcfail::trace. Fields
 // containing the separator, quotes, or newlines are quoted; embedded quotes
 // are doubled. The reader is streaming (row at a time) and reports the line
-// number of any malformed row.
+// number of any malformed row. CsvLineSplitter applies the reader's quoting
+// rules to one line already framed by the caller (the trace line sources).
 #pragma once
 
 #include <iosfwd>
@@ -57,6 +58,32 @@ class CsvWriter {
   std::ostream& out_;
   char sep_;
   obs::Counter* rows_counter_ = nullptr;  ///< null when obs is disabled
+};
+
+/// Splits one line (no '\n') into its fields with CsvReader's quoting
+/// rules: a quote opens only at the start of a field, "" inside quotes is a
+/// literal quote, and text after the closing quote is appended. Unquoted
+/// fields are views into the line; quoted ones are unescaped into a buffer
+/// the splitter owns, so every field stays valid while the splitter and
+/// the line live. A quote that does not close ends the line.
+class CsvLineSplitter {
+ public:
+  explicit CsvLineSplitter(std::string_view line,
+                           char separator = ',') noexcept
+      : rest_(line), sep_(separator) {}
+
+  /// Stores the next field in `field`. Returns false after the last field,
+  /// or at a quote that does not close (unterminated() then holds).
+  bool next(std::string_view& field);
+
+  bool unterminated() const noexcept { return unterminated_; }
+
+ private:
+  std::string_view rest_;
+  char sep_;
+  bool done_ = false;
+  bool unterminated_ = false;
+  std::string unquoted_;
 };
 
 /// Quotes a single field if it contains the separator, a quote, or a

@@ -9,7 +9,7 @@
 
 namespace hpcfail {
 
-std::string trim(std::string_view s) {
+std::string_view trim_view(std::string_view s) noexcept {
   std::size_t begin = 0;
   std::size_t end = s.size();
   while (begin < end &&
@@ -20,8 +20,10 @@ std::string trim(std::string_view s) {
          std::isspace(static_cast<unsigned char>(s[end - 1])) != 0) {
     --end;
   }
-  return std::string(s.substr(begin, end - begin));
+  return s.substr(begin, end - begin);
 }
+
+std::string trim(std::string_view s) { return std::string(trim_view(s)); }
 
 std::string to_lower(std::string_view s) {
   std::string out(s);

@@ -1,6 +1,6 @@
 // Small string utilities shared across the library (trimming, splitting,
-// checked numeric parsing). All parsers throw ParseError with the offending
-// text so trace-ingestion errors are actionable.
+// checked numeric parsing, JSON escaping). All parsers throw ParseError
+// with the offending text so trace-ingestion errors are actionable.
 #pragma once
 
 #include <cstdint>
@@ -9,6 +9,9 @@
 #include <vector>
 
 namespace hpcfail {
+
+/// `s` without its leading and trailing ASCII whitespace.
+std::string_view trim_view(std::string_view s) noexcept;
 
 /// Copy of `s` with ASCII whitespace removed from both ends.
 std::string trim(std::string_view s);
@@ -29,5 +32,32 @@ double parse_double(std::string_view s);
 
 /// Formats a double with `prec` significant digits, trimming zeros.
 std::string format_double(double value, int prec = 6);
+
+/// `s` escaped for the inside of a JSON string literal: quote, backslash
+/// and every control character. Inline because the obs exporter uses it
+/// and hpcfail_common links hpcfail_obs, not the other way round.
+inline std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          constexpr char kHex[] = "0123456789abcdef";
+          out += "\\u00";
+          out += kHex[c >> 4];
+          out += kHex[c & 0xf];
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
 
 }  // namespace hpcfail

@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "common/error.hpp"
+#include "common/strings.hpp"
 
 namespace hpcfail::obs {
 
@@ -25,29 +26,6 @@ std::string format_number(double v) {
 }
 
 std::string format_number(std::uint64_t v) { return std::to_string(v); }
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 // Splits "base{k=v,k2=v2}" into the base name and the label list.
 void split_labels(std::string_view name, std::string& base,

@@ -134,21 +134,6 @@ std::vector<int> LiveAnalytics::system_ids() const {
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += ch;
-    }
-  }
-  return out;
-}
-
 void append_stats(std::string& out, const char* name,
                   const dist::SuffStats& s) {
   out += '"';

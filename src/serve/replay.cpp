@@ -13,10 +13,7 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/strings.hpp"
 #include "serve/server.hpp"
-#include "trace/adapters/adapter.hpp"
-#include "trace/types.hpp"
 
 namespace hpcfail::serve {
 
@@ -61,29 +58,6 @@ int connect_to(const std::string& host, int port) {
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   return fd;
-}
-
-void append_line(std::string& out, const trace::FailureRecord& r,
-                 const trace::Adapter* adapter) {
-  if (adapter != nullptr) {
-    out += adapter->format_line(r);
-    out += '\n';
-    return;
-  }
-  out += std::to_string(r.system_id);
-  out += ',';
-  out += std::to_string(r.node_id);
-  out += ',';
-  out += format_timestamp(r.start);
-  out += ',';
-  out += format_timestamp(r.end);
-  out += ',';
-  out += trace::to_string(r.workload);
-  out += ',';
-  out += trace::to_string(r.cause);
-  out += ',';
-  out += trace::to_string(r.detail);
-  out += '\n';
 }
 
 }  // namespace
@@ -147,7 +121,8 @@ ReplayStats replay_dataset(const trace::FailureDataset& dataset,
         (static_cast<std::size_t>(r.system_id) * 8191u +
          static_cast<std::size_t>(r.node_id)) %
         options.connections;
-    append_line(buffers[conn], r, options.adapter);
+    buffers[conn] += options.format->format_line(r);
+    buffers[conn] += '\n';
     ++stats.events_sent;
     if (buffers[conn].size() >= kFlushBytes) flush(conn);
   }

@@ -20,11 +20,8 @@
 #include <string>
 
 #include "common/time.hpp"
+#include "trace/adapters/adapter.hpp"
 #include "trace/dataset.hpp"
-
-namespace hpcfail::trace {
-class Adapter;
-}  // namespace hpcfail::trace
 
 namespace hpcfail::serve {
 
@@ -34,10 +31,10 @@ struct ReplayOptions {
   double speedup = 0.0;       ///< trace-seconds per wall-second; 0 = max rate
   std::size_t connections = 1;
   std::uint64_t limit = 0;    ///< replay at most N events (0 = whole trace)
-  /// Wire format: null = native CSV rows; otherwise each record is sent
-  /// as `adapter->format_line(...)`, matching a daemon started with the
-  /// same --format. Pointer must outlive the call (registry adapters do).
-  const trace::Adapter* adapter = nullptr;
+  /// Wire format: each record is sent as `format->format_line(...)`,
+  /// matching a daemon started with the same --format. Must outlive the
+  /// call (the format singletons do).
+  const trace::Adapter* format = &trace::native_format();
 };
 
 struct ReplayStats {

@@ -103,6 +103,18 @@ std::string query_param(const std::string& target, const std::string& key) {
   return {};
 }
 
+/// `text`, the value of query parameter `key`, parsed by `parse`; a
+/// ParseError names the parameter.
+template <typename Parse>
+auto parse_param(const char* key, const std::string& text, Parse parse) {
+  try {
+    return parse(text);
+  } catch (const ParseError& e) {
+    throw ParseError("parse error in parameter '" + std::string(key) +
+                     "': " + e.what());
+  }
+}
+
 /// Validates user-supplied options before any member construction, and
 /// mirrors the ingest shard count into the LiveDataset partition count.
 ServerOptions validated(ServerOptions options) {
@@ -132,6 +144,13 @@ ServerOptions validated(ServerOptions options) {
   }
   options.epoch.shards = options.ingest_threads;
   return options;
+}
+
+/// The wire format options.ingest_format names (empty = native CSV).
+const trace::Adapter& ingest_format(const ServerOptions& options) {
+  return options.ingest_format.empty()
+             ? trace::native_format()
+             : trace::adapter_for(options.ingest_format);
 }
 
 LiveAnalytics::Options analytics_options(const ServerOptions& options) {
@@ -166,9 +185,9 @@ std::size_t send_fully(int fd, std::string_view data) noexcept {
 }
 
 struct Server::Connection {
-  /// `adapter` selects the wire format the connection's LineSource
-  /// parses (null = native CSV rows); see ServerOptions::ingest_format.
-  explicit Connection(const trace::Adapter* adapter) : source(adapter) {}
+  /// `format` is the wire format the connection's LineSource parses; see
+  /// ServerOptions::ingest_format.
+  explicit Connection(const trace::Adapter& format) : source(format) {}
   int fd = -1;
   trace::LineSource source;
   std::uint64_t rejected_seen = 0;  ///< counter watermark already reported
@@ -189,17 +208,13 @@ struct Server::IngestShard {
 
 Server::Server(ServerOptions options)
     : options_(validated(std::move(options))),
-      adapter_(options_.ingest_format.empty()
-                   ? nullptr
-                   : &trace::adapter_for(options_.ingest_format)),
+      format_(&ingest_format(options_)),
       live_(options_.epoch),
       analytics_(analytics_options(options_)) {}
 
 Server::Server(ServerOptions options, trace::FailureDataset seed)
     : options_(validated(std::move(options))),
-      adapter_(options_.ingest_format.empty()
-                   ? nullptr
-                   : &trace::adapter_for(options_.ingest_format)),
+      format_(&ingest_format(options_)),
       live_(std::move(seed), options_.epoch),
       analytics_(analytics_options(options_)) {
   // Replay the seed into the analytics cells; snapshot records are
@@ -419,7 +434,7 @@ void Server::ingest_loop(IngestShard& shard) {
   const bool acceptor = shard.index == 0;
   if (acceptor && !options_.tail_path.empty()) {
     tail = std::make_unique<trace::TailSource>(options_.tail_path,
-                                               /*start_offset=*/0, adapter_);
+                                               /*start_offset=*/0, *format_);
   }
 
   std::vector<pollfd> fds;
@@ -521,7 +536,7 @@ void Server::adopt_pending(IngestShard& shard,
     adopted.swap(shard.pending);
   }
   for (const int fd : adopted) {
-    auto conn = std::make_unique<Connection>(adapter_);
+    auto conn = std::make_unique<Connection>(*format_);
     conn->fd = fd;
     conns.push_back(std::move(conn));
   }
@@ -544,9 +559,9 @@ std::string Server::stats_json() const {
   out += ",\"sealed_records\":" + std::to_string(live_.sealed_size());
   out += ",\"tail_records\":" + std::to_string(live_.tail_size());
   out += ",\"ingest_threads\":" + std::to_string(options_.ingest_threads);
-  out += ",\"ingest_format\":\"" +
-         (adapter_ ? std::string(adapter_->name()) : std::string("native")) +
-         '"';
+  out += ",\"ingest_format\":\"";
+  out += format_->name();
+  out += '"';
   out += ",\"compacted_events\":" + std::to_string(live_.compacted_events());
   out += ",\"retention_horizon\":" +
          std::to_string(live_.compacted_events() > 0
@@ -598,7 +613,8 @@ std::string Server::handle_request(const std::string& target, int& status) {
       }
       // Ids arrive as int64 text; narrowing one outside the valid id
       // range would alias another system (2^32 + 1 -> 1).
-      const std::int64_t system_arg = parse_i64(system_text);
+      const std::int64_t system_arg =
+          parse_param("system", system_text, parse_i64);
       if (system_arg < 1 || system_arg > std::numeric_limits<int>::max()) {
         status = 400;
         return "{\"error\":\"parameter 'system' must be in [1, " +
@@ -609,7 +625,8 @@ std::string Server::handle_request(const std::string& target, int& status) {
       const std::string hours = query_param(target, "window_hours");
       if (!hours.empty()) {
         const double window_seconds =
-            parse_double(hours) * static_cast<double>(kSecondsPerHour);
+            parse_param("window_hours", hours, parse_double) *
+            static_cast<double>(kSecondsPerHour);
         // Converting a double outside Seconds' range is undefined.
         constexpr double kSecondsLimit = 0x1p63;
         if (!(std::abs(window_seconds) < kSecondsLimit)) {
@@ -619,7 +636,9 @@ std::string Server::handle_request(const std::string& target, int& status) {
         window = static_cast<Seconds>(window_seconds);
       }
       const std::string seconds = query_param(target, "window_seconds");
-      if (!seconds.empty()) window = parse_i64(seconds);
+      if (!seconds.empty()) {
+        window = parse_param("window_seconds", seconds, parse_i64);
+      }
       if (window <= 0) {
         status = 400;
         return "{\"error\":\"window must be positive\"}";
@@ -661,7 +680,8 @@ std::string Server::handle_request(const std::string& target, int& status) {
       return to_json(report);
     } catch (const ParseError& e) {
       status = 400;
-      return "{\"error\":\"parse error: " + std::string(e.what()) + "\"}";
+      // The message quotes request text, so it is escaped.
+      return "{\"error\":\"" + json_escape(e.what()) + "\"}";
     }
   }
   status = 404;

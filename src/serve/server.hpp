@@ -3,7 +3,8 @@
 // N ingest threads + one HTTP thread, two listening sockets:
 //
 //   * each ingest thread owns one shard: a partition of the TCP
-//     connections speaking the line protocol (one CSV row per line, see
+//     connections speaking the line protocol (one record per line in the
+//     --format schema, native CSV rows by default; see
 //     trace/source.hpp), fed through per-connection trace::LineSources
 //     into that shard's tail of the shared trace::LiveDataset
 //     (incremental index, see trace/ingest.hpp) and the shared
@@ -92,7 +93,8 @@ struct ServerOptions {
   /// Wire format for ingested lines: empty = the native CSV row format,
   /// otherwise a registered adapter name (trace/adapters/adapter.hpp).
   /// Applies to every ingest connection and the tailed file alike.
-  /// Unknown names throw ValidationError at construction.
+  /// Unknown names throw ValidationError at construction, which resolves
+  /// the format once.
   std::string ingest_format;
   /// Stop automatically after this many accepted events (0 = run until
   /// stop()/shutdown). Lets smoke tests bound a run without a race.
@@ -172,9 +174,9 @@ class Server {
   std::string stats_json() const;
 
   ServerOptions options_;
-  /// Resolved from options_.ingest_format (null = native CSV); owned by
-  /// the static adapter registry, so the pointer outlives the server.
-  const trace::Adapter* adapter_ = nullptr;
+  /// Resolved from options_.ingest_format; the format singletons outlive
+  /// the server.
+  const trace::Adapter* format_;
   trace::LiveDataset live_;
   LiveAnalytics analytics_;
   /// Guards analytics_ and the rejected-line bookkeeping shared between

@@ -1,9 +1,6 @@
 #include "trace/adapters/adapter.hpp"
 
-#include <fstream>
-#include <istream>
-#include <ostream>
-#include <vector>
+#include <limits>
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
@@ -40,6 +37,16 @@ const Adapter& adapter_for(std::string_view name) {
                         "' (known formats: " + adapter_names() + ")");
 }
 
+int parse_id(std::string_view text, std::string_view field) {
+  const std::int64_t id = parse_i64(text);
+  if (id < std::numeric_limits<int>::min() ||
+      id > std::numeric_limits<int>::max()) {
+    throw ParseError(std::string(field) + " out of range: '" +
+                     std::string(text) + "'");
+  }
+  return static_cast<int>(id);
+}
+
 void validate_adapted(const FailureRecord& record) {
   if (record.system_id < 1 || record.node_id < 0) {
     throw ValidationError("system id must be >= 1 and node id >= 0 (got " +
@@ -54,71 +61,6 @@ void validate_adapted(const FailureRecord& record) {
                           "' does not belong to category '" +
                           to_string(record.cause) + "'");
   }
-}
-
-AdapterSource::AdapterSource(std::istream& in, const Adapter& adapter,
-                             OnError on_error)
-    : in_(in), adapter_(adapter), on_error_(on_error) {}
-
-SourceStatus AdapterSource::next(FailureRecord& out) {
-  while (std::getline(in_, line_)) {
-    ++line_number_;
-    if (!line_.empty() && line_.back() == '\r') line_.pop_back();
-    const std::string stripped = trim(line_);
-    if (stripped.empty() || stripped == adapter_.header()) continue;
-    try {
-      out = adapter_.parse_line(line_);
-      ++counters_.accepted;
-      return SourceStatus::event;
-    } catch (const ParseError& e) {
-      const std::string message =
-          "line " + std::to_string(line_number_) + ": " + e.what();
-      if (on_error_ == OnError::throw_) throw ParseError(message);
-      ++counters_.rejected;
-      counters_.last_error = message;
-    } catch (const ValidationError& e) {
-      const std::string message =
-          "line " + std::to_string(line_number_) + ": " + e.what();
-      if (on_error_ == OnError::throw_) throw ValidationError(message);
-      ++counters_.rejected;
-      counters_.last_error = message;
-    }
-  }
-  return SourceStatus::end;
-}
-
-void write_adapter(std::ostream& out, const FailureDataset& dataset,
-                   const Adapter& adapter) {
-  if (!adapter.header().empty()) out << adapter.header() << '\n';
-  for (const FailureRecord& record : dataset.records()) {
-    out << adapter.format_line(record) << '\n';
-  }
-}
-
-void write_adapter_file(const std::string& path,
-                        const FailureDataset& dataset,
-                        const Adapter& adapter) {
-  std::ofstream out(path);
-  if (!out) throw IoError("cannot open '" + path + "' for writing");
-  write_adapter(out, dataset, adapter);
-  if (!out) throw IoError("write failed for '" + path + "'");
-}
-
-FailureDataset read_adapter_file(const std::string& path,
-                                 const Adapter& adapter,
-                                 SourceCounters* counters) {
-  std::ifstream in(path);
-  if (!in) throw IoError("cannot open '" + path + "' for reading");
-  AdapterSource source(in, adapter,
-                       counters == nullptr ? AdapterSource::OnError::throw_
-                                           : AdapterSource::OnError::reject);
-  std::vector<FailureRecord> records;
-  FailureRecord record;
-  while (source.next(record) == SourceStatus::event) {
-    records.push_back(record);
-  }
-  if (counters != nullptr) *counters = source.counters();
-  return FailureDataset(std::move(records));
 }
 
 }  // namespace hpcfail::trace

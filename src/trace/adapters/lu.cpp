@@ -1,6 +1,7 @@
 #include "trace/adapters/lu.hpp"
 
 #include <array>
+#include <limits>
 #include <string>
 
 #include "common/error.hpp"
@@ -37,8 +38,8 @@ void parse_node_path(std::string_view path, FailureRecord& record) {
     throw ParseError("bad node path '" + std::string(path) +
                      "' (want c<system>n<node>)");
   }
-  record.system_id = static_cast<int>(parse_i64(path.substr(1, n - 1)));
-  record.node_id = static_cast<int>(parse_i64(path.substr(n + 1)));
+  record.system_id = parse_id(path.substr(1, n - 1), "system id");
+  record.node_id = parse_id(path.substr(n + 1), "node id");
 }
 
 }  // namespace
@@ -79,6 +80,10 @@ FailureRecord LuAdapter::parse_line(std::string_view line) const {
   const std::int64_t downtime = parse_i64(
       std::string_view(fields[3]).substr(0, fields[3].size() - 1));
   if (downtime < 0) throw ValidationError("negative downtime");
+  if (record.start > std::numeric_limits<Seconds>::max() - downtime) {
+    throw ParseError("downtime '" + fields[3] + "' ends past the last "
+                     "representable time");
+  }
   record.end = record.start + downtime;
   record.workload = static_cast<Workload>(
       index_of_token(kWorkloadTokens, fields[4], "workload"));

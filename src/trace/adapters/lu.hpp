@@ -20,9 +20,6 @@ namespace hpcfail::trace::adapters {
 class LuAdapter final : public Adapter {
  public:
   std::string_view name() const noexcept override { return "lu"; }
-  std::string_view description() const noexcept override {
-    return "commodity-cluster node failure log (Lu, arXiv:1302.4779)";
-  }
   std::string_view header() const noexcept override {
     return "# lu commodity-cluster node failure log v1";
   }

@@ -56,8 +56,8 @@ void parse_ids(std::string_view text, char prefix, char sep,
   if (text.size() < 4 || text.front() != prefix) throw bad();
   const std::size_t at = text.find(sep, 1);
   if (at == std::string_view::npos || at + 1 >= text.size()) throw bad();
-  system_id = static_cast<int>(parse_i64(text.substr(1, at - 1)));
-  node_id = static_cast<int>(parse_i64(text.substr(at + 1)));
+  system_id = parse_id(text.substr(1, at - 1), std::string(what) + " system");
+  node_id = parse_id(text.substr(at + 1), std::string(what) + " node");
 }
 
 }  // namespace

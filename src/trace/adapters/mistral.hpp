@@ -20,10 +20,6 @@ namespace hpcfail::trace::adapters {
 class MistralAdapter final : public Adapter {
  public:
   std::string_view name() const noexcept override { return "mistral"; }
-  std::string_view description() const noexcept override {
-    return "Mistral job-history failure rows (Zasadzinski et al., "
-           "arXiv:1801.07624)";
-  }
   std::string_view header() const noexcept override {
     return "job_id,host,begin,end,state,reason,partition";
   }

@@ -94,8 +94,8 @@ FailureRecord TanAdapter::parse_line(std::string_view line) const {
                      std::to_string(fields.size()));
   }
   FailureRecord record;
-  record.system_id = static_cast<int>(parse_i64(fields[0]));
-  record.node_id = static_cast<int>(parse_i64(fields[1]));
+  record.system_id = parse_id(fields[0], "system id");
+  record.node_id = parse_id(fields[1], "node id");
   record.start = parse_us_timestamp(fields[2]);
   record.end = parse_us_timestamp(fields[3]);
   const std::int64_t duration = parse_i64(fields[4]);

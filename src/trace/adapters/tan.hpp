@@ -21,10 +21,6 @@ namespace hpcfail::trace::adapters {
 class TanAdapter final : public Adapter {
  public:
   std::string_view name() const noexcept override { return "tan"; }
-  std::string_view description() const noexcept override {
-    return "contemporary LANL-style interrupt records (Tan & DeBardeleben, "
-           "arXiv:1911.02118)";
-  }
   std::string_view header() const noexcept override {
     return "System|Node|Down Time|Up Time|Duration Sec|Category|"
            "Subcategory|Workload";

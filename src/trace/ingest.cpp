@@ -76,17 +76,6 @@ void LiveDataset::append(std::size_t shard, const FailureRecord& r) {
   if (tails >= seal_threshold()) maybe_seal();
 }
 
-std::size_t LiveDataset::drain(std::size_t shard, Source& source,
-                               std::size_t max_events) {
-  std::size_t appended = 0;
-  FailureRecord r;
-  while (appended < max_events && source.next(r) == SourceStatus::event) {
-    append(shard, r);
-    ++appended;
-  }
-  return appended;
-}
-
 void LiveDataset::maybe_seal() {
   // A seal already in flight will pick up late tails on the next
   // trigger; skipping keeps the append path wait-free under rebuilds.

@@ -38,14 +38,14 @@
 // into a tail, then compacted at the next seal — they never resurrect
 // dropped raw rows.
 //
-// Threading contract: append(shard, r)/drain(shard, ...) are
-// single-writer *per shard*; distinct shards may ingest concurrently.
-// seal() is safe from any thread (serialized internally) and runs
-// concurrently with appends — it holds each shard mutex only to swap
-// the tail out. snapshot()/epoch()/sealed_size()/tail_size()/size()/
-// compacted_events()/retention_horizon()/compaction_cells() are safe
-// from any thread. Snapshots are immutable and remain valid after
-// further appends and seals.
+// Threading contract: append(shard, r) is single-writer *per shard*;
+// distinct shards may ingest concurrently. seal() is safe from any
+// thread (serialized internally) and runs concurrently with appends — it
+// holds each shard mutex only to swap the tail out. snapshot()/epoch()/
+// sealed_size()/tail_size()/size()/compacted_events()/
+// retention_horizon()/compaction_cells() are safe from any thread.
+// Snapshots are immutable and remain valid after further appends and
+// seals.
 #pragma once
 
 #include <atomic>
@@ -60,7 +60,6 @@
 #include "dist/suffstats.hpp"
 #include "trace/columns.hpp"
 #include "trace/dataset.hpp"
-#include "trace/source.hpp"
 
 namespace hpcfail::obs {
 class Counter;
@@ -110,17 +109,6 @@ class LiveDataset {
 
   /// Appends one record to the given shard (single writer per shard).
   void append(std::size_t shard, const FailureRecord& r);
-
-  /// Pulls events from `source` into shard 0 until it reports idle/end
-  /// or `max_events` have been appended. Returns the number appended.
-  std::size_t drain(Source& source,
-                    std::size_t max_events = static_cast<std::size_t>(-1)) {
-    return drain(0, source, max_events);
-  }
-
-  /// Shard-targeted drain (single writer per shard).
-  std::size_t drain(std::size_t shard, Source& source,
-                    std::size_t max_events = static_cast<std::size_t>(-1));
 
   /// Forces an epoch rebuild now (no-op when every tail is empty).
   /// Safe from any thread; blocks while another seal is in flight.

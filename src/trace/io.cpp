@@ -1,54 +1,98 @@
 #include "trace/io.hpp"
 
+#include <algorithm>
 #include <fstream>
+#include <istream>
 #include <ostream>
 
-#include "common/csv.hpp"
 #include "common/error.hpp"
-#include "trace/source.hpp"
+#include "common/strings.hpp"
+#include "obs/metrics.hpp"
 
 namespace hpcfail::trace {
 
+namespace {
+
+constexpr std::size_t kBlockBytes = 64 * 1024;
+
+}  // namespace
+
 const char* const kCsvHeader = "system,node,start,end,workload,cause,detail";
 
-void write_csv(std::ostream& out, const FailureDataset& dataset) {
-  out << kCsvHeader << '\n';
-  CsvWriter writer(out);
+void write_csv(std::ostream& out, const FailureDataset& dataset,
+               const Adapter& format) {
+  std::string text(format.header());
+  text += '\n';
   for (const FailureRecord& r : dataset.records()) {
-    writer.write_row({
-        std::to_string(r.system_id),
-        std::to_string(r.node_id),
-        format_timestamp(r.start),
-        format_timestamp(r.end),
-        to_string(r.workload),
-        to_string(r.cause),
-        to_string(r.detail),
-    });
+    text += format.format_line(r);
+    text += '\n';
+    if (text.size() >= kBlockBytes) {
+      out.write(text.data(), static_cast<std::streamsize>(text.size()));
+      text.clear();
+    }
+  }
+  out.write(text.data(), static_cast<std::streamsize>(text.size()));
+  if (obs::enabled()) {
+    obs::registry().counter("csv.rows_written").add(dataset.size());
   }
 }
 
-void write_csv_file(const std::string& path, const FailureDataset& dataset) {
+void write_csv_file(const std::string& path, const FailureDataset& dataset,
+                    const Adapter& format) {
   std::ofstream out(path);
   if (!out) throw IoError("cannot open '" + path + "' for writing");
-  write_csv(out, dataset);
+  write_csv(out, dataset, format);
   if (!out) throw IoError("write failed for '" + path + "'");
 }
 
-FailureDataset read_csv(std::istream& in) {
-  // Thin wrapper over the strict CsvSource: identical header checks,
-  // error messages, and blank-line handling as the historical inline
-  // parser (see trace/source.cpp).
-  CsvSource source(in, CsvSource::OnError::throw_);
-  std::vector<FailureRecord> records;
-  FailureRecord r;
-  while (source.next(r) == SourceStatus::event) records.push_back(r);
-  return FailureDataset(std::move(records));
+FailureDataset read_csv(std::istream& in, const Adapter& format,
+                        SourceCounters* counters) {
+  std::string block(kBlockBytes, '\0');
+  const auto read_block = [&in, &block] {
+    in.read(block.data(), static_cast<std::streamsize>(block.size()));
+    return std::string_view(block.data(),
+                            static_cast<std::size_t>(in.gcount()));
+  };
+  std::string_view bytes = read_block();
+  if (bytes.empty()) throw ParseError("empty trace file (missing header)");
+  const std::string_view first = bytes.substr(0, bytes.find('\n'));
+  if (!is_header(format, first)) {
+    throw ParseError("unexpected trace header: '" +
+                     std::string(trim_view(first)) + "'");
+  }
+
+  LineSource source(format, counters == nullptr ? LineSource::OnError::throw_
+                                                : LineSource::OnError::reject);
+  ColumnStore columns;
+  FailureRecord record;
+  const auto drain = [&] {
+    while (source.next(record) == SourceStatus::event) {
+      columns.push_back(record);
+    }
+  };
+  std::uint64_t lines = 0;
+  char last = '\n';
+  for (; !bytes.empty(); bytes = read_block()) {
+    lines += static_cast<std::uint64_t>(
+        std::count(bytes.begin(), bytes.end(), '\n'));
+    last = bytes.back();
+    source.feed(bytes);
+    drain();
+  }
+  source.finish();
+  drain();
+  if (last != '\n') ++lines;  // a final line without its newline
+
+  if (counters != nullptr) *counters = source.counters();
+  if (obs::enabled()) obs::registry().counter("csv.rows_read").add(lines);
+  return FailureDataset::from_columns(std::move(columns));
 }
 
-FailureDataset read_csv_file(const std::string& path) {
+FailureDataset read_csv_file(const std::string& path, const Adapter& format,
+                             SourceCounters* counters) {
   std::ifstream in(path);
   if (!in) throw IoError("cannot open '" + path + "' for reading");
-  return read_csv(in);
+  return read_csv(in, format, counters);
 }
 
 }  // namespace hpcfail::trace

@@ -1,34 +1,38 @@
-// Pull-based event sources: the unified ingest surface behind both the
-// batch CSV reader and the streaming daemon (`hpcfail serve`).
+// Pull-based event sources: the one ingest surface behind the batch
+// readers (read_csv) and the streaming daemon (`hpcfail serve`).
 //
-// A Source yields FailureRecords one at a time. Batch sources (CsvSource)
-// only ever report `event` or `end`; streaming sources (LineSource,
-// TailSource) additionally report `idle` when no complete event is
-// available *yet* — the caller polls again later. Malformed input is
-// handled per the source's error policy: the strict CSV path throws
-// ParseError with a line number (preserving read_csv's exact messages),
-// while streaming sources reject-and-count so one bad line never takes
-// the daemon down (counters() exposes accepted/rejected totals and the
-// last rejection message).
+// A Source yields FailureRecords one at a time: `event`, `end`, or —
+// while a streaming source has no complete event *yet* — `idle`, and the
+// caller polls again later.
 //
-// The wire format for the line-protocol sources is one CSV row per line,
-// same field order as kCsvHeader (system,node,start,end,workload,cause,
-// detail), no quoting. Blank lines and lines equal to the canonical
-// header are skipped silently so `nc daemon < trace.csv` just works.
+// LineSource is the only layer that frames lines. It cuts pushed bytes at
+// '\n', skips blank lines and its format's header lines (is_header), and
+// hands every other line to the format's parse_line
+// (trace/adapters/adapter.hpp; the native CSV row unless told otherwise).
+// A bad line is handled per the source's OnError policy: strict batch
+// reads rethrow its ParseError/ValidationError prefixed with "line N:";
+// lenient reads and the daemon reject-and-count, so one bad line never
+// takes the daemon down (counters() exposes accepted/rejected totals and
+// the last rejection message). A line longer than kMaxLineBytes is one
+// bad line: rejected as soon as it outgrows the limit and skipped to its
+// newline, so a producer that never sends '\n' cannot grow the buffer
+// without bound. TailSource feeds a LineSource from a file that other
+// processes append to.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <istream>
 #include <string>
 #include <string_view>
-#include <vector>
 
-#include "common/csv.hpp"
+#include "trace/adapters/adapter.hpp"
 #include "trace/record.hpp"
 
 namespace hpcfail::trace {
 
-class Adapter;  // trace/adapters/adapter.hpp
+/// Longest line a LineSource parses, and the most TailSource reads per
+/// poll.
+inline constexpr std::size_t kMaxLineBytes = 64 * 1024;
 
 /// Result of one Source::next() poll.
 enum class SourceStatus {
@@ -51,7 +55,7 @@ class Source {
 
   /// Advances to the next record. Returns `event` and fills `out`, or
   /// `idle`/`end` per the source's contract. Strict sources may throw
-  /// ParseError instead of rejecting.
+  /// instead of rejecting.
   virtual SourceStatus next(FailureRecord& out) = 0;
 
   /// Accept/reject accounting since construction.
@@ -63,63 +67,29 @@ class Source {
   SourceCounters counters_;
 };
 
-/// Builds a record from the 7 canonical fields. Fields 0-3 (ids and
-/// timestamps) are trimmed; workload/cause/detail are parsed verbatim,
-/// matching the historical read_csv behavior. Throws ParseError (without
-/// a line prefix; callers add one) on any malformed field or an
-/// inconsistent record.
-FailureRecord record_from_fields(const std::vector<std::string>& fields);
+/// True when `line` is `format`'s header: its comma-separated fields,
+/// unquoted and trimmed, equal the header's fields.
+bool is_header(const Adapter& format, std::string_view line);
 
-/// Parses one line-protocol line (7 comma-separated fields, optional
-/// trailing '\r'). Allocation-free splitting; same validation and error
-/// messages as record_from_fields, plus "expected 7 fields, got N" when
-/// the field count is wrong.
-FailureRecord record_from_line(std::string_view line);
-
-/// Strict/lenient CSV source over any istream. The constructor consumes
-/// and validates the canonical header (always throwing ParseError on a
-/// missing or unexpected header, regardless of policy). next() never
-/// returns `idle`.
-class CsvSource : public Source {
- public:
-  enum class OnError {
-    throw_,  ///< propagate ParseError with "line N: ..." (read_csv contract)
-    reject,  ///< count the bad row and keep going
-  };
-
-  /// `in` must outlive the source. Reads the header immediately.
-  explicit CsvSource(std::istream& in, OnError on_error = OnError::throw_);
-
-  SourceStatus next(FailureRecord& out) override;
-
- private:
-  CsvReader reader_;
-  OnError on_error_;
-  std::vector<std::string> row_;
-};
-
-/// Streaming line-protocol source fed by pushed byte chunks (the TCP
-/// ingest path). feed() appends raw bytes; next() yields one record per
-/// complete '\n'-terminated line, `idle` when the buffer holds no
-/// complete line, and `end` once finish() has been called and the buffer
-/// is drained (a final unterminated line is still parsed). Malformed
-/// lines are always reject-and-count.
+/// Line source fed by pushed byte chunks (the TCP ingest path, the tailed
+/// file and the batch readers). feed() appends raw bytes; next() yields
+/// one record per complete '\n'-terminated line, `idle` when the buffer
+/// holds no complete line, and `end` once finish() has been called and
+/// the buffer is drained (a final unterminated line is still parsed).
 class LineSource : public Source {
  public:
-  /// Native line protocol (one canonical CSV row per line).
-  LineSource() = default;
+  enum class OnError {
+    throw_,  ///< rethrow a bad line's error type, prefixed "line N: "
+    reject,  ///< count the bad line and keep going
+  };
 
-  /// Lines are decoded by `adapter` (a foreign schema; see
-  /// trace/adapters/adapter.hpp) instead of the native protocol — the
-  /// `hpcfail serve --format <name>` ingest path. Blank lines and lines
-  /// equal to the adapter's header are skipped silently, and both
-  /// ParseError and ValidationError from the adapter reject-and-count.
-  /// The adapter must outlive the source; nullptr selects the native
-  /// protocol.
-  explicit LineSource(const Adapter* adapter) : adapter_(adapter) {}
+  /// Lines are decoded by `format`, which must outlive the source.
+  explicit LineSource(const Adapter& format = native_format(),
+                      OnError on_error = OnError::reject) noexcept
+      : format_(&format), on_error_(on_error) {}
 
   /// Appends raw bytes (need not align with line boundaries).
-  void feed(std::string_view bytes);
+  void feed(std::string_view bytes) { buffer_.append(bytes); }
 
   /// Declares end-of-stream; next() drains the remainder then returns
   /// `end`.
@@ -128,33 +98,35 @@ class LineSource : public Source {
   /// Discards all buffered (unconsumed) bytes and clears the finished
   /// flag — for owners that detect the underlying byte stream restarted
   /// (e.g. a followed file was rewritten), so a stale partial line never
-  /// splices onto the new stream. Counters and lines_seen() persist.
+  /// splices onto the new stream. Counters and line numbers persist.
   void reset() noexcept {
     buffer_.clear();
     pos_ = 0;
     finished_ = false;
+    skipping_ = false;
   }
 
   SourceStatus next(FailureRecord& out) override;
 
-  /// Total '\n'-terminated lines consumed so far (blank/header included).
-  std::uint64_t lines_seen() const noexcept { return lines_seen_; }
-
  private:
-  bool parse_line(std::string_view line, FailureRecord& out);
+  /// Accounts for one framed line; true when it produced `out`.
+  bool take(std::string_view line, FailureRecord& out);
 
-  const Adapter* adapter_ = nullptr;  ///< null = native line protocol
+  const Adapter* format_;
+  OnError on_error_;
   std::string buffer_;
-  std::size_t pos_ = 0;  ///< start of the first unconsumed byte
-  std::uint64_t lines_seen_ = 0;
+  std::size_t pos_ = 0;       ///< start of the first unconsumed byte
+  std::uint64_t lines_ = 0;   ///< lines consumed, for "line N:" messages
   bool finished_ = false;
+  bool skipping_ = false;     ///< dropping the rest of an over-long line
 };
 
 /// Follows a file that other processes append to (`tail -f` semantics).
 /// Each next() that finds the inner buffer empty re-opens the file, seeks
-/// past everything already consumed, and feeds any new bytes; `idle`
-/// means no new data (or the file does not exist yet). Never returns
-/// `end` — the caller decides when to stop polling.
+/// past everything already consumed, and feeds at most kMaxLineBytes of
+/// new bytes per poll; `idle` means no new data (or the file does not
+/// exist yet). Never returns `end` — the caller decides when to stop
+/// polling.
 ///
 /// Rewrite detection: a size below the consumed offset alone misses the
 /// truncate-then-regrow race (logrotate's copytruncate plus a fast
@@ -168,10 +140,9 @@ class LineSource : public Source {
 /// one — the protocol's header line makes that benign for event traces.
 class TailSource : public Source {
  public:
-  /// `adapter` selects a foreign line format for the tailed file (null =
-  /// native protocol); it must outlive the source.
+  /// Lines are decoded by `format`, which must outlive the source.
   explicit TailSource(std::string path, std::uint64_t start_offset = 0,
-                      const Adapter* adapter = nullptr);
+                      const Adapter& format = native_format());
 
   SourceStatus next(FailureRecord& out) override;
 

@@ -14,6 +14,7 @@
 #include "report/compare_report.hpp"
 #include "synth/site.hpp"
 #include "trace/adapters/adapter.hpp"
+#include "trace/io.hpp"
 #include "trace/dataset.hpp"
 #include "trace/record.hpp"
 
@@ -133,10 +134,10 @@ TEST(CompareBattery, NativeAndForeignLoadsOfSameTraceAgree) {
 
   const trace::Adapter& adapter = trace::adapter_for("tan");
   const std::string path = "compare_differential_tan.txt";
-  trace::write_adapter_file(path, ds, adapter);
+  trace::write_csv_file(path, ds, adapter);
   CompareInput foreign;
   foreign.label = "site";
-  foreign.dataset = trace::read_adapter_file(path, adapter);
+  foreign.dataset = trace::read_csv_file(path, adapter);
   std::remove(path.c_str());
 
   const CompareSite a = summarize_site(native);

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 
 namespace hpcfail {
 namespace {
@@ -124,6 +125,32 @@ TEST(CsvReader, TracksLineNumbersAcrossMultilineFields) {
   ASSERT_TRUE(reader.next_row(row));
   EXPECT_EQ(reader.line_number(), 4u);  // multiline field consumed line 3
   EXPECT_FALSE(reader.next_row(row));
+}
+
+TEST(CsvLineSplitter, YieldsTheFieldsCsvReaderYieldsForOneLine) {
+  // Random lines rich in separators and quotes: where CsvReader reads the
+  // line as one row, the splitter yields the same fields; where a quote
+  // never closes, the splitter says so.
+  Rng rng(0xc5f5u);
+  constexpr char kAlphabet[] = {'a', 'b', ',', '"', ' '};
+  for (int i = 0; i < 20000; ++i) {
+    std::string line(1 + rng.uniform_index(12), 'a');
+    for (char& c : line) c = kAlphabet[rng.uniform_index(sizeof kAlphabet)];
+    CsvLineSplitter splitter(line);
+    std::vector<std::string_view> views;  // all alive at once, as in use
+    for (std::string_view field; splitter.next(field);) {
+      views.push_back(field);
+    }
+    const std::vector<std::string> fields(views.begin(), views.end());
+    try {
+      const auto rows = parse_csv(line);
+      ASSERT_EQ(rows.size(), 1u) << line;
+      EXPECT_FALSE(splitter.unterminated()) << line;
+      EXPECT_EQ(fields, rows[0]) << line;
+    } catch (const ParseError&) {
+      EXPECT_TRUE(splitter.unterminated()) << line;
+    }
+  }
 }
 
 TEST(CsvWriter, RoundTripsThroughReader) {

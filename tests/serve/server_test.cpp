@@ -34,6 +34,7 @@
 #include "serve/analytics.hpp"
 #include "serve/replay.hpp"
 #include "trace/adapters/adapter.hpp"
+#include "trace/io.hpp"
 #include "trace/dataset.hpp"
 #include "trace/record.hpp"
 #include "trace/types.hpp"
@@ -535,6 +536,25 @@ TEST(Server, MaxEventsStopsTheDaemon) {
   EXPECT_EQ(server.dataset().snapshot()->size(), server.events_ingested());
 }
 
+TEST(Server, AcceptsQuotedNativeRowsAndHeaders) {
+  // The daemon reads quoted rows and headers exactly as read_csv does.
+  Server server(ServerOptions{});
+  server.start();
+  const int client = connect_to(server.ingest_port());
+  send_all(client,
+           "\"system\", node ,start,end,workload,cause,\"detail\"\n"
+           "\"7\",\"0\",\"2004-06-01 00:00:00\",2004-06-01 00:05:00,"
+           "compute,\"hardware\",memory_dimm\n");
+  wait_until_ingested(server, 1);
+  ::close(client);
+  EXPECT_EQ(server.events_rejected(), 0u);
+  EXPECT_NE(http_get(server.http_port(), "/stats")
+                .body.find("\"ingest_format\":\"native\""),
+            std::string::npos);
+  server.stop();
+  server.wait();
+}
+
 TEST(Server, ShutdownEndpointStopsTheDaemon) {
   Server server(ServerOptions{});
   server.start();
@@ -594,6 +614,18 @@ TEST(Server, ReportRejectsOutOfRangeQueryParameters) {
       "/report?system=1&window_seconds=9223372036854775807";
   EXPECT_EQ(http_get(port, widest_seconds).status, 200);
   EXPECT_EQ(http_get(port, "/report?system=2147483647").status, 404);
+  // Parse errors name the parameter, and quote its text as valid JSON.
+  const HttpResponse quoted = http_get(port, "/report?system=a\"b");
+  EXPECT_EQ(quoted.status, 400);
+  EXPECT_EQ(quoted.body,
+            "{\"error\":\"parse error in parameter 'system': not an integer: "
+            "'a\\\"b'\"}");
+  const HttpResponse backslash =
+      http_get(port, "/report?system=1&window_hours=x\\y");
+  EXPECT_EQ(backslash.status, 400);
+  EXPECT_EQ(backslash.body,
+            "{\"error\":\"parse error in parameter 'window_hours': not a "
+            "finite number: 'x\\\\y'\"}");
 
   server.stop();
   server.wait();
@@ -955,9 +987,8 @@ TEST(Replay, ForeignFormatReplayMatchesBatchLoadByteForByte) {
   const trace::Adapter& lu = trace::adapter_for("lu");
   const std::string path = ::testing::TempDir() + "/replay_foreign_" +
                            std::to_string(::getpid()) + ".lu";
-  trace::write_adapter_file(path, trace::FailureDataset{std::move(records)},
-                            lu);
-  const trace::FailureDataset loaded = trace::read_adapter_file(path, lu);
+  trace::write_csv_file(path, trace::FailureDataset{std::move(records)}, lu);
+  const trace::FailureDataset loaded = trace::read_csv_file(path, lu);
   std::remove(path.c_str());
   ASSERT_EQ(loaded.size(), 300u);
 
@@ -968,7 +999,7 @@ TEST(Replay, ForeignFormatReplayMatchesBatchLoadByteForByte) {
   ReplayOptions ropts;
   ropts.port = live.ingest_port();
   ropts.connections = 1;  // one connection: arrival order == trace order
-  ropts.adapter = &lu;
+  ropts.format = &lu;
   const ReplayStats stats = replay_dataset(loaded, ropts);
   EXPECT_EQ(stats.events_sent, 300u);
   wait_until_ingested(live, 300);

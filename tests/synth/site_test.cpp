@@ -8,6 +8,7 @@
 #include "common/error.hpp"
 #include "common/time.hpp"
 #include "trace/adapters/adapter.hpp"
+#include "trace/io.hpp"
 #include "trace/record.hpp"
 
 namespace hpcfail::synth {
@@ -103,8 +104,8 @@ TEST(SiteTrace, RoundTripsThroughItsOwnAdapterBitIdentically) {
     const trace::Adapter& adapter = trace::adapter_for(profile->format);
     const std::string path =
         "site_roundtrip_" + std::string(profile->name) + ".txt";
-    trace::write_adapter_file(path, ds, adapter);
-    const trace::FailureDataset back = trace::read_adapter_file(path, adapter);
+    trace::write_csv_file(path, ds, adapter);
+    const trace::FailureDataset back = trace::read_csv_file(path, adapter);
     ASSERT_EQ(back.size(), ds.size()) << profile->name;
     for (std::size_t i = 0; i < ds.size(); ++i) {
       ASSERT_EQ(back.records()[i], ds.records()[i]) << profile->name;

@@ -1,7 +1,8 @@
-// Cross-schema differential battery, property half:
+// Cross-schema differential battery, property half, over every format
+// (the registered adapters plus the native CSV row):
 //
-//   * round trip — a native record formatted by any adapter and parsed
-//     back is bit-identical (the bijectivity contract of the tentpole);
+//   * round trip — a native record formatted by any format and parsed
+//     back is bit-identical (the bijectivity contract);
 //   * mutation fuzz — random byte mutations of valid foreign lines
 //     either throw a typed library Error (which streaming ingest turns
 //     into reject-and-count) or parse into a fully consistent record;
@@ -22,8 +23,16 @@
 namespace hpcfail::trace {
 namespace {
 
+/// The registered adapters plus the native format.
+std::vector<const Adapter*> every_format() {
+  std::vector<const Adapter*> formats(all_adapters().begin(),
+                                      all_adapters().end());
+  formats.push_back(&native_format());
+  return formats;
+}
+
 TEST(AdapterRoundTrip, EveryAdapterIsBijectiveOnConsistentRecords) {
-  for (const Adapter* adapter : all_adapters()) {
+  for (const Adapter* adapter : every_format()) {
     const auto result = testkit::check_property(
         testkit::failure_records(),
         [adapter](const FailureRecord& r) {
@@ -36,7 +45,7 @@ TEST(AdapterRoundTrip, EveryAdapterIsBijectiveOnConsistentRecords) {
 TEST(AdapterRoundTrip, SurvivesSecondRoundTripByteIdentically) {
   // format -> parse -> format must reproduce the same line: the adapter
   // cannot have two spellings of one record.
-  for (const Adapter* adapter : all_adapters()) {
+  for (const Adapter* adapter : every_format()) {
     const auto result = testkit::check_property(
         testkit::failure_records(),
         [adapter](const FailureRecord& r) {
@@ -90,7 +99,7 @@ testkit::Gen<MutatedLine> mutated_lines(const Adapter& adapter) {
 TEST(AdapterFuzz, MutatedLinesRejectOrParseConsistently) {
   testkit::PropertyOptions options;
   options.cases = 2000;
-  for (const Adapter* adapter : all_adapters()) {
+  for (const Adapter* adapter : every_format()) {
     const auto result = testkit::check_property(
         mutated_lines(*adapter),
         [adapter](const MutatedLine& v) {
@@ -118,9 +127,9 @@ TEST(AdapterFuzz, StreamingIngestRejectsAndCountsEveryMutatedLine) {
   // mutated lines through the adapter-aware LineSource (the serve
   // ingest path) and check accepted + rejected accounts for every line
   // with nothing thrown.
-  for (const Adapter* adapter : all_adapters()) {
+  for (const Adapter* adapter : every_format()) {
     Rng rng(mix_seed(0xfeed5eedull, 17, 29));
-    LineSource source(adapter);
+    LineSource source(*adapter);
     const testkit::Gen<MutatedLine> gen = mutated_lines(*adapter);
     std::uint64_t fed = 0;
     for (std::size_t i = 0; i < 500; ++i) {

@@ -10,8 +10,11 @@
 
 #include "common/error.hpp"
 #include "common/time.hpp"
+#include "obs/metrics.hpp"
 #include "trace/dataset.hpp"
+#include "trace/io.hpp"
 #include "trace/record.hpp"
+#include "trace/source.hpp"
 #include "trace/types.hpp"
 
 namespace hpcfail::trace {
@@ -97,6 +100,15 @@ TEST(AdapterLu, ErrorTaxonomy) {
                ValidationError);
   EXPECT_THROW(lu.parse_line("123 c2n7 NODE_FAIL 389s comp HUM/mem"),
                ValidationError);
+  // Ids outside int would alias other ids; an end past the last
+  // representable time would overflow.
+  EXPECT_THROW(lu.parse_line("123 c4294967297n0 NODE_FAIL 389s comp HUM/oper"),
+               ParseError);
+  EXPECT_THROW(lu.parse_line("123 c2n4294967297 NODE_FAIL 389s comp HUM/oper"),
+               ParseError);
+  EXPECT_THROW(lu.parse_line("9223372036854775000 c2n7 NODE_FAIL 1000s comp "
+                             "HUM/oper"),
+               ParseError);
   // The good line still parses after all that.
   EXPECT_NO_THROW(lu.parse_line(good));
 }
@@ -130,6 +142,15 @@ TEST(AdapterTan, RejectsDurationDisagreement) {
       tan.parse_line("2|7|06/01/2004 01:00:00|06/01/2004 01:06:29|389|"
                      "Gremlins|Operator|Compute"),
       ParseError);
+  // Ids outside int would alias other ids.
+  EXPECT_THROW(
+      tan.parse_line("4294967297|7|06/01/2004 01:00:00|06/01/2004 01:06:29|"
+                     "389|Human|Operator|Compute"),
+      ParseError);
+  EXPECT_THROW(
+      tan.parse_line("2|4294967297|06/01/2004 01:00:00|06/01/2004 01:06:29|"
+                     "389|Human|Operator|Compute"),
+      ParseError);
 }
 
 TEST(AdapterMistral, FormatsAndParsesOneLine) {
@@ -158,6 +179,15 @@ TEST(AdapterMistral, RejectsJobHostMismatch) {
       mistral.parse_line("j2-7,m2n7,2004-06-01T01:00:00,"
                          "2004-06-01T01:06:29,FAILED_OP,gremlin,compute"),
       ParseError);
+  // Ids outside int would alias other ids (and agree with each other).
+  EXPECT_THROW(
+      mistral.parse_line("j4294967297-7,m4294967297n7,2004-06-01T01:00:00,"
+                         "2004-06-01T01:06:29,FAILED_OP,operator,compute"),
+      ParseError);
+  EXPECT_THROW(
+      mistral.parse_line("j2-4294967297,m2n4294967297,2004-06-01T01:00:00,"
+                         "2004-06-01T01:06:29,FAILED_OP,operator,compute"),
+      ParseError);
 }
 
 TEST(AdapterValidate, ChecksSharedSemantics) {
@@ -178,10 +208,11 @@ TEST(AdapterValidate, ChecksSharedSemantics) {
 
 TEST(AdapterSourceTest, StrictModeThrowsWithLinePrefix) {
   const Adapter& lu = adapter_for("lu");
-  std::istringstream in(std::string(lu.header()) + "\n" +
-                        lu.format_line(sample_record()) + "\n" +
-                        "garbage line that cannot parse at all ok\n");
-  AdapterSource source(in, lu);
+  LineSource source(lu, LineSource::OnError::throw_);
+  source.feed(std::string(lu.header()) + "\n" +
+              lu.format_line(sample_record()) + "\n" +
+              "garbage line that cannot parse at all ok\n");
+  source.finish();
   FailureRecord out;
   EXPECT_EQ(source.next(out), SourceStatus::event);
   try {
@@ -195,11 +226,12 @@ TEST(AdapterSourceTest, StrictModeThrowsWithLinePrefix) {
 TEST(AdapterSourceTest, RejectModeCountsAndContinues) {
   const Adapter& tan = adapter_for("tan");
   const FailureRecord r = sample_record();
-  std::istringstream in(std::string(tan.header()) + "\n" +
-                        "not|a|valid|row\n" + tan.format_line(r) + "\n" +
-                        "\n" +  // blank lines are skipped, not rejected
-                        tan.format_line(r) + "\n");
-  AdapterSource source(in, tan, AdapterSource::OnError::reject);
+  LineSource source(tan, LineSource::OnError::reject);
+  source.feed(std::string(tan.header()) + "\n" + "not|a|valid|row\n" +
+              tan.format_line(r) + "\n" +
+              "\n" +  // blank lines are skipped, not rejected
+              tan.format_line(r) + "\n");
+  source.finish();
   FailureRecord out;
   std::size_t events = 0;
   while (source.next(out) == SourceStatus::event) ++events;
@@ -209,13 +241,28 @@ TEST(AdapterSourceTest, RejectModeCountsAndContinues) {
   EXPECT_FALSE(source.counters().last_error.empty());
 }
 
+TEST(AdapterSourceTest, StrictModeRethrowsValidationErrors) {
+  const Adapter& tan = adapter_for("tan");
+  std::istringstream in(
+      std::string(tan.header()) + "\n" +
+      "2|7|06/01/2004 01:00:00|06/01/2004 01:06:29|400|Human|Operator|"
+      "Compute\n");
+  try {
+    read_csv(in, tan);
+    FAIL() << "should have thrown";
+  } catch (const ValidationError& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("line 2: duration 400s", 0), 0u)
+        << e.what();
+  }
+}
+
 TEST(AdapterFiles, WriteThenReadIsIdentity) {
   const FailureDataset ds = sample_dataset();
   for (const Adapter* adapter : all_adapters()) {
     const std::string path =
         "adapter_file_test_" + std::string(adapter->name()) + ".txt";
-    write_adapter_file(path, ds, *adapter);
-    const FailureDataset back = read_adapter_file(path, *adapter);
+    write_csv_file(path, ds, *adapter);
+    const FailureDataset back = read_csv_file(path, *adapter);
     ASSERT_EQ(back.size(), ds.size()) << adapter->name();
     for (std::size_t i = 0; i < ds.size(); ++i) {
       EXPECT_EQ(back.records()[i], ds.records()[i]) << adapter->name();
@@ -235,13 +282,45 @@ TEST(AdapterFiles, LenientReadCountsRejects) {
            "FAILED_OP,operator,compute\n";
   }
   SourceCounters counters;
-  const FailureDataset ds = read_adapter_file(path, mistral, &counters);
+  const FailureDataset ds = read_csv_file(path, mistral, &counters);
   EXPECT_EQ(ds.size(), 1u);
   EXPECT_EQ(counters.accepted, 1u);
   EXPECT_EQ(counters.rejected, 1u);
   // The strict path reports the same line with its number.
-  EXPECT_THROW(read_adapter_file(path, mistral), ParseError);
+  EXPECT_THROW(read_csv_file(path, mistral), ParseError);
   std::remove(path.c_str());
+}
+
+TEST(AdapterFiles, ForeignFileWithoutItsHeaderIsRejected) {
+  for (const Adapter* adapter : all_adapters()) {
+    std::istringstream in(adapter->format_line(sample_record()) + "\n");
+    SourceCounters counters;
+    try {
+      read_csv(in, *adapter, &counters);
+      FAIL() << adapter->name() << ": should have thrown";
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find("unexpected trace header"),
+                std::string::npos)
+          << adapter->name();
+    }
+  }
+}
+
+TEST(AdapterFiles, ForeignReadsAndWritesCountRows) {
+  if (!obs::enabled()) GTEST_SKIP() << "obs recording is compiled out";
+  obs::Counter& written = obs::registry().counter("csv.rows_written");
+  obs::Counter& read = obs::registry().counter("csv.rows_read");
+  const FailureDataset ds = sample_dataset();
+  for (const Adapter* adapter : all_adapters()) {
+    const std::uint64_t written_before = written.value();
+    const std::uint64_t read_before = read.value();
+    std::stringstream buffer;
+    write_csv(buffer, ds, *adapter);
+    EXPECT_EQ(written.value() - written_before, ds.size()) << adapter->name();
+    EXPECT_EQ(read_csv(buffer, *adapter).size(), ds.size());
+    // Every line the read consumed: the header and each row.
+    EXPECT_EQ(read.value() - read_before, ds.size() + 1) << adapter->name();
+  }
 }
 
 TEST(AdapterLineSource, StreamsForeignLinesWithRejectAndCount) {
@@ -249,7 +328,7 @@ TEST(AdapterLineSource, StreamsForeignLinesWithRejectAndCount) {
   // parses that wire format and flattens the whole error taxonomy
   // (ParseError and ValidationError alike) into reject-and-count.
   const Adapter& lu = adapter_for("lu");
-  LineSource source(&lu);
+  LineSource source(lu);
   const FailureRecord r = sample_record();
   source.feed(lu.format_line(r) + "\n");
   source.feed(std::string(lu.header()) + "\n");       // skipped

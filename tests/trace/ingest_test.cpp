@@ -241,19 +241,6 @@ TEST(LiveDataset, OldSnapshotsSurviveLaterSeals) {
   EXPECT_NE(old.get(), live.snapshot().get());
 }
 
-TEST(LiveDataset, DrainPullsFromSource) {
-  LineSource source;
-  source.feed(
-      "2,0,1996-06-07 08:48:45,1996-06-07 08:55:14,compute,human,"
-      "operator_error\n"
-      "2,1,1996-06-07 09:48:45,1996-06-07 09:55:14,compute,hardware,"
-      "memory_dimm\n");
-  LiveDataset live;
-  EXPECT_EQ(live.drain(source), 2u);
-  EXPECT_EQ(live.size(), 2u);
-  EXPECT_EQ(live.drain(source), 0u);  // idle source: nothing more
-}
-
 // Regression for the index.hpp lifetime contract: a FailureDataset with a
 // built index must stay usable after being moved (the index is dropped
 // under the mutex and lazily rebuilt over the new storage — stale views

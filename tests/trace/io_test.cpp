@@ -125,6 +125,31 @@ TEST(TraceIo, RejectsUnknownEnumSpelling) {
   EXPECT_THROW(read_csv(in), ParseError);
 }
 
+TEST(TraceIo, RejectsIdsOutsideInt) {
+  // 2^32 + 1 narrowed to an int would alias system 1.
+  std::istringstream in(
+      "system,node,start,end,workload,cause,detail\n"
+      "1,0,2000-01-01 00:00:00,2000-01-01 01:00:00,compute,hardware,cpu\n"
+      "4294967297,0,2000-01-01 00:00:00,2000-01-01 01:00:00,compute,"
+      "hardware,cpu\n");
+  try {
+    read_csv(in);
+    FAIL() << "should have thrown";
+  } catch (const ParseError& e) {
+    EXPECT_STREQ(e.what(), "line 3: system id out of range: '4294967297'");
+  }
+}
+
+TEST(TraceIo, SkipsARepeatedHeader) {
+  // Concatenated traces repeat the header; it is skipped, not a bad row.
+  std::istringstream in(
+      "system,node,start,end,workload,cause,detail\n"
+      "1,0,2000-01-01 00:00:00,2000-01-01 01:00:00,compute,hardware,cpu\n"
+      "system,node,start,end,workload,cause,detail\n"
+      "1,0,2000-01-02 00:00:00,2000-01-02 01:00:00,compute,hardware,cpu\n");
+  EXPECT_EQ(read_csv(in).size(), 2u);
+}
+
 TEST(TraceIo, FileRoundTrip) {
   const std::string path = ::testing::TempDir() + "/hpcfail_io_test.csv";
   write_csv_file(path, sample_dataset());

@@ -26,10 +26,14 @@ std::string sample_csv() {
   return text;
 }
 
+FailureRecord parse_native(std::string_view line) {
+  return native_format().parse_line(line);
+}
+
 TEST(RecordFromLine, ParsesAndTrims) {
   const FailureRecord r =
-      record_from_line(" 2 , 0 , 1996-06-07 08:48:45 , 1996-06-07 08:55:14 "
-                       ",compute,human,operator_error");
+      parse_native(" 2 , 0 , 1996-06-07 08:48:45 , 1996-06-07 08:55:14 "
+                   ",compute,human,operator_error");
   EXPECT_EQ(r.system_id, 2);
   EXPECT_EQ(r.node_id, 0);
   EXPECT_EQ(r.end - r.start, 389);
@@ -38,32 +42,84 @@ TEST(RecordFromLine, ParsesAndTrims) {
 
 TEST(RecordFromLine, RejectsWrongFieldCount) {
   try {
-    record_from_line("1,2,3");
+    parse_native("1,2,3");
     FAIL() << "should have thrown";
   } catch (const ParseError& e) {
     EXPECT_NE(std::string(e.what()).find("expected 7 fields, got 3"),
               std::string::npos);
   }
-  EXPECT_THROW(record_from_line(kGoodLine + ",extra"), ParseError);
+  EXPECT_THROW(parse_native(kGoodLine + ",extra"), ParseError);
 }
 
 TEST(RecordFromLine, RejectsInconsistentRecord) {
   // end < start.
   EXPECT_THROW(
-      record_from_line("2,0,1996-06-07 08:55:14,1996-06-07 08:48:45,"
-                       "compute,human,operator_error"),
+      parse_native("2,0,1996-06-07 08:55:14,1996-06-07 08:48:45,"
+                   "compute,human,operator_error"),
       ParseError);
   // cause/detail mismatch.
   EXPECT_THROW(
-      record_from_line("2,0,1996-06-07 08:48:45,1996-06-07 08:55:14,"
-                       "compute,human,memory_dimm"),
+      parse_native("2,0,1996-06-07 08:48:45,1996-06-07 08:55:14,"
+                   "compute,human,memory_dimm"),
       ParseError);
 }
 
+TEST(RecordFromLine, RejectsIdsOutsideInt) {
+  // 2^32 + 1 narrowed to an int would alias system (or node) 1.
+  const std::string rest =
+      ",1996-06-07 08:48:45,1996-06-07 08:55:14,compute,human,"
+      "operator_error";
+  try {
+    parse_native("4294967297,0" + rest);
+    FAIL() << "should have thrown";
+  } catch (const ParseError& e) {
+    EXPECT_STREQ(e.what(), "system id out of range: '4294967297'");
+  }
+  try {
+    parse_native("2,4294967297" + rest);
+    FAIL() << "should have thrown";
+  } catch (const ParseError& e) {
+    EXPECT_STREQ(e.what(), "node id out of range: '4294967297'");
+  }
+  EXPECT_THROW(parse_native("-2147483649,0" + rest), ParseError);
+  EXPECT_EQ(parse_native("2147483647,0" + rest).system_id, 2147483647);
+}
+
+TEST(RecordFromLine, SplitsQuotedFieldsLikeTheBatchReader) {
+  // A quote opens only at the start of a field, "" is a literal quote
+  // and text after the closing quote is appended.
+  const FailureRecord r = parse_native(
+      "\"2\",\"0\",\"1996-06-07\" 08:48:45,1996-06-07 08:55:14,"
+      "\"compute\",human,\"operator_error\"\r");
+  EXPECT_EQ(r, parse_native(kGoodLine));
+  try {
+    // Seven fields: the comma is quoted, and "" unescapes to one quote.
+    parse_native("2,0,1996-06-07 08:48:45,1996-06-07 08:55:14,compute,"
+                 "human,\"oper\"\"ator,error\"");
+    FAIL() << "should have thrown";
+  } catch (const ParseError& e) {
+    EXPECT_STREQ(e.what(), "unknown detail cause: 'oper\"ator,error'");
+  }
+  try {
+    parse_native("2,0,\"1996-06-07 08:48:45,1996-06-07 08:55:14,"
+                 "compute,human,operator_error");
+    FAIL() << "should have thrown";
+  } catch (const ParseError& e) {
+    EXPECT_STREQ(e.what(), "unterminated quoted CSV field");
+  }
+}
+
+/// A strict source that has been fed all of `text`.
+LineSource strict_source(const std::string& text) {
+  LineSource source(native_format(), LineSource::OnError::throw_);
+  source.feed(text);
+  source.finish();
+  return source;
+}
+
 TEST(CsvSource, MatchesReadCsv) {
-  std::istringstream a(sample_csv());
   std::istringstream b(sample_csv());
-  CsvSource source(a);
+  LineSource source = strict_source(sample_csv());
   std::vector<FailureRecord> pulled;
   FailureRecord r;
   while (source.next(r) == SourceStatus::event) pulled.push_back(r);
@@ -84,7 +140,7 @@ TEST(CsvSource, HeaderErrorsMatchReadCsvContract) {
   {
     std::istringstream in("");
     try {
-      CsvSource source(in);
+      read_csv(in);
       FAIL() << "should have thrown";
     } catch (const ParseError& e) {
       EXPECT_STREQ(e.what(), "empty trace file (missing header)");
@@ -93,7 +149,7 @@ TEST(CsvSource, HeaderErrorsMatchReadCsvContract) {
   {
     std::istringstream in("wrong,header\n1,2\n");
     try {
-      CsvSource source(in);
+      read_csv(in);
       FAIL() << "should have thrown";
     } catch (const ParseError& e) {
       EXPECT_NE(std::string(e.what()).find("unexpected trace header"),
@@ -103,9 +159,8 @@ TEST(CsvSource, HeaderErrorsMatchReadCsvContract) {
 }
 
 TEST(CsvSource, ThrowModeReportsLineNumber) {
-  std::istringstream in(std::string(kCsvHeader) + "\n" + kGoodLine +
-                        "\nnot,a,record\n");
-  CsvSource source(in);
+  LineSource source = strict_source(std::string(kCsvHeader) + "\n" +
+                                    kGoodLine + "\nnot,a,record\n");
   FailureRecord r;
   EXPECT_EQ(source.next(r), SourceStatus::event);
   try {
@@ -117,9 +172,10 @@ TEST(CsvSource, ThrowModeReportsLineNumber) {
 }
 
 TEST(CsvSource, RejectModeCountsAndContinues) {
-  std::istringstream in(std::string(kCsvHeader) + "\nnot,a,record\n" +
-                        kGoodLine + "\n");
-  CsvSource source(in, CsvSource::OnError::reject);
+  LineSource source;
+  source.feed(std::string(kCsvHeader) + "\nnot,a,record\n" + kGoodLine +
+              "\n");
+  source.finish();
   FailureRecord r;
   EXPECT_EQ(source.next(r), SourceStatus::event);  // skipped the bad line
   EXPECT_EQ(source.next(r), SourceStatus::end);
@@ -169,6 +225,127 @@ TEST(LineSource, HandlesCrlfAndFinalUnterminatedLine) {
   EXPECT_EQ(source.next(r), SourceStatus::event);  // flushed by finish()
   EXPECT_EQ(source.next(r), SourceStatus::end);
   EXPECT_EQ(source.counters().accepted, 2u);
+}
+
+TEST(LineSource, OpenQuoteRejectsOnlyItsOwnLine) {
+  const std::string open_quote =
+      "2,0,\"1996-06-07 08:48:45,1996-06-07 08:55:14,compute,human,"
+      "operator_error";
+  const std::string text = std::string(kCsvHeader) + "\n" + open_quote +
+                           "\n" + kGoodLine + "\n" + open_quote;
+  // Lenient: the lines after the open quote still parse, and an open
+  // quote at end of input is one more counted reject, not a throw.
+  std::istringstream in(text);
+  SourceCounters counters;
+  const FailureDataset ds = read_csv(in, native_format(), &counters);
+  EXPECT_EQ(ds.size(), 1u);
+  EXPECT_EQ(counters.accepted, 1u);
+  EXPECT_EQ(counters.rejected, 2u);
+  EXPECT_EQ(counters.last_error, "line 4: unterminated quoted CSV field");
+  // Strict: the first open quote throws with its own line number.
+  std::istringstream strict(text);
+  try {
+    read_csv(strict);
+    FAIL() << "should have thrown";
+  } catch (const ParseError& e) {
+    EXPECT_STREQ(e.what(), "line 2: unterminated quoted CSV field");
+  }
+}
+
+TEST(LineSource, RejectsAnOverLongLineBeforeItsNewlineArrives) {
+  LineSource source;
+  FailureRecord r;
+  std::uint64_t events = 0;
+  const auto drain = [&] {
+    while (true) {
+      const SourceStatus status = source.next(r);
+      if (status != SourceStatus::event) return status;
+      ++events;
+    }
+  };
+  source.feed(kGoodLine + "\n");
+  EXPECT_EQ(drain(), SourceStatus::idle);
+  // 1 MiB without a newline, fed like the daemon feeds a connection.
+  const std::string chunk(4096, 'x');
+  for (int i = 0; i < 256; ++i) {
+    source.feed(chunk);
+    EXPECT_EQ(drain(), SourceStatus::idle);
+    if (static_cast<std::size_t>(i + 1) * chunk.size() > kMaxLineBytes) {
+      EXPECT_EQ(source.counters().rejected, 1u) << "after chunk " << i;
+    }
+  }
+  source.feed("xx\n" + kGoodLine + "\n");
+  source.finish();
+  EXPECT_EQ(drain(), SourceStatus::end);
+  EXPECT_EQ(events, 2u);
+  EXPECT_EQ(source.counters().accepted, 2u);
+  EXPECT_EQ(source.counters().rejected, 1u);
+  EXPECT_EQ(source.counters().last_error,
+            "line 2: line longer than 65536 bytes");
+
+  // The same line arriving in one feed is rejected the same way.
+  LineSource whole;
+  whole.feed(kGoodLine + "\n" + std::string(1 << 20, 'x') + "\n" +
+             kGoodLine + "\n");
+  whole.finish();
+  while (whole.next(r) == SourceStatus::event) {
+  }
+  EXPECT_EQ(whole.counters().accepted, 2u);
+  EXPECT_EQ(whole.counters().rejected, 1u);
+  EXPECT_EQ(whole.counters().last_error, source.counters().last_error);
+}
+
+TEST(LineSource, EverySplitPointMatchesOneFeedAndLenientReadCsv) {
+  const std::string text =
+      "\"system\", node ,start,end,workload,cause,\"detail\"\r\n" +
+      kGoodLine + "\r\n" +
+      "\n"
+      "   \r\n"
+      "\"2\",\"1\",\"1996-06-07\" 14:18:50,\"1996-06-07 14:40:17\","
+      "compute,\"hardware\",memory_dimm\r\n" +
+      std::string(kCsvHeader) + "\n" +
+      "not,a,record\n"
+      "2,0,\"1996-06-07 15:00:00,1996-06-07 15:10:00,compute,human,"
+      "operator_error\n"
+      "3,1,1996-06-08 02:00:00,1996-06-08 02:30:00,graphics,software,"
+      "operating_system";  // no final newline
+  struct Pulled {
+    std::vector<FailureRecord> records;
+    SourceCounters counters;
+  };
+  const auto pull = [&text](std::size_t split) {
+    LineSource source;
+    Pulled out;
+    FailureRecord r;
+    source.feed(std::string_view(text).substr(0, split));
+    while (source.next(r) == SourceStatus::event) out.records.push_back(r);
+    source.feed(std::string_view(text).substr(split));
+    source.finish();
+    while (source.next(r) == SourceStatus::event) out.records.push_back(r);
+    out.counters = source.counters();
+    return out;
+  };
+  const Pulled one = pull(text.size());
+  ASSERT_EQ(one.records.size(), 3u);
+  EXPECT_EQ(one.counters.accepted, 3u);
+  EXPECT_EQ(one.counters.rejected, 2u);
+  EXPECT_EQ(one.counters.last_error, "line 8: unterminated quoted CSV field");
+  for (std::size_t split = 0; split <= text.size(); ++split) {
+    const Pulled two = pull(split);
+    ASSERT_EQ(two.records, one.records) << "split at " << split;
+    EXPECT_EQ(two.counters.accepted, one.counters.accepted);
+    EXPECT_EQ(two.counters.rejected, one.counters.rejected);
+    EXPECT_EQ(two.counters.last_error, one.counters.last_error);
+  }
+
+  std::istringstream in(text);
+  SourceCounters counters;
+  const FailureDataset ds = read_csv(in, native_format(), &counters);
+  EXPECT_EQ(ds.records().to_records(),
+            FailureDataset(one.records).records().to_records());
+  EXPECT_EQ(counters.accepted, one.counters.accepted);
+  EXPECT_EQ(counters.rejected, one.counters.rejected);
+  EXPECT_EQ(counters.last_error, one.counters.last_error);
 }
 
 class TailSourceTest : public ::testing::Test {
@@ -284,6 +461,22 @@ TEST_F(TailSourceTest, RewriteDiscardsBufferedPartialLine) {
   while (source.next(r) == SourceStatus::event) ++events;
   EXPECT_EQ(events, 8u);
   EXPECT_EQ(source.rewrites_detected(), 1u);
+  EXPECT_EQ(source.counters().rejected, 0u);
+}
+
+TEST_F(TailSourceTest, ReadsALargeFileInBoundedPolls) {
+  std::string text = std::string(kCsvHeader) + "\n";
+  std::size_t lines = 0;
+  for (; text.size() < (1u << 20); ++lines) text += kGoodLine + "\n";
+  append_text(text);
+  TailSource source(path_);
+  FailureRecord r;
+  ASSERT_EQ(source.next(r), SourceStatus::event);
+  EXPECT_LE(source.offset(), kMaxLineBytes);  // one poll, not the file
+  std::size_t events = 1;
+  while (source.next(r) == SourceStatus::event) ++events;
+  EXPECT_EQ(events, lines);
+  EXPECT_EQ(source.offset(), text.size());
   EXPECT_EQ(source.counters().rejected, 0u);
 }
 

@@ -756,15 +756,13 @@ int cmd_replay(const Args& args) {
   opts.connections = static_cast<std::size_t>(args.get_u64("connections"));
   opts.limit = args.get_u64("limit");
   if (args.given("format")) {
-    opts.adapter = &trace::adapter_for(args.get_string("format"));
+    opts.format = &trace::adapter_for(args.get_string("format"));
   }
 
   // --format selects both the file parser and the wire format, so a
   // foreign trace replays into a daemon started with the same --format.
   const trace::FailureDataset dataset =
-      opts.adapter != nullptr
-          ? trace::read_adapter_file(args.get_string("trace"), *opts.adapter)
-          : trace::read_csv_file(args.get_string("trace"));
+      trace::read_csv_file(args.get_string("trace"), *opts.format);
   std::cout << "replaying " << dataset.size() << " records to " << opts.host
             << ":" << opts.port << " over " << opts.connections
             << " connection(s)";
@@ -793,7 +791,7 @@ int cmd_replay(const Args& args) {
 /// containing ':' still load as native CSV.
 struct TraceEntry {
   std::string path;
-  const trace::Adapter* adapter = nullptr;
+  const trace::Adapter* format = &trace::native_format();
 };
 
 TraceEntry parse_trace_entry(const std::string& entry) {
@@ -806,7 +804,7 @@ TraceEntry parse_trace_entry(const std::string& entry) {
       }
     }
   }
-  return {entry, nullptr};
+  return {entry};
 }
 
 int cmd_compare(const Args& args) {
@@ -827,10 +825,7 @@ int cmd_compare(const Args& args) {
       const TraceEntry parsed = parse_trace_entry(entry);
       analysis::CompareInput input;
       input.label = parsed.path;
-      input.dataset =
-          parsed.adapter != nullptr
-              ? trace::read_adapter_file(parsed.path, *parsed.adapter)
-              : trace::read_csv_file(parsed.path);
+      input.dataset = trace::read_csv_file(parsed.path, *parsed.format);
       inputs.push_back(std::move(input));
     }
   }

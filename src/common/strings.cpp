@@ -23,16 +23,6 @@ std::string_view trim_view(std::string_view s) noexcept {
   return s.substr(begin, end - begin);
 }
 
-std::string trim(std::string_view s) { return std::string(trim_view(s)); }
-
-std::string to_lower(std::string_view s) {
-  std::string out(s);
-  for (char& ch : out) {
-    ch = static_cast<char>(std::tolower(static_cast<unsigned char>(ch)));
-  }
-  return out;
-}
-
 std::vector<std::string> split(std::string_view s, char sep) {
   std::vector<std::string> out;
   std::size_t start = 0;
@@ -65,6 +55,12 @@ double parse_double(std::string_view s) {
     throw ParseError("not a finite number: '" + std::string(s) + "'");
   }
   return value;
+}
+
+void append_int(std::string& out, std::int64_t value) {
+  char buf[24] = {};  // 20 characters hold every int64
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, value);
+  out.append(buf, static_cast<std::size_t>(end - buf));
 }
 
 std::string format_double(double value, int prec) {

@@ -1,6 +1,7 @@
 // Small string utilities shared across the library (trimming, splitting,
-// checked numeric parsing, JSON escaping). All parsers throw ParseError
-// with the offending text so trace-ingestion errors are actionable.
+// checked numeric parsing, integer appending, JSON escaping). All parsers
+// throw ParseError with the offending text so trace-ingestion errors are
+// actionable.
 #pragma once
 
 #include <cstdint>
@@ -13,12 +14,6 @@ namespace hpcfail {
 /// `s` without its leading and trailing ASCII whitespace.
 std::string_view trim_view(std::string_view s) noexcept;
 
-/// Copy of `s` with ASCII whitespace removed from both ends.
-std::string trim(std::string_view s);
-
-/// Lower-cased ASCII copy of `s`.
-std::string to_lower(std::string_view s);
-
 /// Splits on `sep`; keeps empty fields ("a,,b" -> {"a", "", "b"}).
 std::vector<std::string> split(std::string_view s, char sep);
 
@@ -29,6 +24,9 @@ std::int64_t parse_i64(std::string_view s);
 /// Parses a finite double; the whole string must be consumed.
 /// Throws ParseError otherwise.
 double parse_double(std::string_view s);
+
+/// Appends `value` in decimal, as std::to_string would write it.
+void append_int(std::string& out, std::int64_t value);
 
 /// Formats a double with `prec` significant digits, trimming zeros.
 std::string format_double(double value, int prec = 6);

@@ -3,6 +3,7 @@
 #include <array>
 #include <charconv>
 #include <cstdio>
+#include <cstring>
 #include <string>
 
 #include "common/error.hpp"
@@ -114,15 +115,53 @@ double years_between(Seconds start, Seconds end) noexcept {
   return static_cast<double>(end - start) / kSecondsPerYear;
 }
 
-std::string format_timestamp(Seconds t) {
-  const CivilDateTime c = from_epoch(t);
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%04d-%02d-%02d %02d:%02d:%02d", c.year,
-                c.month, c.day, c.hour, c.minute, c.second);
-  return buf;
+namespace {
+
+/// "00" .. "99": two digits per table lookup.
+constexpr std::array<char, 200> kDigitPairs = [] {
+  std::array<char, 200> pairs{};
+  for (int i = 0; i < 100; ++i) {
+    pairs[static_cast<std::size_t>(2 * i)] = static_cast<char>('0' + i / 10);
+    pairs[static_cast<std::size_t>(2 * i + 1)] =
+        static_cast<char>('0' + i % 10);
+  }
+  return pairs;
+}();
+
+void put_pair(char* at, int value) noexcept {
+  std::memcpy(at, &kDigitPairs[static_cast<std::size_t>(2 * value)], 2);
 }
 
-namespace {
+/// Two ASCII digits at text[i] as 0..99, or -1.
+int digit_pair(std::string_view text, std::size_t i) noexcept {
+  const unsigned hi = static_cast<unsigned char>(text[i]) - unsigned{'0'};
+  const unsigned lo = static_cast<unsigned char>(text[i + 1]) - unsigned{'0'};
+  return hi < 10 && lo < 10 ? static_cast<int>(hi * 10 + lo) : -1;
+}
+
+/// The canonical "YYYY-MM-DD HH:MM:SS" with every field in range; false
+/// for any other input, which the general scanner then decides.
+bool parse_canonical(std::string_view text, Seconds& out) noexcept {
+  if (text.size() != 19 || text[4] != '-' || text[7] != '-' ||
+      text[10] != ' ' || text[13] != ':' || text[16] != ':') {
+    return false;
+  }
+  const int century = digit_pair(text, 0);
+  const int year = digit_pair(text, 2);
+  const int month = digit_pair(text, 5);
+  const int day = digit_pair(text, 8);
+  const int hour = digit_pair(text, 11);
+  const int minute = digit_pair(text, 14);
+  const int second = digit_pair(text, 17);
+  if ((century | year | month | day | hour | minute | second) < 0 ||
+      !is_valid_date(century * 100 + year, month, day) || hour > 23 ||
+      minute > 59 || second > 59) {
+    return false;
+  }
+  out = days_from_civil(century * 100 + year, month, day) * kSecondsPerDay +
+        hour * kSecondsPerHour + minute * kSecondsPerMinute + second;
+  return true;
+}
 
 /// One "%d"-style field: optional leading whitespace, then an int.
 bool scan_int(std::string_view& s, int& out) {
@@ -143,10 +182,45 @@ bool scan_char(std::string_view& s, char ch) {
 
 }  // namespace
 
+void append_timestamp(std::string& out, Seconds t) {
+  const CivilDateTime c = from_epoch(t);
+  if (c.year < 0 || c.year > 9999) {  // a sign or a fifth digit
+    char buf[32] = {};
+    const int n = std::snprintf(buf, sizeof buf,
+                                "%04d-%02d-%02d %02d:%02d:%02d", c.year,
+                                c.month, c.day, c.hour, c.minute, c.second);
+    out.append(buf, static_cast<std::size_t>(n));
+    return;
+  }
+  char buf[19] = {};
+  put_pair(buf, c.year / 100);
+  put_pair(buf + 2, c.year % 100);
+  buf[4] = '-';
+  put_pair(buf + 5, c.month);
+  buf[7] = '-';
+  put_pair(buf + 8, c.day);
+  buf[10] = ' ';
+  put_pair(buf + 11, c.hour);
+  buf[13] = ':';
+  put_pair(buf + 14, c.minute);
+  buf[16] = ':';
+  put_pair(buf + 17, c.second);
+  out.append(buf, sizeof buf);
+}
+
+std::string format_timestamp(Seconds t) {
+  std::string text;
+  append_timestamp(text, t);
+  return text;
+}
+
 // Hand-rolled with from_chars rather than sscanf: this runs twice per
 // event on the streaming-ingest hot path, where sscanf's format
-// interpretation and locale machinery dominated the parse cost.
+// interpretation and locale machinery dominated the parse cost. The
+// canonical shape, which append_timestamp writes, skips the scanner; an
+// out-of-range canonical field falls through to it for its message.
 Seconds parse_timestamp(std::string_view text) {
+  if (Seconds t = 0; parse_canonical(text, t)) return t;
   CivilDateTime c;
   std::string_view rest = text;
   const auto unparseable = [&text] {

@@ -74,11 +74,19 @@ int months_between(Seconds start, Seconds t);
 /// Fractional years between two instants (may be negative).
 double years_between(Seconds start, Seconds end) noexcept;
 
-/// Formats as "YYYY-MM-DD HH:MM:SS" (UTC).
+/// Appends t as "YYYY-MM-DD HH:MM:SS" (UTC): the bytes of printf's
+/// "%04d-%02d-%02d %02d:%02d:%02d" over its fields, so a year outside
+/// 0..9999 keeps its sign and every digit. The one timestamp writer.
+void append_timestamp(std::string& out, Seconds t);
+
+/// append_timestamp into a new string.
 std::string format_timestamp(Seconds t);
 
 /// Parses "YYYY-MM-DD HH:MM:SS" or "YYYY-MM-DD". Throws ParseError on any
-/// malformed or out-of-range input.
+/// malformed or out-of-range input. The canonical 19-byte form with
+/// two-digit fields is computed directly; every other spelling the
+/// scanner accepts (unpadded fields, extra whitespace, a signed or long
+/// year) parses to the same value by the general path.
 Seconds parse_timestamp(std::string_view text);
 
 }  // namespace hpcfail

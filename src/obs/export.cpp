@@ -260,6 +260,7 @@ void write_metrics_file(const std::string& path, ExportFormat format,
     throw IoError("cannot open '" + path + "' for writing");
   }
   out << export_metrics(reg.snapshot(), format);
+  out.flush();  // the destructor's flush would swallow a full disk
   if (!out) throw IoError("write failed for '" + path + "'");
 }
 

@@ -36,6 +36,7 @@ void write_series_csv_file(const std::string& path,
   std::ofstream out(path);
   if (!out) throw IoError("cannot open '" + path + "' for writing");
   write_series_csv(out, columns);
+  out.flush();  // the destructor's flush would swallow a full disk
   if (!out) throw IoError("write failed for '" + path + "'");
 }
 

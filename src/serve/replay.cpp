@@ -121,7 +121,7 @@ ReplayStats replay_dataset(const trace::FailureDataset& dataset,
         (static_cast<std::size_t>(r.system_id) * 8191u +
          static_cast<std::size_t>(r.node_id)) %
         options.connections;
-    buffers[conn] += options.format->format_line(r);
+    options.format->format_line(r, buffers[conn]);
     buffers[conn] += '\n';
     ++stats.events_sent;
     if (buffers[conn].size() >= kFlushBytes) flush(conn);

@@ -38,12 +38,16 @@ class Adapter {
   virtual std::string_view name() const noexcept = 0;
 
   /// Header line written at the top of the format's files, required as
-  /// the first line of a batch read and skipped anywhere else.
+  /// the first line of a batch read and skipped anywhere else. Its first
+  /// byte is visible and neither a quote nor a comma, which lets
+  /// LineSource rule the header out of most lines by their first byte.
   virtual std::string_view header() const noexcept = 0;
 
-  /// Renders one record as one line (no trailing newline). Total: every
-  /// consistent record is representable.
-  virtual std::string format_line(const FailureRecord& record) const = 0;
+  /// Appends one record as one line (no trailing newline) to `out`, so a
+  /// writer formats every row into one buffer. Total: every consistent
+  /// record is representable.
+  virtual void format_line(const FailureRecord& record,
+                           std::string& out) const = 0;
 
   /// Parses one line (a trailing '\r' is tolerated). Exact inverse of
   /// format_line on its image. Throws per the taxonomy above.

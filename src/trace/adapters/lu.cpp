@@ -44,54 +44,59 @@ void parse_node_path(std::string_view path, FailureRecord& record) {
 
 }  // namespace
 
-std::string LuAdapter::format_line(const FailureRecord& record) const {
-  std::string line = std::to_string(record.start);
-  line += " c";
-  line += std::to_string(record.system_id);
-  line += 'n';
-  line += std::to_string(record.node_id);
-  line += " NODE_FAIL ";
-  line += std::to_string(record.end - record.start);
-  line += "s ";
-  line += token_for(kWorkloadTokens, static_cast<std::size_t>(record.workload));
-  line += ' ';
-  line += token_for(kCauseTokens, cause_index(record.cause));
-  line += '/';
-  line += token_for(kDetailTokens, static_cast<std::size_t>(record.detail));
-  return line;
+void LuAdapter::format_line(const FailureRecord& record,
+                           std::string& out) const {
+  append_int(out, record.start);
+  out += " c";
+  append_int(out, record.system_id);
+  out += 'n';
+  append_int(out, record.node_id);
+  out += " NODE_FAIL ";
+  append_int(out, record.end - record.start);
+  out += "s ";
+  out += token_for(kWorkloadTokens, static_cast<std::size_t>(record.workload));
+  out += ' ';
+  out += token_for(kCauseTokens, cause_index(record.cause));
+  out += '/';
+  out += token_for(kDetailTokens, static_cast<std::size_t>(record.detail));
 }
 
 FailureRecord LuAdapter::parse_line(std::string_view line) const {
   if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-  const std::vector<std::string> fields = split(line, ' ');
-  if (fields.size() != 6) {
+  std::array<std::string_view, 6> fields;
+  const std::size_t count = split_fields(line, ' ', fields);
+  if (count != fields.size()) {
     throw ParseError("expected 6 space-separated fields, got " +
-                     std::to_string(fields.size()));
+                     std::to_string(count));
   }
   if (fields[2] != "NODE_FAIL") {
-    throw ParseError("unsupported event type '" + fields[2] + "'");
+    throw ParseError("unsupported event type '" + std::string(fields[2]) +
+                     "'");
   }
-  if (fields[3].empty() || fields[3].back() != 's') {
-    throw ParseError("bad downtime '" + fields[3] + "' (want <seconds>s)");
+  const std::string_view downtime_field = fields[3];
+  if (downtime_field.empty() || downtime_field.back() != 's') {
+    throw ParseError("bad downtime '" + std::string(downtime_field) +
+                     "' (want <seconds>s)");
   }
   FailureRecord record;
   record.start = static_cast<Seconds>(parse_i64(fields[0]));
   parse_node_path(fields[1], record);
-  const std::int64_t downtime = parse_i64(
-      std::string_view(fields[3]).substr(0, fields[3].size() - 1));
+  const std::int64_t downtime =
+      parse_i64(downtime_field.substr(0, downtime_field.size() - 1));
   if (downtime < 0) throw ValidationError("negative downtime");
   if (record.start > std::numeric_limits<Seconds>::max() - downtime) {
-    throw ParseError("downtime '" + fields[3] + "' ends past the last "
-                     "representable time");
+    throw ParseError("downtime '" + std::string(downtime_field) +
+                     "' ends past the last representable time");
   }
   record.end = record.start + downtime;
   record.workload = static_cast<Workload>(
       index_of_token(kWorkloadTokens, fields[4], "workload"));
-  const std::size_t slash = fields[5].find('/');
-  if (slash == std::string::npos) {
-    throw ParseError("bad cause '" + fields[5] + "' (want <CAT>/<sub>)");
+  const std::string_view cause_field = fields[5];
+  const std::size_t slash = cause_field.find('/');
+  if (slash == std::string_view::npos) {
+    throw ParseError("bad cause '" + std::string(cause_field) +
+                     "' (want <CAT>/<sub>)");
   }
-  const std::string_view cause_field(fields[5]);
   record.cause = kAllRootCauses[index_of_token(
       kCauseTokens, cause_field.substr(0, slash), "cause")];
   record.detail = static_cast<DetailCause>(index_of_token(

@@ -23,7 +23,8 @@ class LuAdapter final : public Adapter {
   std::string_view header() const noexcept override {
     return "# lu commodity-cluster node failure log v1";
   }
-  std::string format_line(const FailureRecord& record) const override;
+  void format_line(const FailureRecord& record,
+                   std::string& out) const override;
   FailureRecord parse_line(std::string_view line) const override;
 };
 

@@ -28,78 +28,93 @@ constexpr std::array<std::string_view, 16> kReasonTokens = {
 constexpr std::array<std::string_view, 3> kPartitionTokens = {
     "compute", "visual", "login"};
 
-/// Parses "YYYY-MM-DDTHH:MM:SS" by rewriting the 'T' and delegating to
-/// the native timestamp parser.
+/// Parses "YYYY-MM-DDTHH:MM:SS" by rewriting the 'T' in a copy and
+/// delegating to the native timestamp parser.
 Seconds parse_iso_timestamp(std::string_view text) {
   if (text.size() != 19 || text[10] != 'T') {
     throw ParseError("bad timestamp '" + std::string(text) +
                      "' (want YYYY-MM-DDTHH:MM:SS)");
   }
-  std::string spaced(text);
+  std::array<char, 19> spaced{};
+  text.copy(spaced.data(), spaced.size());
   spaced[10] = ' ';
-  return parse_timestamp(spaced);
+  return parse_timestamp(std::string_view(spaced.data(), spaced.size()));
 }
 
-std::string format_iso_timestamp(Seconds t) {
-  std::string text = format_timestamp(t);
-  text[10] = 'T';
-  return text;
+void append_iso_timestamp(std::string& out, Seconds t) {
+  const std::size_t at = out.size();
+  append_timestamp(out, t);
+  out[at + 10] = 'T';
 }
 
-/// Splits "<prefix><system><sep><node>" host-style ids.
-void parse_ids(std::string_view text, char prefix, char sep,
-               std::string_view what, int& system_id, int& node_id) {
+/// One host-style id, "<prefix><system><sep><node>", and the field names
+/// its errors report.
+struct IdSyntax {
+  char prefix;
+  char sep;
+  std::string_view what;
+  std::string_view system_field;
+  std::string_view node_field;
+};
+
+constexpr IdSyntax kHost{'m', 'n', "host", "host system", "host node"};
+constexpr IdSyntax kJobId{'j', '-', "job_id", "job_id system", "job_id node"};
+
+void parse_ids(std::string_view text, const IdSyntax& syntax, int& system_id,
+               int& node_id) {
   const auto bad = [&]() -> ParseError {
-    return ParseError("bad " + std::string(what) + " '" + std::string(text) +
-                      "' (want " + prefix + "<system>" + sep + "<node>)");
+    return ParseError("bad " + std::string(syntax.what) + " '" +
+                      std::string(text) + "' (want " + syntax.prefix +
+                      "<system>" + syntax.sep + "<node>)");
   };
-  if (text.size() < 4 || text.front() != prefix) throw bad();
-  const std::size_t at = text.find(sep, 1);
+  if (text.size() < 4 || text.front() != syntax.prefix) throw bad();
+  const std::size_t at = text.find(syntax.sep, 1);
   if (at == std::string_view::npos || at + 1 >= text.size()) throw bad();
-  system_id = parse_id(text.substr(1, at - 1), std::string(what) + " system");
-  node_id = parse_id(text.substr(at + 1), std::string(what) + " node");
+  system_id = parse_id(text.substr(1, at - 1), syntax.system_field);
+  node_id = parse_id(text.substr(at + 1), syntax.node_field);
 }
 
 }  // namespace
 
-std::string MistralAdapter::format_line(const FailureRecord& record) const {
-  std::string line = "j";
-  line += std::to_string(record.system_id);
-  line += '-';
-  line += std::to_string(record.node_id);
-  line += ",m";
-  line += std::to_string(record.system_id);
-  line += 'n';
-  line += std::to_string(record.node_id);
-  line += ',';
-  line += format_iso_timestamp(record.start);
-  line += ',';
-  line += format_iso_timestamp(record.end);
-  line += ',';
-  line += token_for(kStateTokens, cause_index(record.cause));
-  line += ',';
-  line += token_for(kReasonTokens, static_cast<std::size_t>(record.detail));
-  line += ',';
-  line += token_for(kPartitionTokens,
-                    static_cast<std::size_t>(record.workload));
-  return line;
+void MistralAdapter::format_line(const FailureRecord& record,
+                                 std::string& out) const {
+  out += 'j';
+  append_int(out, record.system_id);
+  out += '-';
+  append_int(out, record.node_id);
+  out += ",m";
+  append_int(out, record.system_id);
+  out += 'n';
+  append_int(out, record.node_id);
+  out += ',';
+  append_iso_timestamp(out, record.start);
+  out += ',';
+  append_iso_timestamp(out, record.end);
+  out += ',';
+  out += token_for(kStateTokens, cause_index(record.cause));
+  out += ',';
+  out += token_for(kReasonTokens, static_cast<std::size_t>(record.detail));
+  out += ',';
+  out += token_for(kPartitionTokens, static_cast<std::size_t>(record.workload));
 }
 
 FailureRecord MistralAdapter::parse_line(std::string_view line) const {
   if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-  const std::vector<std::string> fields = split(line, ',');
-  if (fields.size() != 7) {
+  std::array<std::string_view, 7> fields;
+  const std::size_t count = split_fields(line, ',', fields);
+  if (count != fields.size()) {
     throw ParseError("expected 7 comma-separated fields, got " +
-                     std::to_string(fields.size()));
+                     std::to_string(count));
   }
   FailureRecord record;
-  parse_ids(fields[1], 'm', 'n', "host", record.system_id, record.node_id);
+  parse_ids(fields[1], kHost, record.system_id, record.node_id);
   int job_system = 0;
   int job_node = 0;
-  parse_ids(fields[0], 'j', '-', "job_id", job_system, job_node);
+  parse_ids(fields[0], kJobId, job_system, job_node);
   if (job_system != record.system_id || job_node != record.node_id) {
-    throw ValidationError("job_id '" + fields[0] +
-                          "' does not match host '" + fields[1] + "'");
+    throw ValidationError("job_id '" + std::string(fields[0]) +
+                          "' does not match host '" + std::string(fields[1]) +
+                          "'");
   }
   record.start = parse_iso_timestamp(fields[2]);
   record.end = parse_iso_timestamp(fields[3]);

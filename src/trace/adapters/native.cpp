@@ -15,6 +15,8 @@
 
 #include "common/csv.hpp"
 #include "common/error.hpp"
+#include "common/strings.hpp"
+#include "common/time.hpp"
 #include "trace/io.hpp"
 #include "trace/types.hpp"
 
@@ -41,21 +43,20 @@ class NativeFormat final : public Adapter {
   std::string_view name() const noexcept override { return "native"; }
   std::string_view header() const noexcept override { return kCsvHeader; }
 
-  std::string format_line(const FailureRecord& r) const override {
-    std::string line = std::to_string(r.system_id);
-    line += ',';
-    line += std::to_string(r.node_id);
-    line += ',';
-    line += format_timestamp(r.start);
-    line += ',';
-    line += format_timestamp(r.end);
-    line += ',';
-    line += to_string(r.workload);
-    line += ',';
-    line += to_string(r.cause);
-    line += ',';
-    line += to_string(r.detail);
-    return line;
+  void format_line(const FailureRecord& r, std::string& out) const override {
+    append_int(out, r.system_id);
+    out += ',';
+    append_int(out, r.node_id);
+    out += ',';
+    append_timestamp(out, r.start);
+    out += ',';
+    append_timestamp(out, r.end);
+    out += ',';
+    out += name_of(r.workload);
+    out += ',';
+    out += name_of(r.cause);
+    out += ',';
+    out += name_of(r.detail);
   }
 
   FailureRecord parse_line(std::string_view line) const override {

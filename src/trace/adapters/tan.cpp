@@ -1,7 +1,7 @@
 #include "trace/adapters/tan.hpp"
 
 #include <array>
-#include <cstdio>
+#include <cstring>
 #include <string>
 
 #include "common/error.hpp"
@@ -56,42 +56,49 @@ Seconds parse_us_timestamp(std::string_view text) {
   }
 }
 
-std::string format_us_timestamp(Seconds t) {
-  const CivilDateTime cdt = from_epoch(t);
-  char buffer[20];
-  std::snprintf(buffer, sizeof(buffer), "%02d/%02d/%04d %02d:%02d:%02d",
-                cdt.month, cdt.day, cdt.year, cdt.hour, cdt.minute,
-                cdt.second);
-  return buffer;
+/// Appends "MM/DD/YYYY HH:MM:SS" (the year printed as %04d): the
+/// canonical timestamp with its leading "<year>-MM-DD" rotated in place
+/// to "MM/DD/<year>".
+void append_us_timestamp(std::string& out, Seconds t) {
+  const std::size_t at = out.size();
+  append_timestamp(out, t);
+  char* const text = out.data() + at;
+  const std::size_t year_width = out.size() - at - 15;  // 4 in 0..9999
+  const char* const month_day = text + year_width;      // "-MM-DD"
+  const std::array<char, 6> us = {month_day[1], month_day[2], '/',
+                                  month_day[4], month_day[5], '/'};
+  std::memmove(text + us.size(), text, year_width);
+  std::memcpy(text, us.data(), us.size());
 }
 
 }  // namespace
 
-std::string TanAdapter::format_line(const FailureRecord& record) const {
-  std::string line = std::to_string(record.system_id);
-  line += '|';
-  line += std::to_string(record.node_id);
-  line += '|';
-  line += format_us_timestamp(record.start);
-  line += '|';
-  line += format_us_timestamp(record.end);
-  line += '|';
-  line += std::to_string(record.end - record.start);
-  line += '|';
-  line += token_for(kCauseTokens, cause_index(record.cause));
-  line += '|';
-  line += token_for(kDetailTokens, static_cast<std::size_t>(record.detail));
-  line += '|';
-  line += token_for(kWorkloadTokens, static_cast<std::size_t>(record.workload));
-  return line;
+void TanAdapter::format_line(const FailureRecord& record,
+                             std::string& out) const {
+  append_int(out, record.system_id);
+  out += '|';
+  append_int(out, record.node_id);
+  out += '|';
+  append_us_timestamp(out, record.start);
+  out += '|';
+  append_us_timestamp(out, record.end);
+  out += '|';
+  append_int(out, record.end - record.start);
+  out += '|';
+  out += token_for(kCauseTokens, cause_index(record.cause));
+  out += '|';
+  out += token_for(kDetailTokens, static_cast<std::size_t>(record.detail));
+  out += '|';
+  out += token_for(kWorkloadTokens, static_cast<std::size_t>(record.workload));
 }
 
 FailureRecord TanAdapter::parse_line(std::string_view line) const {
   if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-  const std::vector<std::string> fields = split(line, '|');
-  if (fields.size() != 8) {
+  std::array<std::string_view, 8> fields;
+  const std::size_t count = split_fields(line, '|', fields);
+  if (count != fields.size()) {
     throw ParseError("expected 8 pipe-separated fields, got " +
-                     std::to_string(fields.size()));
+                     std::to_string(count));
   }
   FailureRecord record;
   record.system_id = parse_id(fields[0], "system id");

@@ -25,7 +25,8 @@ class TanAdapter final : public Adapter {
     return "System|Node|Down Time|Up Time|Duration Sec|Category|"
            "Subcategory|Workload";
   }
-  std::string format_line(const FailureRecord& record) const override;
+  void format_line(const FailureRecord& record,
+                   std::string& out) const override;
   FailureRecord parse_line(std::string_view line) const override;
 };
 

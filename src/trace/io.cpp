@@ -24,7 +24,7 @@ void write_csv(std::ostream& out, const FailureDataset& dataset,
   std::string text(format.header());
   text += '\n';
   for (const FailureRecord& r : dataset.records()) {
-    text += format.format_line(r);
+    format.format_line(r, text);
     text += '\n';
     if (text.size() >= kBlockBytes) {
       out.write(text.data(), static_cast<std::streamsize>(text.size()));
@@ -42,6 +42,7 @@ void write_csv_file(const std::string& path, const FailureDataset& dataset,
   std::ofstream out(path);
   if (!out) throw IoError("cannot open '" + path + "' for writing");
   write_csv(out, dataset, format);
+  out.flush();  // the destructor's flush would swallow a full disk
   if (!out) throw IoError("write failed for '" + path + "'");
 }
 

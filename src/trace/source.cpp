@@ -28,6 +28,17 @@ bool same_fields(std::string_view line, std::string_view key) {
   }
 }
 
+/// True when `line`'s first byte already rules out both a blank line and
+/// `header`: trim_view keeps it, it opens no quote and no empty first
+/// field, and it differs from the header's (visible) first byte.
+bool neither_blank_nor_header(std::string_view line,
+                              std::string_view header) noexcept {
+  if (line.empty() || header.empty()) return false;
+  const char first = line.front();
+  return static_cast<unsigned char>(first) > ' ' && first != '"' &&
+         first != ',' && first != header.front();
+}
+
 /// Strict sources rethrow a bad line's error type with its line number;
 /// lenient ones count it.
 template <typename E>
@@ -56,7 +67,10 @@ bool LineSource::take(std::string_view line, FailureRecord& out) {
       throw ParseError("line longer than " + std::to_string(kMaxLineBytes) +
                        " bytes");
     }
-    if (same_fields(line, "") || is_header(*format_, line)) return false;
+    if (!neither_blank_nor_header(line, format_->header()) &&
+        (same_fields(line, "") || is_header(*format_, line))) {
+      return false;
+    }
     out = format_->parse_line(line);
     ++counters_.accepted;
     return true;

@@ -45,83 +45,79 @@ std::size_t cause_index(RootCause cause) noexcept {
   return 5;
 }
 
-std::string to_string(RootCause cause) {
-  switch (cause) {
-    case RootCause::hardware: return "hardware";
-    case RootCause::software: return "software";
-    case RootCause::network: return "network";
-    case RootCause::environment: return "environment";
-    case RootCause::human: return "human";
-    case RootCause::unknown: return "unknown";
-  }
-  throw InvalidArgument("invalid RootCause value");
+namespace {
+
+template <typename Enum, std::size_t N>
+std::string_view checked_name(const std::array<std::string_view, N>& names,
+                              Enum value, const char* what) {
+  const auto i = static_cast<std::size_t>(value);
+  if (i >= N) throw InvalidArgument(std::string("invalid ") + what + " value");
+  return names[i];
 }
 
-std::string to_string(DetailCause detail) {
-  switch (detail) {
-    case DetailCause::memory_dimm: return "memory_dimm";
-    case DetailCause::cpu: return "cpu";
-    case DetailCause::node_interconnect: return "node_interconnect";
-    case DetailCause::power_supply: return "power_supply";
-    case DetailCause::disk: return "disk";
-    case DetailCause::other_hardware: return "other_hardware";
-    case DetailCause::operating_system: return "operating_system";
-    case DetailCause::parallel_fs: return "parallel_fs";
-    case DetailCause::scheduler: return "scheduler";
-    case DetailCause::other_software: return "other_software";
-    case DetailCause::network_switch: return "network_switch";
-    case DetailCause::nic: return "nic";
-    case DetailCause::power_outage: return "power_outage";
-    case DetailCause::ac_failure: return "ac_failure";
-    case DetailCause::operator_error: return "operator_error";
-    case DetailCause::undetermined: return "undetermined";
+/// `a` equals `name`, ASCII letters compared case-insensitively.
+bool equals_ignoring_case(std::string_view a, std::string_view name) noexcept {
+  if (a.size() != name.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    char c = a[i];
+    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
+    if (c != name[i]) return false;
   }
-  throw InvalidArgument("invalid DetailCause value");
+  return true;
+}
+
+/// The enum value whose name `text` spells, else ParseError "unknown
+/// <what>: '<text>'".
+template <typename Enum, std::size_t N>
+Enum from_name(const std::array<std::string_view, N>& names,
+               std::string_view text, const char* what) {
+  const std::string_view t = trim_view(text);
+  for (std::size_t i = 0; i < N; ++i) {
+    if (equals_ignoring_case(t, names[i])) return static_cast<Enum>(i);
+  }
+  throw ParseError(std::string("unknown ") + what + ": '" +
+                   std::string(text) + "'");
+}
+
+}  // namespace
+
+std::string_view name_of(RootCause cause) {
+  return checked_name(kRootCauseNames, cause, "RootCause");
+}
+
+std::string_view name_of(DetailCause detail) {
+  return checked_name(kDetailCauseNames, detail, "DetailCause");
+}
+
+std::string_view name_of(Workload workload) {
+  return checked_name(kWorkloadNames, workload, "Workload");
+}
+
+std::string to_string(RootCause cause) { return std::string(name_of(cause)); }
+
+std::string to_string(DetailCause detail) {
+  return std::string(name_of(detail));
 }
 
 std::string to_string(Workload workload) {
-  switch (workload) {
-    case Workload::compute: return "compute";
-    case Workload::graphics: return "graphics";
-    case Workload::frontend: return "fe";
-  }
-  throw InvalidArgument("invalid Workload value");
+  return std::string(name_of(workload));
 }
 
 RootCause root_cause_from_string(std::string_view text) {
-  const std::string t = to_lower(trim(text));
-  for (const RootCause cause : kAllRootCauses) {
-    if (t == to_string(cause)) return cause;
-  }
-  throw ParseError("unknown root cause: '" + std::string(text) + "'");
+  return from_name<RootCause>(kRootCauseNames, text, "root cause");
 }
 
 DetailCause detail_cause_from_string(std::string_view text) {
-  static constexpr std::array<DetailCause, 16> kAll = {
-      DetailCause::memory_dimm,      DetailCause::cpu,
-      DetailCause::node_interconnect, DetailCause::power_supply,
-      DetailCause::disk,             DetailCause::other_hardware,
-      DetailCause::operating_system, DetailCause::parallel_fs,
-      DetailCause::scheduler,        DetailCause::other_software,
-      DetailCause::network_switch,   DetailCause::nic,
-      DetailCause::power_outage,     DetailCause::ac_failure,
-      DetailCause::operator_error,   DetailCause::undetermined,
-  };
-  const std::string t = to_lower(trim(text));
-  for (const DetailCause detail : kAll) {
-    if (t == to_string(detail)) return detail;
-  }
-  throw ParseError("unknown detail cause: '" + std::string(text) + "'");
+  return from_name<DetailCause>(kDetailCauseNames, text, "detail cause");
 }
 
 Workload workload_from_string(std::string_view text) {
-  const std::string t = to_lower(trim(text));
-  if (t == "compute") return Workload::compute;
-  if (t == "graphics") return Workload::graphics;
-  if (t == "fe" || t == "frontend" || t == "front-end") {
+  const std::string_view t = trim_view(text);
+  if (equals_ignoring_case(t, "frontend") ||
+      equals_ignoring_case(t, "front-end")) {
     return Workload::frontend;
   }
-  throw ParseError("unknown workload: '" + std::string(text) + "'");
+  return from_name<Workload>(kWorkloadNames, text, "workload");
 }
 
 }  // namespace hpcfail::trace

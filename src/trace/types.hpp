@@ -71,12 +71,34 @@ RootCause category_of(DetailCause detail) noexcept;
 /// unknown=5); used wherever per-cause arrays appear.
 std::size_t cause_index(RootCause cause) noexcept;
 
+/// The one copy of each enum's names, indexed by its value (RootCause's
+/// table is in kAllRootCauses order). to_string, the *_from_string
+/// lookups and the native trace format all read these.
+inline constexpr std::array<std::string_view, 6> kRootCauseNames = {
+    "hardware", "software", "network", "environment", "human", "unknown"};
+inline constexpr std::array<std::string_view, 16> kDetailCauseNames = {
+    "memory_dimm",  "cpu",            "node_interconnect", "power_supply",
+    "disk",         "other_hardware", "operating_system",  "parallel_fs",
+    "scheduler",    "other_software", "network_switch",    "nic",
+    "power_outage", "ac_failure",     "operator_error",    "undetermined"};
+/// The LANL release spells front-end "fe".
+inline constexpr std::array<std::string_view, 3> kWorkloadNames = {
+    "compute", "graphics", "fe"};
+
+/// The value's entry in its name table. Throws InvalidArgument for a value
+/// outside the enum.
+std::string_view name_of(RootCause cause);
+std::string_view name_of(DetailCause detail);
+std::string_view name_of(Workload workload);
+
+/// name_of as a string.
 std::string to_string(RootCause cause);
 std::string to_string(DetailCause detail);
 std::string to_string(Workload workload);
 
-/// Inverse of to_string (case-insensitive). Throws ParseError on unknown
-/// spellings.
+/// Inverse of to_string: ASCII case-insensitive, surrounding whitespace
+/// ignored; workload also takes "frontend" and "front-end". Throws
+/// ParseError on unknown spellings.
 RootCause root_cause_from_string(std::string_view text);
 DetailCause detail_cause_from_string(std::string_view text);
 Workload workload_from_string(std::string_view text);

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+#include <vector>
+
 #include "common/error.hpp"
+#include "common/rng.hpp"
 
 namespace hpcfail {
 namespace {
@@ -133,6 +138,84 @@ TEST(YearsBetween, ApproximatesCalendarYears) {
 TEST(FormatTimestamp, CanonicalForm) {
   EXPECT_EQ(format_timestamp(to_epoch(CivilDateTime{2005, 11, 9, 8, 7, 6})),
             "2005-11-09 08:07:06");
+}
+
+/// The printf spelling format_timestamp has always produced.
+std::string printf_timestamp(const CivilDateTime& c) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%04d-%02d-%02d %02d:%02d:%02d", c.year,
+                c.month, c.day, c.hour, c.minute, c.second);
+  return buf;
+}
+
+TEST(FormatTimestamp, MatchesPrintfFromYearMinus9999To99999) {
+  const Seconds lo = to_epoch(-9999, 1, 1);
+  const Seconds hi = to_epoch(100000, 1, 1) - 1;
+  // The years 0, -1, 9999 and 10000 at their boundaries, and leap days.
+  const Seconds y0 = to_epoch(0, 1, 1);
+  const Seconds y10k = to_epoch(10000, 1, 1);
+  std::vector<Seconds> instants = {0, -1, lo, hi, y0 - 1, y0, y10k - 1, y10k};
+  for (const int year : {-4, 0, 1996, 2000}) {
+    instants.push_back(to_epoch(year, 2, 29));
+    instants.push_back(to_epoch(year, 2, 29) + kSecondsPerDay - 1);
+  }
+  Rng rng(20);
+  const auto draw = [&rng](Seconds from, Seconds span) {
+    return from + static_cast<Seconds>(
+                      rng.uniform_index(static_cast<std::uint64_t>(span)));
+  };
+  for (int i = 0; i < 100000; ++i) {  // all years, then 0..9999
+    instants.push_back(draw(lo, hi - lo + 1));
+    instants.push_back(draw(y0, y10k - y0));
+  }
+  for (const Seconds t : instants) {
+    ASSERT_EQ(format_timestamp(t), printf_timestamp(from_epoch(t))) << t;
+  }
+  std::string buffer = "kept,";
+  append_timestamp(buffer, 0);
+  EXPECT_EQ(buffer, "kept,1970-01-01 00:00:00");
+}
+
+TEST(ParseTimestamp, CanonicalShapeMatchesToEpochOrItsError) {
+  // Fields drawn past their ranges (month 00 and 13, day 00 and 29-31,
+  // hour 24, minute and second 60) as often as inside them.
+  Rng rng(21);
+  const auto pick = [&rng](int lo, int hi) {
+    return lo + static_cast<int>(
+                    rng.uniform_index(static_cast<std::uint64_t>(hi - lo + 1)));
+  };
+  std::vector<CivilDateTime> cases;
+  for (const int year : {0, 1900, 1996, 2000, 2001, 2100, 2400, 9999}) {
+    for (int day = 28; day <= 31; ++day) {
+      cases.push_back(CivilDateTime{year, 2, day, 23, 59, 59});
+    }
+  }
+  for (int i = 0; i < 100000; ++i) {
+    cases.push_back(CivilDateTime{pick(0, 9999), pick(0, 13), pick(0, 31),
+                                  pick(0, 24), pick(0, 60), pick(0, 60)});
+  }
+  for (const CivilDateTime& c : cases) {
+    const std::string text = printf_timestamp(c);
+    ASSERT_EQ(text.size(), 19u);
+    Seconds want = 0;
+    bool valid = true;
+    try {
+      want = to_epoch(c);
+    } catch (const InvalidArgument&) {
+      valid = false;
+    }
+    if (valid) {
+      ASSERT_EQ(parse_timestamp(text), want) << text;
+      continue;
+    }
+    try {
+      parse_timestamp(text);
+      FAIL() << "accepted '" << text << "'";
+    } catch (const ParseError& e) {
+      ASSERT_EQ(std::string(e.what()),
+                "timestamp field out of range: '" + text + "'");
+    }
+  }
 }
 
 TEST(ParseTimestamp, ParsesBothForms) {

@@ -161,5 +161,13 @@ TEST(WriteMetricsFile, RoundTripsAndThrowsIoError) {
                IoError);
 }
 
+TEST(WriteMetricsFile, ReportsAFullDisk) {
+  if (!std::ofstream("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  Registry reg;
+  reg.counter("file.test").add(9);
+  EXPECT_THROW(write_metrics_file("/dev/full", ExportFormat::json, reg),
+               IoError);
+}
+
 }  // namespace
 }  // namespace hpcfail::obs

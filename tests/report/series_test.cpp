@@ -60,5 +60,11 @@ TEST(SeriesCsv, FileWriterCreatesReadableFile) {
                Error);
 }
 
+TEST(SeriesCsv, FileWriterReportsAFullDisk) {
+  if (!std::ofstream("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  EXPECT_THROW(write_series_csv_file("/dev/full", {{"a", {1.0, 2.0}}}),
+               IoError);
+}
+
 }  // namespace
 }  // namespace hpcfail::report

@@ -23,6 +23,13 @@
 namespace hpcfail::trace {
 namespace {
 
+/// One record as one line, through the appending format_line.
+std::string line_of(const Adapter& format, const FailureRecord& record) {
+  std::string line;
+  format.format_line(record, line);
+  return line;
+}
+
 /// The registered adapters plus the native format.
 std::vector<const Adapter*> every_format() {
   std::vector<const Adapter*> formats(all_adapters().begin(),
@@ -36,7 +43,7 @@ TEST(AdapterRoundTrip, EveryAdapterIsBijectiveOnConsistentRecords) {
     const auto result = testkit::check_property(
         testkit::failure_records(),
         [adapter](const FailureRecord& r) {
-          return adapter->parse_line(adapter->format_line(r)) == r;
+          return adapter->parse_line(line_of(*adapter, r)) == r;
         });
     EXPECT_TRUE(result.passed) << adapter->name() << ": " << result.message;
   }
@@ -49,8 +56,20 @@ TEST(AdapterRoundTrip, SurvivesSecondRoundTripByteIdentically) {
     const auto result = testkit::check_property(
         testkit::failure_records(),
         [adapter](const FailureRecord& r) {
-          const std::string line = adapter->format_line(r);
-          return adapter->format_line(adapter->parse_line(line)) == line;
+          const std::string line = line_of(*adapter, r);
+          return line_of(*adapter, adapter->parse_line(line)) == line;
+        });
+    EXPECT_TRUE(result.passed) << adapter->name() << ": " << result.message;
+  }
+}
+
+TEST(AdapterRoundTrip, FormatLineAppendsToWhatTheBufferHolds) {
+  for (const Adapter* adapter : every_format()) {
+    const auto result = testkit::check_property(
+        testkit::failure_records(), [adapter](const FailureRecord& r) {
+          std::string buffer = "kept\n";
+          adapter->format_line(r, buffer);
+          return buffer == "kept\n" + line_of(*adapter, r);
         });
     EXPECT_TRUE(result.passed) << adapter->name() << ": " << result.message;
   }
@@ -68,7 +87,7 @@ testkit::Gen<MutatedLine> mutated_lines(const Adapter& adapter) {
   const testkit::Gen<FailureRecord> records = testkit::failure_records();
   gen.sample = [&adapter, records](Rng& rng) {
     MutatedLine out;
-    out.original = adapter.format_line(records.sample(rng));
+    out.original = line_of(adapter, records.sample(rng));
     out.line = out.original;
     const std::size_t mutations =
         1 + static_cast<std::size_t>(rng.uniform() * 4.0);

@@ -20,6 +20,13 @@
 namespace hpcfail::trace {
 namespace {
 
+/// One record as one line, through the appending format_line.
+std::string line_of(const Adapter& format, const FailureRecord& record) {
+  std::string line;
+  format.format_line(record, line);
+  return line;
+}
+
 FailureRecord sample_record() {
   FailureRecord r;
   r.system_id = 2;
@@ -71,7 +78,7 @@ TEST(AdapterRegistry, LooksUpByNameAndRejectsUnknown) {
 TEST(AdapterLu, FormatsAndParsesOneLine) {
   const Adapter& lu = adapter_for("lu");
   const FailureRecord r = sample_record();
-  const std::string line = lu.format_line(r);
+  const std::string line = line_of(lu, r);
   EXPECT_EQ(line, std::to_string(r.start) +
                       " c2n7 NODE_FAIL 389s comp HUM/oper");
   const FailureRecord back = lu.parse_line(line);
@@ -80,7 +87,7 @@ TEST(AdapterLu, FormatsAndParsesOneLine) {
 
 TEST(AdapterLu, ErrorTaxonomy) {
   const Adapter& lu = adapter_for("lu");
-  const std::string good = lu.format_line(sample_record());
+  const std::string good = line_of(lu, sample_record());
   // Malformed shapes are ParseErrors.
   EXPECT_THROW(lu.parse_line(""), ParseError);
   EXPECT_THROW(lu.parse_line("only three fields here"), ParseError);
@@ -116,11 +123,27 @@ TEST(AdapterLu, ErrorTaxonomy) {
 TEST(AdapterTan, FormatsAndParsesOneLine) {
   const Adapter& tan = adapter_for("tan");
   const FailureRecord r = sample_record();
-  const std::string line = tan.format_line(r);
+  const std::string line = line_of(tan, r);
   EXPECT_EQ(line,
             "2|7|06/01/2004 01:00:00|06/01/2004 01:06:29|389|Human|"
             "Operator|Compute");
   EXPECT_EQ(tan.parse_line(line), r);
+}
+
+TEST(AdapterTan, WritesEveryYearAsPrintfDid) {
+  // "%02d/%02d/%04d %02d:%02d:%02d", signed and five-digit years included.
+  const Adapter& tan = adapter_for("tan");
+  for (const int year : {-10, -1, 0, 7, 1996, 9999, 10000, 12345}) {
+    FailureRecord r = sample_record();
+    r.start = to_epoch(CivilDateTime{year, 3, 4, 5, 6, 7});
+    r.end = r.start + 61;
+    char want[80];
+    std::snprintf(want, sizeof want,
+                  "2|7|03/04/%04d 05:06:07|03/04/%04d 05:07:08|61|Human|"
+                  "Operator|Compute",
+                  year, year);
+    EXPECT_EQ(line_of(tan, r), want) << year;
+  }
 }
 
 TEST(AdapterTan, RejectsDurationDisagreement) {
@@ -156,7 +179,7 @@ TEST(AdapterTan, RejectsDurationDisagreement) {
 TEST(AdapterMistral, FormatsAndParsesOneLine) {
   const Adapter& mistral = adapter_for("mistral");
   const FailureRecord r = sample_record();
-  const std::string line = mistral.format_line(r);
+  const std::string line = line_of(mistral, r);
   EXPECT_EQ(line,
             "j2-7,m2n7,2004-06-01T01:00:00,2004-06-01T01:06:29,"
             "FAILED_OP,operator,compute");
@@ -210,7 +233,7 @@ TEST(AdapterSourceTest, StrictModeThrowsWithLinePrefix) {
   const Adapter& lu = adapter_for("lu");
   LineSource source(lu, LineSource::OnError::throw_);
   source.feed(std::string(lu.header()) + "\n" +
-              lu.format_line(sample_record()) + "\n" +
+              line_of(lu, sample_record()) + "\n" +
               "garbage line that cannot parse at all ok\n");
   source.finish();
   FailureRecord out;
@@ -228,9 +251,9 @@ TEST(AdapterSourceTest, RejectModeCountsAndContinues) {
   const FailureRecord r = sample_record();
   LineSource source(tan, LineSource::OnError::reject);
   source.feed(std::string(tan.header()) + "\n" + "not|a|valid|row\n" +
-              tan.format_line(r) + "\n" +
+              line_of(tan, r) + "\n" +
               "\n" +  // blank lines are skipped, not rejected
-              tan.format_line(r) + "\n");
+              line_of(tan, r) + "\n");
   source.finish();
   FailureRecord out;
   std::size_t events = 0;
@@ -277,7 +300,7 @@ TEST(AdapterFiles, LenientReadCountsRejects) {
   {
     std::ofstream out(path);
     out << mistral.header() << "\n";
-    out << mistral.format_line(sample_record()) << "\n";
+    out << line_of(mistral, sample_record()) << "\n";
     out << "j1-1,m1n1,not-a-timestamp-here,2004-06-01T01:06:29,"
            "FAILED_OP,operator,compute\n";
   }
@@ -293,7 +316,7 @@ TEST(AdapterFiles, LenientReadCountsRejects) {
 
 TEST(AdapterFiles, ForeignFileWithoutItsHeaderIsRejected) {
   for (const Adapter* adapter : all_adapters()) {
-    std::istringstream in(adapter->format_line(sample_record()) + "\n");
+    std::istringstream in(line_of(*adapter, sample_record()) + "\n");
     SourceCounters counters;
     try {
       read_csv(in, *adapter, &counters);
@@ -330,7 +353,7 @@ TEST(AdapterLineSource, StreamsForeignLinesWithRejectAndCount) {
   const Adapter& lu = adapter_for("lu");
   LineSource source(lu);
   const FailureRecord r = sample_record();
-  source.feed(lu.format_line(r) + "\n");
+  source.feed(line_of(lu, r) + "\n");
   source.feed(std::string(lu.header()) + "\n");       // skipped
   source.feed("123 c2n7 NODE_FAIL -9s comp HUM/oper\n");  // ValidationError
   source.feed("complete garbage\n");                      // ParseError

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -156,6 +157,13 @@ TEST(TraceIo, FileRoundTrip) {
   const FailureDataset reread = read_csv_file(path);
   EXPECT_EQ(reread.size(), 3u);
   EXPECT_THROW(read_csv_file("/nonexistent/dir/file.csv"), Error);
+}
+
+TEST(TraceIo, FileWriterReportsAFullDisk) {
+  // A few rows stay in the stream's buffer until it is flushed; that
+  // flush must fail loudly, not in the destructor.
+  if (!std::ofstream("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  EXPECT_THROW(write_csv_file("/dev/full", sample_dataset()), IoError);
 }
 
 }  // namespace

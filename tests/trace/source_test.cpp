@@ -1,6 +1,7 @@
 #include "trace/source.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
@@ -8,7 +9,9 @@
 #include <string>
 #include <vector>
 
+#include "common/csv.hpp"
 #include "common/error.hpp"
+#include "common/strings.hpp"
 #include "trace/io.hpp"
 
 namespace hpcfail::trace {
@@ -348,10 +351,76 @@ TEST(LineSource, EverySplitPointMatchesOneFeedAndLenientReadCsv) {
   EXPECT_EQ(counters.last_error, one.counters.last_error);
 }
 
+/// Today's rule for the lines LineSource skips: a blank line (one field,
+/// empty once unquoted and trimmed) or the format's header.
+bool blank_or_header(const Adapter& format, std::string_view line) {
+  CsvLineSplitter splitter(line);
+  std::string_view field;
+  const bool blank = splitter.next(field) && trim_view(field).empty() &&
+                     !splitter.next(field) && !splitter.unterminated();
+  return blank || is_header(format, line);
+}
+
+/// The registered adapters plus the native format.
+std::vector<const Adapter*> every_format() {
+  std::vector<const Adapter*> formats(all_adapters().begin(),
+                                      all_adapters().end());
+  formats.push_back(&native_format());
+  return formats;
+}
+
+TEST(LineSource, SkipsExactlyTheBlankAndHeaderLines) {
+  for (const Adapter* format : every_format()) {
+    const std::string header(format->header());
+    // Blank-looking lines and header variants, then every byte in front
+    // of nothing, the header's tail, the header and a quoted empty field.
+    std::vector<std::string> lines = {"", " ", "\r", "\"\"", "\"\"  ", "\""};
+    lines.push_back(header);
+    lines.push_back("  " + header + " \r");
+    lines.push_back("\"" + header.substr(0, 1) + "\"" + header.substr(1));
+    lines.push_back(header + ",");
+    for (int byte = 0; byte < 256; ++byte) {
+      if (byte == '\n') continue;
+      const std::string first(1, static_cast<char>(byte));
+      lines.push_back(first);
+      lines.push_back(first + header.substr(1));
+      lines.push_back(first + header);
+      lines.push_back(first + "\"\"");
+    }
+    for (const std::string& line : lines) {
+      LineSource source(*format, LineSource::OnError::reject);
+      source.feed(line);
+      source.finish();
+      FailureRecord r;
+      while (source.next(r) == SourceStatus::event) {
+      }
+      const SourceCounters& counters = source.counters();
+      EXPECT_EQ(counters.accepted + counters.rejected == 0,
+                blank_or_header(*format, line))
+          << format->name() << " line '" << line << "'";
+    }
+  }
+}
+
+TEST(LineSource, EveryHeaderStartsWithAByteThatRulesItOut) {
+  // The first-byte test relies on this (Adapter::header()).
+  for (const Adapter* format : every_format()) {
+    ASSERT_FALSE(format->header().empty()) << format->name();
+    const char first = format->header().front();
+    EXPECT_GT(static_cast<unsigned char>(first), ' ') << format->name();
+    EXPECT_NE(first, '"') << format->name();
+    EXPECT_NE(first, ',') << format->name();
+  }
+}
+
 class TailSourceTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/tail_source_test.csv";
+    // One file per test and process: ctest runs each case as its own
+    // process, in parallel under -j.
+    path_ = ::testing::TempDir() + "/tail_source_test_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            "_" + std::to_string(::getpid()) + ".csv";
     std::remove(path_.c_str());
   }
   void TearDown() override { std::remove(path_.c_str()); }

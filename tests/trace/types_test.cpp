@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "common/error.hpp"
 
 namespace hpcfail::trace {
@@ -54,6 +59,108 @@ TEST(Workload, StringRoundTripWithReleaseSpelling) {
   EXPECT_EQ(workload_from_string("compute"), Workload::compute);
   EXPECT_EQ(workload_from_string("GRAPHICS"), Workload::graphics);
   EXPECT_THROW(workload_from_string("database"), ParseError);
+}
+
+/// Calls `check` with every upper/lower-case spelling of `name`, each
+/// padded with some of the whitespace trim_view strips.
+template <typename Check>
+void for_each_spelling(std::string_view name, Check check) {
+  static constexpr std::string_view kPads[] = {"", " ", "\t", " \r\n", "\v\f "};
+  std::vector<std::size_t> letters;
+  for (std::size_t i = 0; i < name.size(); ++i) {
+    if (name[i] >= 'a' && name[i] <= 'z') letters.push_back(i);
+  }
+  for (std::uint64_t mask = 0; mask < (std::uint64_t{1} << letters.size());
+       ++mask) {
+    std::string cased(name);
+    for (std::size_t b = 0; b < letters.size(); ++b) {
+      char& c = cased[letters[b]];
+      if ((mask >> b) & 1) c = static_cast<char>(c - 'a' + 'A');
+    }
+    const std::size_t pads = std::size(kPads);
+    check(std::string(kPads[mask % pads]) + cased +
+          std::string(kPads[(mask / pads) % pads]));
+  }
+}
+
+/// The first spelling of a name that does not parse back to its value.
+template <typename Enum, std::size_t N, typename Parse>
+std::string first_miss(const std::array<std::string_view, N>& names,
+                       Parse parse) {
+  std::string miss;
+  for (std::size_t i = 0; i < N; ++i) {
+    for_each_spelling(names[i], [&](const std::string& spelling) {
+      if (miss.empty() && parse(spelling) != static_cast<Enum>(i)) {
+        miss = spelling;
+      }
+    });
+  }
+  return miss;
+}
+
+TEST(EnumNames, EveryCaseAndPaddingOfEveryNameParses) {
+  EXPECT_EQ(first_miss<RootCause>(kRootCauseNames, root_cause_from_string),
+            "");
+  EXPECT_EQ(
+      first_miss<DetailCause>(kDetailCauseNames, detail_cause_from_string),
+      "");
+  EXPECT_EQ(first_miss<Workload>(kWorkloadNames, workload_from_string), "");
+  for (const std::string_view alias : {"frontend", "front-end"}) {
+    for_each_spelling(alias, [](const std::string& spelling) {
+      ASSERT_EQ(workload_from_string(spelling), Workload::frontend)
+          << spelling;
+    });
+  }
+}
+
+TEST(EnumNames, ToStringReadsTheTables) {
+  for (std::size_t i = 0; i < kDetailCauseNames.size(); ++i) {
+    const auto detail = static_cast<DetailCause>(i);
+    EXPECT_EQ(to_string(detail), kDetailCauseNames[i]);
+    EXPECT_EQ(detail_cause_from_string(to_string(detail)), detail);
+  }
+  EXPECT_EQ(to_string(RootCause::environment), "environment");
+  EXPECT_EQ(name_of(Workload::graphics), "graphics");
+  EXPECT_THROW(name_of(static_cast<RootCause>(6)), InvalidArgument);
+  EXPECT_THROW(to_string(static_cast<DetailCause>(16)), InvalidArgument);
+  EXPECT_THROW(to_string(static_cast<Workload>(3)), InvalidArgument);
+}
+
+/// The ParseError message a lookup gives `text`, or "accepted".
+template <typename Parse>
+std::string rejection(Parse parse, std::string_view text) {
+  try {
+    parse(text);
+  } catch (const ParseError& e) {
+    return e.what();
+  }
+  return "accepted";
+}
+
+TEST(EnumNames, UnknownNamesAreRejectedWithTheTextAsGiven) {
+  EXPECT_EQ(rejection(root_cause_from_string, " Cosmic Rays "),
+            "unknown root cause: ' Cosmic Rays '");
+  EXPECT_EQ(rejection(detail_cause_from_string, "hardware"),
+            "unknown detail cause: 'hardware'");
+  EXPECT_EQ(rejection(workload_from_string, "\tdatabase"),
+            "unknown workload: '\tdatabase'");
+  // Near misses of every detail name: a letter short, a letter long, and
+  // '_' as DEL, which only a compare that folds non-letters would take.
+  for (const std::string_view name : kDetailCauseNames) {
+    std::string long_name(name);
+    long_name += 's';
+    std::string del(name);
+    std::replace(del.begin(), del.end(), '_', '\x7f');
+    for (const std::string& text :
+         {std::string(name.substr(1)), long_name, del}) {
+      if (text == name) continue;  // a name without '_'
+      EXPECT_EQ(rejection(detail_cause_from_string, text),
+                "unknown detail cause: '" + text + "'");
+    }
+  }
+  // '-' is '\r' with bit 5 set.
+  EXPECT_EQ(rejection(workload_from_string, "front\rend"),
+            "unknown workload: 'front\rend'");
 }
 
 TEST(CauseIndex, StableOrder) {

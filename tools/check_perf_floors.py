@@ -25,6 +25,9 @@ FLOORS = {
         ("count / s", ">=", 3.5e6),
     ("batch_pipeline", "serve.events_per_s"): ("1/s", ">=", 200000),
     ("batch_pipeline", "serve.sharded_events_per_s"): ("1/s", ">=", 150000),
+    # Median per pass over the same 997,357 rows: write_csv then read_csv.
+    ("batch_pipeline", "trace.write_csv_s"): ("s", "<=", 0.50),
+    ("batch_pipeline", "trace.read_csv_s"): ("s", "<=", 0.75),
     ("campaign", "throughput_per_s"): ("1/s", ">=", 150000),
 }
 

@@ -1,7 +1,5 @@
 #include "analysis/hazard.hpp"
 
-#include <map>
-
 #include "common/error.hpp"
 #include "obs/span.hpp"
 #include "trace/index.hpp"
@@ -13,27 +11,28 @@ HazardReport node_hazard_analysis(const trace::FailureDataset& dataset,
                                   std::optional<Seconds> censor_at,
                                   std::size_t min_events) {
   hpcfail::obs::ScopedTimer timer("analysis.hazard");
-  const trace::DatasetView scoped = dataset.view().for_system(system_id);
+  trace::DatasetView scoped = dataset.view().for_system(system_id);
   HPCFAIL_EXPECTS(!scoped.empty(), "system has no failures in the dataset");
-  const Seconds horizon = censor_at.value_or(scoped.records().back().start);
-
-  HazardReport report;
-  std::map<int, Seconds> last_failure;
-  for (const trace::FailureRecord& r : scoped.records()) {
-    const auto it = last_failure.find(r.node_id);
-    if (it != last_failure.end() && r.start >= it->second) {
-      report.observations.push_back(
-          {static_cast<double>(r.start - it->second), true});
-      ++report.events;
-    }
-    last_failure[r.node_id] = r.start;
+  const Seconds last_start = scoped.records().starts().back();
+  const Seconds horizon = censor_at.value_or(last_start);
+  // Failures after the horizon are not observed yet.
+  if (horizon < last_start) {
+    scoped = scoped.between(scoped.first_start(), horizon + 1);
   }
-  // One right-censored interval per node: from its last failure to the
-  // observation horizon.
-  for (const auto& [node, last] : last_failure) {
-    if (horizon > last) {
+
+  // Per node: the gaps between its failures are observed events, and the
+  // interval from its last failure to the horizon is right-censored.
+  HazardReport report;
+  for (const trace::NodeStarts& node : scoped.node_starts()) {
+    const std::span<const Seconds> starts = node.starts;
+    for (std::size_t i = 1; i < starts.size(); ++i) {
       report.observations.push_back(
-          {static_cast<double>(horizon - last), false});
+          {static_cast<double>(starts[i] - starts[i - 1]), true});
+    }
+    report.events += starts.size() - 1;
+    if (horizon > starts.back()) {
+      report.observations.push_back(
+          {static_cast<double>(horizon - starts.back()), false});
       ++report.censored;
     }
   }
@@ -42,8 +41,8 @@ HazardReport node_hazard_analysis(const trace::FailureDataset& dataset,
 
   report.cumulative_hazard =
       hpcfail::stats::nelson_aalen(report.observations);
-  report.log_log_slope =
-      hpcfail::stats::log_log_hazard_slope(report.observations, min_events);
+  report.log_log_slope = hpcfail::stats::log_log_hazard_slope(
+      report.cumulative_hazard, min_events);
   return report;
 }
 

@@ -18,7 +18,9 @@
 namespace hpcfail::analysis {
 
 struct HazardReport {
-  /// Interarrival observations, censored where appropriate.
+  /// Interarrival observations, censored where appropriate: node by node
+  /// in ascending node id, each node's gaps in time order followed by its
+  /// censored interval.
   std::vector<hpcfail::stats::SurvivalObservation> observations;
   std::size_t events = 0;
   std::size_t censored = 0;
@@ -33,8 +35,10 @@ struct HazardReport {
 /// Per-node hazard analysis for one system: every node contributes its
 /// observed interarrival times plus one censored interval from its last
 /// failure to `censor_at` (defaults to the last failure time in the
-/// dataset for that system). Throws InvalidArgument when fewer than
-/// `min_events` interarrivals exist.
+/// dataset for that system). Only failures starting at or before
+/// `censor_at` are observed; a node's interval that crosses it is
+/// censored there. Throws InvalidArgument when fewer than `min_events`
+/// interarrivals exist.
 HazardReport node_hazard_analysis(const trace::FailureDataset& dataset,
                                   int system_id,
                                   std::optional<Seconds> censor_at = {},

@@ -1,5 +1,7 @@
 #include "analysis/interarrival.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "common/time.hpp"
 #include "obs/span.hpp"
@@ -39,17 +41,18 @@ InterarrivalReport interarrival_analysis(const trace::FailureDataset& dataset,
   HPCFAIL_EXPECTS(report.gaps_seconds.size() >= min_gaps,
                   "too few interarrival times for distribution fitting");
 
-  report.summary = hpcfail::stats::summarize(report.gaps_seconds);
-  std::size_t zeros = 0;
-  for (const double g : report.gaps_seconds) {
-    if (g == 0.0) ++zeros;
-  }
-  report.zero_fraction = static_cast<double>(zeros) /
-                         static_cast<double>(report.gaps_seconds.size());
+  // The summary and the fits share one sorted copy of the gaps.
+  const std::vector<double> sorted =
+      hpcfail::stats::sorted_copy(report.gaps_seconds);
+  report.summary = hpcfail::stats::summarize(report.gaps_seconds, sorted);
+  const auto [zeros_begin, zeros_end] =
+      std::equal_range(sorted.begin(), sorted.end(), 0.0);
+  report.zero_fraction = static_cast<double>(zeros_end - zeros_begin) /
+                         static_cast<double>(sorted.size());
 
   // Records have 1-second resolution; exact-zero gaps (simultaneous
   // failures) are floored at one second for fitting, as any MLE must.
-  report.fits = hpcfail::dist::fit_report(report.gaps_seconds,
+  report.fits = hpcfail::dist::fit_report(report.gaps_seconds, sorted,
                                           hpcfail::dist::standard_families(),
                                           /*floor_at=*/1.0);
   return report;

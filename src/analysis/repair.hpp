@@ -27,8 +27,7 @@ struct RepairBySystem {
   double median_minutes = 0.0;
   std::size_t failures = 0;
   /// Standard-family fits of this system's repair times, best first
-  /// (batched across systems via dist::fit_report_many); empty when no
-  /// family converged.
+  /// (one pool task per system); empty when no family converged.
   hpcfail::dist::FitReport fits;
 };
 

@@ -19,6 +19,7 @@
 #include "dist/suffstats.hpp"
 #include "dist/weibull.hpp"
 #include "obs/metrics.hpp"
+#include "stats/descriptive.hpp"
 #include "stats/ks.hpp"
 #include "stats/solver.hpp"
 #include "stats/special.hpp"
@@ -101,33 +102,30 @@ void record_fit(const FitResult& result, std::size_t sample_size) {
 }
 
 // A sample prepared for the standard families: its sufficient statistics,
-// its floored values sorted ascending (for KS) and their logs in sample
-// order (for the Weibull solver). Built once per sample and shared by
-// every standard family fitted to it.
+// its ascending copy (borrowed from the caller; KS floors it as it reads)
+// and its floored logs in sample order (for the Weibull solver). Built
+// once per sample and shared by every standard family fitted to it.
 struct Prepared {
   SuffStats stats;
-  std::vector<double> sorted;
+  std::span<const double> sorted;
   std::vector<double> logs;
 
-  Prepared(std::span<const double> xs, double floor_at)
-      : stats(SuffStats::compute(xs, floor_at)) {
-    sorted.reserve(xs.size());
+  Prepared(std::span<const double> xs, std::span<const double> sorted_xs,
+           double floor_at)
+      : stats(SuffStats::compute(xs, floor_at)), sorted(sorted_xs) {
     logs.reserve(xs.size());
     for (const double x : xs) {
-      const double v = x < floor_at ? floor_at : x;
-      sorted.push_back(v);
-      logs.push_back(std::log(v));
+      logs.push_back(std::log(x < floor_at ? floor_at : x));
     }
-    std::sort(sorted.begin(), sorted.end());
   }
 };
 
 // The fitting engine of the standard families, shared by fit(),
 // fit_report() and fit_report_from_stats(): the MLE from the sufficient
 // statistics, the closed-form nll at it, and the KS distance over the
-// sorted floored sample — 0 (with ks_pvalue 0) when no sample is given.
-// `logs` feeds the Weibull solver, the one family that needs the sample
-// itself.
+// ascending sample floored at stats.floor_at — 0 (with ks_pvalue 0) when
+// no sample is given. `logs` feeds the Weibull solver, the one family
+// that needs the sample itself.
 FitResult fit_standard(Family family, const SuffStats& stats,
                        std::span<const double> sorted,
                        std::span<const double> logs) {
@@ -185,8 +183,14 @@ FitResult fit_standard(Family family, const SuffStats& stats,
   result.aic = 2.0 * parameter_count(family) + 2.0 * result.nll;
   if (!sorted.empty()) {
     const Distribution& model = *result.model;
+    const double floor_at = stats.floor_at;
+    // Flooring is monotone, so the floored values stay ascending: the same
+    // sequence as sorting the floored sample.
     result.ks = hpcfail::stats::ks_statistic_sorted(
-        sorted.size(), [&](std::size_t i) { return model.cdf(sorted[i]); });
+        sorted.size(), [&](std::size_t i) {
+          const double x = sorted[i];
+          return model.cdf(x < floor_at ? floor_at : x);
+        });
     result.ks_pvalue = hpcfail::stats::ks_pvalue(result.ks, sorted.size());
   }
   record_fit(result, stats.n);
@@ -283,7 +287,8 @@ FitResult fit(Family family, std::span<const double> xs, double floor_at) {
   HPCFAIL_EXPECTS(!xs.empty(), "fit on empty sample");
   HPCFAIL_EXPECTS(floor_at > 0.0, "fit floor must be positive");
   if (!standard(family)) return fit_span(family, xs, floor_at);
-  const Prepared prep(xs, floor_at);
+  const std::vector<double> sorted = hpcfail::stats::sorted_copy(xs);
+  const Prepared prep(xs, sorted, floor_at);
   return fit_standard(family, prep.stats, prep.sorted, prep.logs);
 }
 
@@ -309,6 +314,16 @@ std::span<const Family> all_families() noexcept {
 
 FitReport fit_report(std::span<const double> xs,
                      std::span<const Family> families, double floor_at) {
+  return fit_report(xs, hpcfail::stats::sorted_copy(xs), families, floor_at);
+}
+
+FitReport fit_report(std::span<const double> xs,
+                     std::span<const double> sorted,
+                     std::span<const Family> families, double floor_at) {
+  HPCFAIL_EXPECTS(sorted.size() == xs.size(),
+                  "fit_report: sorted copy differs in size from the sample");
+  HPCFAIL_EXPECTS(std::is_sorted(sorted.begin(), sorted.end()),
+                  "fit_report: sorted copy is not sorted");
   FitReport report;
   report.sample_size = xs.size();
   report.floor_at = floor_at;
@@ -320,7 +335,7 @@ FitReport fit_report(std::span<const double> xs,
   for (const Family family : families) {
     add_fit(report, family, [&] {
       if (!standard(family)) return fit(family, xs, floor_at);
-      if (!prep) prep.emplace(xs, floor_at);
+      if (!prep) prep.emplace(xs, sorted, floor_at);
       return fit_standard(family, prep->stats, prep->sorted, prep->logs);
     });
   }

@@ -125,7 +125,20 @@ std::span<const Family> all_families() noexcept;
 /// Families are fitted in turn on the calling thread, the standard ones
 /// from one shared preparation of the sample (SuffStats, sorted copy,
 /// logs); batched sweeps parallelize across samples (fit_report_many).
+/// Sorts a copy of the sample and forwards to the form below.
 FitReport fit_report(std::span<const double> xs,
+                     std::span<const Family> families,
+                     double floor_at = 1e-9);
+
+/// fit_report() over a sample and its ascending copy, for callers that
+/// sort a sample once and share the copy (e.g. with stats::summarize).
+/// SuffStats and the Weibull logs accumulate over `xs` in sample order;
+/// only KS reads `sorted`, floored as it goes (flooring is monotone, so
+/// floor-then-sort equals sort-then-floor). The result equals
+/// fit_report(xs, families, floor_at) bit for bit. Throws InvalidArgument
+/// when `sorted` differs in size from `xs` or is not sorted.
+FitReport fit_report(std::span<const double> xs,
+                     std::span<const double> sorted,
                      std::span<const Family> families,
                      double floor_at = 1e-9);
 

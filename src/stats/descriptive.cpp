@@ -50,8 +50,16 @@ double median(std::span<const double> xs) {
 }
 
 Summary summarize(std::span<const double> xs) {
+  return summarize(xs, sorted_copy(xs));
+}
+
+Summary summarize(std::span<const double> xs,
+                  std::span<const double> sorted) {
   HPCFAIL_EXPECTS(!xs.empty(), "summarize of empty sample");
-  auto sorted = sorted_copy(xs);
+  HPCFAIL_EXPECTS(sorted.size() == xs.size(),
+                  "summarize: sorted copy differs in size from the sample");
+  HPCFAIL_EXPECTS(std::is_sorted(sorted.begin(), sorted.end()),
+                  "summarize: sorted copy is not sorted");
   Summary s;
   s.n = xs.size();
   // Fused moments: one sum pass, then one squared-deviation pass reusing

@@ -45,8 +45,17 @@ double quantile_sorted(std::span<const double> sorted, double p);
 /// Median (copies and sorts internally). Throws on empty.
 double median(std::span<const double> xs);
 
-/// Full summary (copies and sorts once internally). Throws on empty.
+/// Full summary (sorts a copy, then forwards to the two-argument form).
+/// Throws on empty.
 Summary summarize(std::span<const double> xs);
+
+/// Full summary from a sample and its ascending copy, for callers that
+/// sort a sample once and share the copy (e.g. with dist::fit_report).
+/// Moments accumulate over `xs` in sample order; only the order
+/// statistics (median, quartiles, min, max) read `sorted`, so the result
+/// equals summarize(xs) bit for bit. Throws InvalidArgument on an empty
+/// sample, or when `sorted` differs in size from `xs` or is not sorted.
+Summary summarize(std::span<const double> xs, std::span<const double> sorted);
 
 /// Returns a sorted copy; convenience for the quantile/ECDF entry points.
 std::vector<double> sorted_copy(std::span<const double> xs);

@@ -89,11 +89,17 @@ std::vector<SurvivalObservation> fully_observed(
 
 double log_log_hazard_slope(std::span<const SurvivalObservation> sample,
                             std::size_t min_events) {
-  const auto hazard = nelson_aalen(sample);
+  return log_log_hazard_slope(nelson_aalen(sample), min_events);
+}
+
+double log_log_hazard_slope(std::span<const SurvivalPoint> cumulative_hazard,
+                            std::size_t min_events) {
   // Use strictly positive times and hazards (log domain).
   std::vector<double> xs;
   std::vector<double> ys;
-  for (const SurvivalPoint& p : hazard) {
+  xs.reserve(cumulative_hazard.size());
+  ys.reserve(cumulative_hazard.size());
+  for (const SurvivalPoint& p : cumulative_hazard) {
     if (p.time > 0.0 && p.value > 0.0) {
       xs.push_back(std::log(p.time));
       ys.push_back(std::log(p.value));

@@ -49,7 +49,15 @@ std::vector<SurvivalObservation> fully_observed(
 /// a slope < 1 means H is concave in t, i.e. the hazard decreases (for a
 /// Weibull this slope *is* the shape parameter). Returns the slope.
 /// Throws InvalidArgument when fewer than `min_events` events exist.
+/// Equals log_log_hazard_slope(nelson_aalen(sample), min_events).
 double log_log_hazard_slope(std::span<const SurvivalObservation> sample,
+                            std::size_t min_events = 8);
+
+/// The same slope over an already-built Nelson-Aalen curve, for callers
+/// that keep the curve: the fit reads the steps with positive time and
+/// hazard, and throws InvalidArgument when fewer than `min_events` of
+/// them exist or their times do not vary.
+double log_log_hazard_slope(std::span<const SurvivalPoint> cumulative_hazard,
                             std::size_t min_events = 8);
 
 }  // namespace hpcfail::stats

@@ -275,27 +275,34 @@ std::vector<double> DatasetView::system_interarrivals() const {
   return gaps;
 }
 
-std::vector<NodeInterarrivalGroup> DatasetView::node_interarrival_groups(
-    std::size_t min_gaps) const {
+std::vector<NodeStarts> DatasetView::node_starts() const {
   HPCFAIL_EXPECTS(system_.has_value(),
-                  "node_interarrival_groups requires a system-scoped view");
-  std::vector<NodeInterarrivalGroup> groups;
-  if (index_ == nullptr) return groups;
+                  "node_starts requires a system-scoped view");
+  std::vector<NodeStarts> nodes;
+  if (index_ == nullptr) return nodes;
   index_->count_view_hit();
   const DatasetIndex::SystemSlice* slice = index_->find_system(*system_);
-  if (slice == nullptr) return groups;
+  if (slice == nullptr) return nodes;
+  nodes.reserve(slice->nodes_end - slice->nodes_begin);
   for (std::size_t ni = slice->nodes_begin; ni < slice->nodes_end; ++ni) {
     const DatasetIndex::NodeSlice& node = index_->node_slices_[ni];
     std::span<const Seconds> starts(index_->node_starts_.data() + node.begin,
                                     node.end - node.begin);
     if (windowed_) starts = window_of(starts, from_, to_);
-    // n records -> n-1 gaps; skip nodes below the floor (and, when the
-    // window empties a node, skip it entirely).
-    if (starts.empty() || starts.size() < min_gaps + 1) continue;
-    NodeInterarrivalGroup group;
-    group.node_id = node.node_id;
-    group.gaps_seconds = gaps_of(starts);
-    groups.push_back(std::move(group));
+    if (!starts.empty()) nodes.push_back({node.node_id, starts});
+  }
+  return nodes;
+}
+
+std::vector<NodeInterarrivalGroup> DatasetView::node_interarrival_groups(
+    std::size_t min_gaps) const {
+  HPCFAIL_EXPECTS(system_.has_value(),
+                  "node_interarrival_groups requires a system-scoped view");
+  std::vector<NodeInterarrivalGroup> groups;
+  for (const NodeStarts& node : node_starts()) {
+    // n records -> n-1 gaps; skip nodes below the floor.
+    if (node.starts.size() < min_gaps + 1) continue;
+    groups.push_back({node.node_id, gaps_of(node.starts)});
   }
   return groups;
 }
@@ -304,19 +311,8 @@ std::map<int, std::size_t> DatasetView::failures_per_node() const {
   HPCFAIL_EXPECTS(system_.has_value(),
                   "failures_per_node requires a system-scoped view");
   std::map<int, std::size_t> counts;
-  if (index_ == nullptr) return counts;
-  index_->count_view_hit();
-  const DatasetIndex::SystemSlice* slice = index_->find_system(*system_);
-  if (slice == nullptr) return counts;
-  for (std::size_t ni = slice->nodes_begin; ni < slice->nodes_end; ++ni) {
-    const DatasetIndex::NodeSlice& node = index_->node_slices_[ni];
-    std::size_t count = node.end - node.begin;
-    if (windowed_) {
-      std::span<const Seconds> starts(
-          index_->node_starts_.data() + node.begin, count);
-      count = window_of(starts, from_, to_).size();
-    }
-    if (count > 0) counts[node.node_id] = count;
+  for (const NodeStarts& node : node_starts()) {
+    counts[node.node_id] = node.starts.size();
   }
   return counts;
 }

@@ -58,6 +58,12 @@ namespace hpcfail::trace {
 
 class DatasetIndex;
 
+/// One node's failure start times, as read from its posting list.
+struct NodeStarts {
+  int node_id = 0;
+  std::span<const Seconds> starts;  ///< ascending; borrows the index
+};
+
 /// One node's interarrival sample, as produced by the grouped extractor.
 struct NodeInterarrivalGroup {
   int node_id = 0;
@@ -103,6 +109,12 @@ class DatasetView {
   /// seconds (Section 5.3 view (ii)). Requires a system-scoped view.
   /// Simultaneous failures yield exact zeros.
   std::vector<double> system_interarrivals() const;
+
+  /// Every node's failure start times within the view's window, ascending
+  /// node id, in one sweep over the posting lists; nodes without a
+  /// failure in the window are omitted. The spans borrow the index.
+  /// Requires a system-scoped view.
+  std::vector<NodeStarts> node_starts() const;
 
   /// The single-pass grouped form of node_interarrivals(): every node's
   /// interarrival vector (nodes with fewer than `min_gaps` gaps omitted),

@@ -1,7 +1,11 @@
 #include "trace/validate.hpp"
 
-#include <map>
+#include <algorithm>
+#include <limits>
 #include <set>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 
@@ -39,9 +43,23 @@ ValidationReport validate(const FailureDataset& dataset,
   const auto max_repair_seconds =
       static_cast<Seconds>(options.max_repair_days * kSecondsPerDay);
 
-  // Latest repair end seen so far per (system, node); records are sorted
-  // by start, so an overlap is simply start < previous end.
-  std::map<std::pair<int, int>, Seconds> down_until;
+  // The catalog's systems by ascending id, for a binary-search lookup.
+  const std::span<const SystemInfo> systems = catalog.systems();
+  std::vector<std::pair<int, std::size_t>> by_id;
+  by_id.reserve(systems.size());
+  for (std::size_t k = 0; k < systems.size(); ++k) {
+    by_id.emplace_back(systems[k].id, k);
+  }
+  std::sort(by_id.begin(), by_id.end());
+
+  // Latest repair end seen so far per node, one array per catalog system
+  // sized by its node count; records are sorted by start, so an overlap
+  // is simply start < previous end. kNever marks a node not seen yet.
+  constexpr Seconds kNever = std::numeric_limits<Seconds>::min();
+  std::vector<std::vector<Seconds>> down_until(systems.size());
+  for (std::size_t k = 0; k < systems.size(); ++k) {
+    down_until[k].assign(static_cast<std::size_t>(systems[k].nodes), kNever);
+  }
 
   const auto records = dataset.records();
   for (std::size_t i = 0; i < records.size(); ++i) {
@@ -50,13 +68,15 @@ ValidationReport validate(const FailureDataset& dataset,
       report.issues.push_back({kind, i, std::move(message)});
     };
 
-    if (!catalog.contains(r.system_id)) {
+    const auto found = std::lower_bound(
+        by_id.begin(), by_id.end(), std::make_pair(r.system_id, std::size_t{0}));
+    if (found == by_id.end() || found->first != r.system_id) {
       flag(ValidationIssueKind::unknown_system,
            "system " + std::to_string(r.system_id) +
                " is not in the catalog");
       continue;  // nothing else is checkable
     }
-    const SystemInfo& sys = catalog.system(r.system_id);
+    const SystemInfo& sys = systems[found->second];
     if (r.node_id >= sys.nodes) {
       flag(ValidationIssueKind::node_out_of_range,
            "node " + std::to_string(r.node_id) + " of system " +
@@ -83,14 +103,15 @@ ValidationReport validate(const FailureDataset& dataset,
            "record says " + to_string(r.workload) + ", catalog says " +
                to_string(sys.workload_of(r.node_id)));
     }
-    const auto key = std::make_pair(r.system_id, r.node_id);
-    const auto it = down_until.find(key);
-    if (it != down_until.end() && r.start < it->second) {
+    // Dataset node ids are non-negative and the range check above bounds
+    // them by the system's node count.
+    Seconds& until =
+        down_until[found->second][static_cast<std::size_t>(r.node_id)];
+    if (r.start < until) {
       flag(ValidationIssueKind::overlapping_repair,
            "failure starts while the node is still under repair until " +
-               format_timestamp(it->second));
+               format_timestamp(until));
     }
-    Seconds& until = down_until[key];
     until = std::max(until, r.end);
   }
   return report;

@@ -107,6 +107,75 @@ TEST(HazardAnalysis, ExplicitCensorHorizonIsRespected) {
   EXPECT_GT(longest_with, longest_default);
 }
 
+TEST(HazardAnalysis, FailuresAfterAnInnerHorizonAreNotObserved) {
+  // Two nodes fail 40 times each with the same gaps, node 1 seven
+  // seconds behind node 0; the horizon falls just after each node's 20th
+  // failure. Each node then has 19 observed gaps and one interval
+  // censored at the horizon, and its 20 later failures are not seen.
+  std::vector<FailureRecord> records;
+  std::vector<Seconds> twentieth;
+  for (int node = 0; node < 2; ++node) {
+    hpcfail::Rng rng(61);
+    Seconds t = to_epoch(2000, 1, 1) + node * 7;
+    for (int i = 0; i < 40; ++i) {
+      t += 1000 + static_cast<Seconds>(rng.uniform_index(50000));
+      FailureRecord r;
+      r.system_id = 5;
+      r.node_id = node;
+      r.start = t;
+      r.end = t + 600;
+      r.cause = RootCause::hardware;
+      r.detail = DetailCause::cpu;
+      records.push_back(r);
+      if (i == 19) twentieth.push_back(t);
+    }
+  }
+  const FailureDataset ds(std::move(records));
+  const Seconds horizon = twentieth[1] + 1;
+  const HazardReport report = node_hazard_analysis(ds, 5, horizon);
+  EXPECT_EQ(report.events, 38u);
+  EXPECT_EQ(report.censored, 2u);
+  EXPECT_EQ(report.observations.size(), 40u);
+  for (const auto& o : report.observations) {
+    if (!o.observed) {
+      EXPECT_LT(o.time, 1000.0);
+    }
+  }
+}
+
+TEST(HazardAnalysis, InnerHorizonEqualsTheDatasetCutAtIt) {
+  // A horizon inside the trace gives the report of the trace materialized
+  // over [first start, horizon], with the same horizon.
+  const FailureDataset ds = synth::generate_lanl_trace(42);
+  for (const int system : {7, 20}) {
+    SCOPED_TRACE("system " + std::to_string(system));
+    const trace::DatasetView scoped = ds.view().for_system(system);
+    const Seconds horizon =
+        scoped.records().starts()[scoped.size() / 2];
+    const FailureDataset cut =
+        ds.view().between(ds.first_start(), horizon + 1).materialize();
+    const HazardReport got = node_hazard_analysis(ds, system, horizon);
+    const HazardReport want = node_hazard_analysis(cut, system, horizon);
+    EXPECT_LT(got.events, node_hazard_analysis(ds, system).events);
+    EXPECT_EQ(got.events, want.events);
+    EXPECT_EQ(got.censored, want.censored);
+    ASSERT_EQ(got.observations.size(), want.observations.size());
+    for (std::size_t i = 0; i < got.observations.size(); ++i) {
+      EXPECT_EQ(got.observations[i].time, want.observations[i].time);
+      EXPECT_EQ(got.observations[i].observed,
+                want.observations[i].observed);
+    }
+    ASSERT_EQ(got.cumulative_hazard.size(), want.cumulative_hazard.size());
+    for (std::size_t i = 0; i < got.cumulative_hazard.size(); ++i) {
+      EXPECT_EQ(got.cumulative_hazard[i].time,
+                want.cumulative_hazard[i].time);
+      EXPECT_EQ(got.cumulative_hazard[i].value,
+                want.cumulative_hazard[i].value);
+    }
+    EXPECT_EQ(got.log_log_slope, want.log_log_slope);
+  }
+}
+
 TEST(HazardAnalysis, ThrowsOnMissingOrTinySystems) {
   const FailureDataset ds =
       weibull_node_dataset(3, 1, 0.9, 50000.0, 5, 59);

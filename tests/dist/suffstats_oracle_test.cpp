@@ -6,7 +6,8 @@
 //     statistics;
 //   * SuffStatsEngine — fit(), fit_report() and fit_report_from_stats()
 //     run the one standard-family engine, so on generated samples they
-//     agree bit for bit (window_test holds add() loops to compute());
+//     agree bit for bit (window_test holds add() loops to compute()), and
+//     fit_report() over a caller's sorted copy equals the sorting form;
 //   * SuffStatsHostile — on numerically hostile samples the moments from
 //     compute(), from an add() loop and from merges of random splits stay
 //     within 1e-10 relative of the long-double two-pass reference
@@ -15,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <optional>
@@ -255,6 +257,83 @@ TEST(SuffStatsEngine, StreamingReportEqualsRescanningReport) {
       EXPECT_EQ(streaming[i].aic, (*rescan)[i].aic);
     }
   }
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+std::vector<std::uint64_t> parameter_bits(const FitResult& fit) {
+  std::vector<std::uint64_t> out;
+  for (const double p : parameters(fit)) out.push_back(bits(p));
+  return out;
+}
+
+void expect_same_report(const FitReport& got, const FitReport& want) {
+  EXPECT_EQ(got.sample_size, want.sample_size);
+  EXPECT_EQ(bits(got.floor_at), bits(want.floor_at));
+  EXPECT_EQ(got.failed_families, want.failed_families);
+  EXPECT_EQ(got.total_iterations, want.total_iterations);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE("rank " + std::to_string(i));
+    EXPECT_EQ(got[i].family, want[i].family);
+    EXPECT_EQ(parameter_bits(got[i]), parameter_bits(want[i]));
+    EXPECT_EQ(bits(got[i].nll), bits(want[i].nll));
+    EXPECT_EQ(bits(got[i].aic), bits(want[i].aic));
+    EXPECT_EQ(bits(got[i].ks), bits(want[i].ks));
+    EXPECT_EQ(bits(got[i].ks_pvalue), bits(want[i].ks_pvalue));
+    EXPECT_EQ(got[i].iterations, want[i].iterations);
+  }
+}
+
+TEST(SuffStatsEngine, SortedCopyReportEqualsTheOneArgumentForm) {
+  // Ties, exact zeros and values below the 1 s floor, one element, a
+  // constant sample and values near 1e300, then generated gap samples.
+  std::vector<std::vector<double>> samples = {
+      {3600.0, 60.0, 60.0, 7200.0, 60.0, 3600.0, 60.0},
+      {0.0, 0.0, 0.25, 120.0, 0.0, 86400.0, 0.5, 1.0},
+      {42.5},
+      {900.0, 900.0, 900.0, 900.0, 900.0},
+      {1e300, 3e299, 9.5e299, 1.7e300, 2e300, 1e300},
+  };
+  const auto generated = gap_samples();
+  Rng rng(0x5eed03);
+  for (std::size_t c = 0; c < kCases; ++c) {
+    samples.push_back(generated.sample(rng));
+  }
+  const auto families = hpcfail::dist::standard_families();
+  for (std::size_t c = 0; c < samples.size(); ++c) {
+    SCOPED_TRACE("case " + std::to_string(c));
+    const std::vector<double>& xs = samples[c];
+    std::vector<double> sorted = xs;
+    std::sort(sorted.begin(), sorted.end());
+    std::optional<FitReport> want;
+    try {
+      want = hpcfail::dist::fit_report(xs, families, kFloor);
+    } catch (const FitError&) {
+    }
+    if (!want) {
+      EXPECT_THROW(hpcfail::dist::fit_report(xs, sorted, families, kFloor),
+                   FitError);
+      continue;
+    }
+    expect_same_report(
+        hpcfail::dist::fit_report(xs, sorted, families, kFloor), *want);
+  }
+}
+
+TEST(SuffStatsEngine, SortedCopyReportRejectsAMismatchedCopy) {
+  const std::vector<double> xs = {3600.0, 60.0, 7200.0};
+  const auto families = hpcfail::dist::standard_families();
+  EXPECT_THROW(hpcfail::dist::fit_report(
+                   xs, std::vector<double>{3600.0, 60.0, 7200.0}, families),
+               hpcfail::InvalidArgument);
+  EXPECT_THROW(hpcfail::dist::fit_report(
+                   xs, std::vector<double>{60.0, 3600.0}, families),
+               hpcfail::InvalidArgument);
+  EXPECT_THROW(
+      hpcfail::dist::fit_report(
+          xs, std::vector<double>{60.0, 60.0, 3600.0, 7200.0}, families),
+      hpcfail::InvalidArgument);
 }
 
 // --- SuffStatsHostile -------------------------------------------------------

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -106,6 +109,49 @@ TEST(SortedCopy, DoesNotMutateInput) {
   const auto sorted = sorted_copy(xs);
   EXPECT_EQ(sorted, (std::vector<double>{1.0, 2.0, 3.0}));
   EXPECT_EQ(xs, (std::vector<double>{3.0, 1.0, 2.0}));
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+// Samples where a sorted copy could plausibly change a bit: ties, exact
+// zeros, one element, a constant sample, a zero mean and values near
+// 1e300 whose squared deviations overflow.
+std::vector<std::vector<double>> edge_samples() {
+  return {
+      {3.0, 1.0, 2.0, 1.0, 3.0, 3.0, 2.0},
+      {0.0, 4e-10, 0.0, 2.0, 0.5, 0.0, 1e-9},
+      {42.5},
+      {7.25, 7.25, 7.25, 7.25, 7.25},
+      {-1.0, 1.0, -3.0, 3.0},
+      {1e300, 3e299, 9.5e299, 1.7e300, 2e300, 1e300},
+  };
+}
+
+TEST(SummarizeSorted, EqualsTheOneArgumentFormBitForBit) {
+  for (const std::vector<double>& xs : edge_samples()) {
+    SCOPED_TRACE("n = " + std::to_string(xs.size()) + ", first " +
+                 std::to_string(xs.front()));
+    const Summary want = summarize(xs);
+    const Summary got = summarize(xs, sorted_copy(xs));
+    EXPECT_EQ(got.n, want.n);
+    for (const auto field :
+         {&Summary::mean, &Summary::median, &Summary::variance,
+          &Summary::stddev, &Summary::cv2, &Summary::min, &Summary::max,
+          &Summary::q25, &Summary::q75, &Summary::skewness}) {
+      EXPECT_EQ(bits(got.*field), bits(want.*field));
+    }
+  }
+}
+
+TEST(SummarizeSorted, RejectsAMismatchedSortedCopy) {
+  const std::vector<double> xs = {3.0, 1.0, 2.0};
+  EXPECT_THROW(summarize(xs, std::vector<double>{3.0, 1.0, 2.0}),
+               InvalidArgument);
+  EXPECT_THROW(summarize(xs, std::vector<double>{1.0, 2.0}), InvalidArgument);
+  EXPECT_THROW(summarize(xs, std::vector<double>{1.0, 2.0, 3.0, 4.0}),
+               InvalidArgument);
+  EXPECT_THROW(summarize(std::vector<double>{}, std::vector<double>{}),
+               InvalidArgument);
 }
 
 }  // namespace

@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "synth/corruption.hpp"
 #include "synth/generator.hpp"
 
@@ -135,6 +143,155 @@ TEST(Validate, CatchesInjectedCorruption) {
       validate(cleaned, SystemCatalog::lanl());
   EXPECT_EQ(recheck.count(ValidationIssueKind::node_out_of_range), 0u);
   EXPECT_EQ(recheck.count(ValidationIssueKind::implausible_duration), 0u);
+}
+
+// The map-based loop validate() ran before its per-node repair state
+// moved into dense per-system arrays, kept as an oracle: state keyed by
+// (system, node) in a std::map, systems found by the catalog's linear
+// lookups.
+ValidationReport map_based_validate(const FailureDataset& dataset,
+                                    const SystemCatalog& catalog,
+                                    ValidationOptions options = {}) {
+  ValidationReport report;
+  report.records_checked = dataset.size();
+  const auto max_repair_seconds =
+      static_cast<Seconds>(options.max_repair_days * kSecondsPerDay);
+  std::map<std::pair<int, int>, Seconds> down_until;
+  const auto records = dataset.records();
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const FailureRecord& r = records[i];
+    const auto flag = [&](ValidationIssueKind kind, std::string message) {
+      report.issues.push_back({kind, i, std::move(message)});
+    };
+    if (!catalog.contains(r.system_id)) {
+      flag(ValidationIssueKind::unknown_system,
+           "system " + std::to_string(r.system_id) +
+               " is not in the catalog");
+      continue;
+    }
+    const SystemInfo& sys = catalog.system(r.system_id);
+    if (r.node_id >= sys.nodes) {
+      flag(ValidationIssueKind::node_out_of_range,
+           "node " + std::to_string(r.node_id) + " of system " +
+               std::to_string(r.system_id) + " (has " +
+               std::to_string(sys.nodes) + " nodes)");
+      continue;
+    }
+    const NodeCategory& category = sys.category_for_node(r.node_id);
+    if (r.start < category.production_start ||
+        r.start >= category.production_end) {
+      flag(ValidationIssueKind::outside_production,
+           "failure at " + format_timestamp(r.start) +
+               " outside the node's production window");
+    }
+    if (r.downtime_seconds() > max_repair_seconds) {
+      flag(ValidationIssueKind::implausible_duration,
+           "repair of " + std::to_string(r.downtime_seconds() /
+                                         kSecondsPerDay) +
+               " days exceeds the plausibility cap");
+    }
+    if (options.check_workloads &&
+        r.workload != sys.workload_of(r.node_id)) {
+      flag(ValidationIssueKind::workload_mismatch,
+           "record says " + to_string(r.workload) + ", catalog says " +
+               to_string(sys.workload_of(r.node_id)));
+    }
+    const auto key = std::make_pair(r.system_id, r.node_id);
+    const auto it = down_until.find(key);
+    if (it != down_until.end() && r.start < it->second) {
+      flag(ValidationIssueKind::overlapping_repair,
+           "failure starts while the node is still under repair until " +
+               format_timestamp(it->second));
+    }
+    Seconds& until = down_until[key];
+    until = std::max(until, r.end);
+  }
+  return report;
+}
+
+// Random records over one year on a few nodes per system, so repairs
+// overlap often: about one in twelve names a system outside the
+// catalog, one in ten a node past the system's range, and a few repairs
+// run past the 60-day cap. Times fall on whole days, so a failure often
+// starts exactly when the node's previous repair ends.
+FailureDataset random_dataset(std::uint64_t seed, std::size_t n) {
+  const SystemCatalog& lanl = SystemCatalog::lanl();
+  Rng rng(seed);
+  const Seconds t0 = to_epoch(2002, 6, 1);
+  std::vector<FailureRecord> records;
+  records.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const int system = 1 + static_cast<int>(rng.uniform_index(24));
+    const int nodes = lanl.contains(system) ? lanl.system(system).nodes : 8;
+    const int node =
+        rng.bernoulli(0.1)
+            ? nodes + static_cast<int>(rng.uniform_index(3))
+            : static_cast<int>(
+                  rng.uniform_index(static_cast<std::uint64_t>(
+                      std::min(nodes, 6))));
+    const std::uint64_t days = rng.bernoulli(0.05) ? 120 : 20;
+    const Seconds start =
+        t0 + static_cast<Seconds>(rng.uniform_index(365)) * kSecondsPerDay;
+    const Seconds duration =
+        static_cast<Seconds>(rng.uniform_index(days + 1)) * kSecondsPerDay;
+    const Workload workload =
+        rng.bernoulli(0.8)
+            ? Workload::compute
+            : (rng.bernoulli(0.5) ? Workload::graphics : Workload::frontend);
+    records.push_back(rec(system, node, start, duration, workload));
+  }
+  return FailureDataset(std::move(records));
+}
+
+void expect_same_report(const ValidationReport& got,
+                        const ValidationReport& want) {
+  EXPECT_EQ(got.records_checked, want.records_checked);
+  ASSERT_EQ(got.issues.size(), want.issues.size());
+  for (std::size_t i = 0; i < got.issues.size(); ++i) {
+    EXPECT_EQ(got.issues[i].kind, want.issues[i].kind) << "issue " << i;
+    EXPECT_EQ(got.issues[i].record_index, want.issues[i].record_index)
+        << "issue " << i;
+    EXPECT_EQ(got.issues[i].message, want.issues[i].message)
+        << "issue " << i;
+  }
+}
+
+TEST(Validate, MatchesTheMapBasedLoopOnRandomDatasets) {
+  // The LANL catalog, and the same systems listed in descending id order.
+  const SystemCatalog& lanl = SystemCatalog::lanl();
+  const SystemCatalog reversed(
+      std::vector<SystemInfo>(lanl.systems().rbegin(), lanl.systems().rend()));
+  ValidationOptions lax;
+  lax.check_workloads = false;
+  lax.max_repair_days = 10.0;
+  std::size_t kinds_seen[6] = {};
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const FailureDataset ds = random_dataset(seed, 1500);
+    for (const SystemCatalog* catalog : {&lanl, &reversed}) {
+      for (const ValidationOptions& options : {ValidationOptions{}, lax}) {
+        const ValidationReport want =
+            map_based_validate(ds, *catalog, options);
+        expect_same_report(validate(ds, *catalog, options), want);
+        for (const ValidationIssue& issue : want.issues) {
+          ++kinds_seen[static_cast<std::size_t>(issue.kind)];
+        }
+      }
+    }
+  }
+  for (const std::size_t seen : kinds_seen) EXPECT_GT(seen, 0u);
+}
+
+TEST(Validate, PreEpochRepairEndIsNotAnOverlap) {
+  // A node repaired at 1969-12-31 23:00 is up again before 1970; the
+  // map-based loop's value-initialized entry started at 0 and flagged
+  // the next failure as starting mid-repair "until 1970-01-01".
+  const FailureDataset ds({rec(22, 0, -7200, 3600), rec(22, 0, -1800, 600)});
+  const ValidationReport report = validate(ds, SystemCatalog::lanl());
+  EXPECT_EQ(report.count(ValidationIssueKind::overlapping_repair), 0u);
+  EXPECT_EQ(map_based_validate(ds, SystemCatalog::lanl())
+                .count(ValidationIssueKind::overlapping_repair),
+            1u);
 }
 
 TEST(Corrupt, DropAndRelabelRates) {

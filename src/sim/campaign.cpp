@@ -112,6 +112,10 @@ std::uint64_t fingerprint_spec(const CampaignSpec& spec) {
 /// least min_interval long, so a job may span at most this many of them.
 constexpr double kMaxHazardAwareSegments = 1 << 20;
 
+/// A cost, time or repair the engine adds to its clock: an infinite one
+/// would reach the results and the summaries.
+bool finite_non_negative(double v) { return v >= 0.0 && std::isfinite(v); }
+
 void validate_spec(const CampaignSpec& spec) {
   HPCFAIL_EXPECTS(!spec.scenarios.empty(),
                   "campaign needs at least one scenario");
@@ -133,17 +137,19 @@ void validate_spec(const CampaignSpec& spec) {
     HPCFAIL_EXPECTS(s.job_width >= 1 &&
                         static_cast<std::size_t>(s.job_width) <= s.node_count,
                     "job width must fit the cluster");
-    HPCFAIL_EXPECTS(s.checkpoint_cost >= 0.0 && s.restart_cost >= 0.0,
-                    "checkpoint/restart costs must be non-negative");
+    HPCFAIL_EXPECTS(finite_non_negative(s.checkpoint_cost) &&
+                        finite_non_negative(s.restart_cost),
+                    "checkpoint/restart costs must be non-negative and finite");
     if (s.faults.kind == FaultModelKind::scripted) {
       double last = 0.0;
       for (const InjectedFault& f : s.faults.scripted) {
-        HPCFAIL_EXPECTS(f.time >= last, "scripted faults must be time-ascending");
+        HPCFAIL_EXPECTS(f.time >= last && std::isfinite(f.time),
+                        "scripted faults must be finite and time-ascending");
         HPCFAIL_EXPECTS(f.node >= 0 &&
                             static_cast<std::size_t>(f.node) < s.node_count,
                         "scripted fault node out of range");
-        HPCFAIL_EXPECTS(f.repair_seconds >= 0.0,
-                        "scripted repair must be non-negative");
+        HPCFAIL_EXPECTS(finite_non_negative(f.repair_seconds),
+                        "scripted repair must be non-negative and finite");
         last = f.time;
       }
     } else {
@@ -324,7 +330,8 @@ class RunEngine {
             Rng rng)
       : scen_(scen), pol_(pol), ranked_(ranked), segment_ends_(segment_ends),
         faults_(scen, rng), rng_(rng), down_(scen.node_count, 0),
-        node_job_(scen.node_count, -1), jobs_(scen.job_count) {
+        node_job_(scen.node_count, -1), free_(scen.node_count),
+        jobs_(scen.job_count) {
     for (Job& job : jobs_) job.remaining = scen.job_work_seconds;
     for (std::size_t j = 0; j < jobs_.size(); ++j) {
       pending_.push_back(static_cast<int>(j));
@@ -394,6 +401,16 @@ class RunEngine {
 
   bool node_free(std::size_t n) const { return !down_[n] && node_job_[n] < 0; }
 
+  /// Frees a finished or killed job's nodes; a node that is down stays
+  /// unavailable until its repair is done.
+  void release_nodes(Job& job) {
+    for (const int n : job.nodes) {
+      node_job_[static_cast<std::size_t>(n)] = -1;
+      if (!down_[static_cast<std::size_t>(n)]) ++free_;
+    }
+    job.nodes.clear();
+  }
+
   void try_dispatch(double now) {
     const auto width = static_cast<std::size_t>(scen_.job_width);
     const bool ranked = pol_.placement == PlacementPolicy::reliability_ranked;
@@ -402,6 +419,7 @@ class RunEngine {
           running_ >= scen_.max_concurrent_jobs) {
         return;
       }
+      if (free_ < width) return;
       // Free nodes, in the scenario's ranked order or ascending by id.
       candidates_.clear();
       if (ranked) {
@@ -413,7 +431,7 @@ class RunEngine {
           if (node_free(n)) candidates_.push_back(static_cast<int>(n));
         }
       }
-      if (candidates_.size() < width) return;
+      HPCFAIL_ASSERT(candidates_.size() == free_);
       const int j = pending_.front();
       pending_.pop_front();
       if (!ranked) {
@@ -431,6 +449,7 @@ class RunEngine {
                        candidates_.begin() + static_cast<std::ptrdiff_t>(width));
       std::sort(job.nodes.begin(), job.nodes.end());
       for (const int n : job.nodes) node_job_[static_cast<std::size_t>(n)] = j;
+      free_ -= width;
       job.attempt_start = now;
       job.attempt_work = job.remaining;
       job.attempt_restart = job.pending_restart;
@@ -459,6 +478,8 @@ class RunEngine {
       return;
     }
     down_[n] = 1;
+    const int j = node_job_[n];
+    if (j < 0) --free_;
     if (scen_.repair_concurrency == 0 ||
         crews_busy_ < scen_.repair_concurrency) {
       ++crews_busy_;
@@ -466,7 +487,6 @@ class RunEngine {
     } else {
       repair_queue_.push_back({now, fault.node, fault.repair_seconds});
     }
-    const int j = node_job_[n];
     if (j >= 0) kill_job(now, j);
   }
 
@@ -514,14 +534,15 @@ class RunEngine {
     job.running = false;
     ++job.stamp;  // stales the scheduled completion event
     --running_;
-    for (const int n : job.nodes) node_job_[static_cast<std::size_t>(n)] = -1;
-    job.nodes.clear();
+    release_nodes(job);
     pending_.push_back(j);
     try_dispatch(now);
   }
 
   void handle_repair_done(double now, int node) {
+    // A down node runs no job: its job was killed by the fault.
     down_[static_cast<std::size_t>(node)] = 0;
+    ++free_;
     --crews_busy_;
     if (!repair_queue_.empty()) {
       const QueuedRepair next = repair_queue_.front();
@@ -542,8 +563,7 @@ class RunEngine {
     out_.restart_overhead += job.attempt_restart * w;
     job.running = false;
     --running_;
-    for (const int n : job.nodes) node_job_[static_cast<std::size_t>(n)] = -1;
-    job.nodes.clear();
+    release_nodes(job);
     ++jobs_done_;
     out_.makespan = now;
     try_dispatch(now);
@@ -562,6 +582,7 @@ class RunEngine {
 
   std::vector<char> down_;
   std::vector<int> node_job_;
+  std::size_t free_;  ///< nodes neither down nor running a job
   std::vector<int> candidates_;
 
   std::vector<Job> jobs_;
@@ -584,7 +605,10 @@ double parse_double(const std::string& token, const std::string& path) {
   try {
     std::size_t used = 0;
     const double v = std::stod(token, &used);
-    if (used != token.size()) throw std::invalid_argument(token);
+    // stod also reads nan and inf, which no finished run can hold.
+    if (used != token.size() || !std::isfinite(v)) {
+      throw std::invalid_argument(token);
+    }
     return v;
   } catch (const std::exception&) {
     throw ParseError("campaign checkpoint " + path + ": bad number '" +
@@ -891,39 +915,39 @@ CampaignResult Campaign::assemble(std::vector<CampaignRunResult> runs) const {
   CampaignResult result;
   result.runs = std::move(runs);
   const std::size_t rpc = spec_.runs_per_cell;
-  // Plain accumulation mean, bit-identical to the testkit reference
-  // aggregate (and to stats::mean).
-  const stats::Statistic mean_stat = [](std::span<const double> xs) {
-    double sum = 0.0;
-    for (const double x : xs) sum += x;
-    return sum / static_cast<double>(xs.size());
-  };
+  // One task per (cell, metric): makespan, waste fraction, interruptions.
+  // Each resamples from its own stream keyed on (fingerprint, cell,
+  // metric), and parallel_map returns them in task order, so the
+  // summaries are as reproducible as the runs at any thread count. The
+  // plain mean is bit-identical to the testkit reference aggregate.
+  constexpr std::size_t kMetrics = 3;
+  const std::vector<stats::BootstrapResult> boots = parallel_map(
+      kMetrics * cell_count(), [this, &result, rpc](std::size_t task) {
+        const std::size_t cell = task / kMetrics;
+        const std::size_t metric = task % kMetrics;
+        std::vector<double> xs;
+        xs.reserve(rpc);
+        for (std::size_t rep = 0; rep < rpc; ++rep) {
+          const CampaignRunResult& r = result.runs[cell * rpc + rep];
+          xs.push_back(metric == 0   ? r.makespan
+                       : metric == 1 ? r.waste_fraction()
+                                     : static_cast<double>(r.interruptions));
+        }
+        Rng rng(mix_seed(fingerprint_, cell, metric));
+        return stats::bootstrap_mean(xs, rng, spec_.ci);
+      });
   result.cells.reserve(cell_count());
   for (std::size_t cell = 0; cell < cell_count(); ++cell) {
     CampaignCellSummary summary;
     summary.scenario = scenario_of_cell(cell).name;
     summary.policy = policy_of_cell(cell).name;
     summary.runs = rpc;
-    std::vector<double> makespans, wastes, interrupts;
-    makespans.reserve(rpc);
-    wastes.reserve(rpc);
-    interrupts.reserve(rpc);
     for (std::size_t rep = 0; rep < rpc; ++rep) {
-      const CampaignRunResult& r = result.runs[cell * rpc + rep];
-      summary.faults_injected += r.faults_injected;
-      makespans.push_back(r.makespan);
-      wastes.push_back(r.waste_fraction());
-      interrupts.push_back(static_cast<double>(r.interruptions));
+      summary.faults_injected += result.runs[cell * rpc + rep].faults_injected;
     }
-    // Resample streams are keyed on (fingerprint, cell, metric), so the
-    // summaries are as reproducible as the runs themselves.
-    const auto boot = [&](std::uint64_t metric, std::span<const double> xs) {
-      Rng rng(mix_seed(fingerprint_, cell, metric));
-      return stats::bootstrap(xs, mean_stat, rng, spec_.ci);
-    };
-    summary.makespan = boot(0, makespans);
-    summary.waste_fraction = boot(1, wastes);
-    summary.interruptions = boot(2, interrupts);
+    summary.makespan = boots[kMetrics * cell];
+    summary.waste_fraction = boots[kMetrics * cell + 1];
+    summary.interruptions = boots[kMetrics * cell + 2];
     result.cells.push_back(std::move(summary));
   }
   return result;

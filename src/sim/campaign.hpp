@@ -7,15 +7,16 @@
 // placement and checkpointing rules (sim/policy.hpp). Campaign::run()
 // executes every (cell, replicate) run as an independent shard on the
 // common thread-pool and summarizes each cell with bootstrap confidence
-// intervals. Each run draws its faults lazily, as they are delivered
-// (DESIGN §8).
+// intervals, one pool task per (cell, metric). Each run draws its faults
+// lazily, as they are delivered (DESIGN §8).
 //
 // Determinism contract: run (cell, replicate) is simulated with
 // Rng(mix_seed(spec.seed, cell, replicate)) and touches no shared
 // mutable state, so campaign results are BIT-IDENTICAL at any thread
 // count and across checkpoint-resume (asserted under the `campaign`
-// ctest label). Summaries draw their bootstrap resamples from streams
-// keyed on the campaign fingerprint, so they are equally reproducible.
+// ctest label). Each summary bootstrap draws its resamples from its own
+// stream keyed on (fingerprint, cell, metric), so the summaries are
+// equally reproducible.
 //
 // Resume semantics: a CampaignCheckpoint persists whole finished runs
 // (text file, round-trip-exact doubles) plus the spec fingerprint. An

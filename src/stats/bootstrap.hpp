@@ -40,4 +40,13 @@ BootstrapResult bootstrap(std::span<const double> sample,
                           const Statistic& statistic, hpcfail::Rng& rng,
                           BootstrapOptions options = {});
 
+/// bootstrap() of the plain mean (a left-to-right sum divided by the
+/// count) without a resample buffer: it makes the same draws in the same
+/// order and adds them in the order the buffer would be summed, so its
+/// result equals bootstrap(sample, plain mean, rng, options) bit for bit
+/// and `rng` ends in the same state. Throws as bootstrap() does.
+BootstrapResult bootstrap_mean(std::span<const double> sample,
+                               hpcfail::Rng& rng,
+                               BootstrapOptions options = {});
+
 }  // namespace hpcfail::stats

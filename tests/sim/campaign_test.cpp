@@ -82,6 +82,22 @@ TEST(CampaignValidation, RejectsMalformedSpecs) {
   sim::CampaignSpec wide = exact_spec({}, 0.0);
   wide.scenarios[0].job_width = 3;  // > node_count
   EXPECT_THROW(sim::Campaign{wide}, InvalidArgument);
+
+  // Infinite costs, fault times and repairs are rejected up front, not
+  // after every run has been simulated.
+  const double inf = std::numeric_limits<double>::infinity();
+  sim::CampaignSpec inf_checkpoint = exact_spec({}, 256.0);
+  inf_checkpoint.scenarios[0].checkpoint_cost = inf;
+  EXPECT_THROW(sim::Campaign{inf_checkpoint}, InvalidArgument);
+  sim::CampaignSpec inf_restart = exact_spec({}, 256.0);
+  inf_restart.scenarios[0].restart_cost = inf;
+  EXPECT_THROW(sim::Campaign{inf_restart}, InvalidArgument);
+  sim::CampaignSpec inf_repair = exact_spec({{100.0, 0, 1.0}, {200.0, 1, inf}},
+                                            0.0);
+  EXPECT_THROW(sim::Campaign{inf_repair}, InvalidArgument);
+  sim::CampaignSpec inf_time = exact_spec({{100.0, 0, 1.0}, {inf, 1, 1.0}},
+                                          0.0);
+  EXPECT_THROW(sim::Campaign{inf_time}, InvalidArgument);
 }
 
 TEST(CampaignScenarioLibrary, CascadeIsStaggeredOverDistinctNodes) {
@@ -315,6 +331,13 @@ TEST(CampaignCheckpointIo, RejectsSignedAndOversizedIntegers) {
   EXPECT_THROW(load_with("-1", ""), ParseError);
   EXPECT_THROW(load_with("1", "run -1 0" + tail), ParseError);
   EXPECT_THROW(load_with("1", "run +0 0" + tail), ParseError);
+  // No finished run holds a non-finite number: its summary would be wrong.
+  for (const std::string bad : {"nan", "inf", "-inf"}) {
+    EXPECT_THROW(load_with("1", "run 0 0 0 0 0 " + bad + " 0 0 0 0 0 0\n"),
+                 ParseError);
+    EXPECT_THROW(load_with("1", "run 0 0 0 0 0 1 0 0 0 0 0 " + bad + "\n"),
+                 ParseError);
+  }
 }
 
 TEST(CampaignCheckpointIo, FailedSaveKeepsThePreviousCheckpoint) {

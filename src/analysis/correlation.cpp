@@ -3,7 +3,7 @@
 #include <map>
 
 #include "common/error.hpp"
-#include "obs/span.hpp"
+#include "obs/timer.hpp"
 #include "stats/descriptive.hpp"
 #include "trace/index.hpp"
 

@@ -1,7 +1,7 @@
 #include "analysis/hazard.hpp"
 
 #include "common/error.hpp"
-#include "obs/span.hpp"
+#include "obs/timer.hpp"
 #include "trace/index.hpp"
 
 namespace hpcfail::analysis {

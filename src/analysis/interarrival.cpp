@@ -4,7 +4,7 @@
 
 #include "common/error.hpp"
 #include "common/time.hpp"
-#include "obs/span.hpp"
+#include "obs/timer.hpp"
 #include "trace/index.hpp"
 
 namespace hpcfail::analysis {
@@ -61,7 +61,7 @@ InterarrivalReport interarrival_analysis(const trace::FailureDataset& dataset,
 std::vector<NodeInterarrivalFits> per_node_interarrival_fits(
     const trace::FailureDataset& dataset, int system_id,
     std::size_t min_gaps) {
-  hpcfail::obs::ScopedTimer timer("analysis.per_node_interarrival");
+  hpcfail::obs::ScopedTimer timer("analysis.per_node_fits");
   // Single sweep over the per-(system, node) posting lists, replacing the
   // old per-node rescan of the whole system (O(records x nodes)).
   std::vector<trace::NodeInterarrivalGroup> groups =

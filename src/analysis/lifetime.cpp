@@ -4,7 +4,7 @@
 
 #include "analysis/root_cause.hpp"
 #include "common/error.hpp"
-#include "obs/span.hpp"
+#include "obs/timer.hpp"
 #include "trace/index.hpp"
 
 namespace hpcfail::analysis {

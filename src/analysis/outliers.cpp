@@ -4,7 +4,7 @@
 
 #include "common/error.hpp"
 #include "dist/poisson.hpp"
-#include "obs/span.hpp"
+#include "obs/timer.hpp"
 #include "trace/index.hpp"
 
 namespace hpcfail::analysis {

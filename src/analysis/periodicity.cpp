@@ -4,7 +4,7 @@
 #include <limits>
 
 #include "common/error.hpp"
-#include "obs/span.hpp"
+#include "obs/timer.hpp"
 
 namespace hpcfail::analysis {
 

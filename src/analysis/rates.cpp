@@ -1,14 +1,14 @@
 #include "analysis/rates.hpp"
 
 #include "common/error.hpp"
-#include "obs/span.hpp"
+#include "obs/timer.hpp"
 #include "trace/index.hpp"
 
 namespace hpcfail::analysis {
 
 std::vector<SystemRate> failure_rates(const trace::FailureDataset& dataset,
                                       const trace::SystemCatalog& catalog) {
-  hpcfail::obs::ScopedTimer timer("analysis.failure_rates");
+  hpcfail::obs::ScopedTimer timer("analysis.rates");
   HPCFAIL_EXPECTS(!dataset.empty(), "failure rates of empty dataset");
   const trace::DatasetView view = dataset.view();
   std::vector<SystemRate> rates;

@@ -7,7 +7,7 @@
 
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
-#include "obs/span.hpp"
+#include "obs/timer.hpp"
 #include "trace/index.hpp"
 
 namespace hpcfail::analysis {

@@ -3,7 +3,7 @@
 #include <span>
 
 #include "common/error.hpp"
-#include "obs/span.hpp"
+#include "obs/timer.hpp"
 
 namespace hpcfail::analysis {
 

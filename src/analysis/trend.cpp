@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/error.hpp"
-#include "obs/span.hpp"
+#include "obs/timer.hpp"
 #include "trace/index.hpp"
 
 namespace hpcfail::analysis {

@@ -14,6 +14,9 @@
 // thread-local flag). This keeps nested parallel code correct and
 // deadlock-free: a worker never blocks waiting for queue slots that only
 // it could drain.
+//
+// A task carries nothing across the thread hop but itself: to time a
+// fan-out, put one obs::ScopedTimer around the parallel call.
 #pragma once
 
 #include <condition_variable>
@@ -27,8 +30,6 @@
 #include <thread>
 #include <type_traits>
 #include <vector>
-
-#include "obs/span.hpp"
 
 namespace hpcfail {
 
@@ -61,22 +62,13 @@ class ThreadPool {
   /// thrown by `fn` are captured into the future. Do not block on the
   /// returned future from another task of the same pool; use the
   /// parallel_* helpers, which handle nesting.
-  ///
-  /// The submitting thread's current obs span id is captured here and
-  /// restored around the task's execution, so spans opened inside the
-  /// task are parented to the span that submitted it — span nesting
-  /// survives the thread hop (see obs/span.hpp).
   template <typename Fn>
   auto submit(Fn&& fn) -> std::future<std::invoke_result_t<Fn&>> {
     using R = std::invoke_result_t<Fn&>;
     auto task =
         std::make_shared<std::packaged_task<R()>>(std::forward<Fn>(fn));
     std::future<R> future = task->get_future();
-    const std::uint64_t parent_span = obs::current_span_id();
-    enqueue([task, parent_span] {
-      obs::SpanContext span_context(parent_span);
-      (*task)();
-    });
+    enqueue([task] { (*task)(); });
     return future;
   }
 

@@ -80,7 +80,10 @@ SuffStats SlidingSuffStats::window_stats(Seconds now, Seconds window) const {
   SuffStats merged;
   merged.floor_at = options_.floor_at;
   if (window <= 0) return merged;
-  const std::int64_t min_idx = bucket_index(now - window);
+  // A window reaching past the lowest Seconds covers everything.
+  constexpr Seconds kLowest = std::numeric_limits<Seconds>::min();
+  const std::int64_t min_idx =
+      bucket_index(now < kLowest + window ? kLowest : now - window);
   const std::int64_t max_idx = bucket_index(now);
   const auto first = std::lower_bound(
       buckets_.begin(), buckets_.end(), min_idx,

@@ -152,23 +152,7 @@ std::string to_json(const MetricsSnapshot& snapshot) {
     }
     out += "]}";
   }
-  out += snapshot.histograms.empty() ? "],\n" : "\n  ],\n";
-
-  out += "  \"spans\": [";
-  for (std::size_t i = 0; i < snapshot.spans.size(); ++i) {
-    const auto& s = snapshot.spans[i];
-    out += i ? ",\n    " : "\n    ";
-    out += "{\"id\": " + std::to_string(s.id) +
-           ", \"parent_id\": " + std::to_string(s.parent_id) +
-           ", \"name\": \"" + json_escape(s.name) +
-           "\", \"start_seconds\": " + format_number(s.start_seconds) +
-           ", \"duration_seconds\": " + format_number(s.duration_seconds) +
-           "}";
-  }
-  out += snapshot.spans.empty() ? "],\n" : "\n  ],\n";
-
-  out += "  \"spans_dropped\": " + std::to_string(snapshot.spans_dropped) +
-         "\n";
+  out += snapshot.histograms.empty() ? "]\n" : "\n  ]\n";
   out += "}\n";
   return out;
 }

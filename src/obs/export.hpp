@@ -17,7 +17,7 @@ namespace hpcfail::obs {
 
 /// Bumped whenever the JSON layout changes incompatibly; consumers must
 /// check it (tests/obs/export_test.cpp pins the layout).
-inline constexpr int kMetricsSchemaVersion = 1;
+inline constexpr int kMetricsSchemaVersion = 2;
 inline constexpr std::string_view kMetricsSchemaName = "hpcfail.metrics";
 
 enum class ExportFormat { json, csv, prometheus };

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <mutex>
 
 namespace hpcfail::obs {
 
@@ -89,46 +90,30 @@ Histogram& Registry::histogram(std::string_view name) {
   return get_or_create(histograms_, name);
 }
 
-void Registry::add_span(FinishedSpan span) {
-  std::lock_guard lock(span_mutex_);
-  if (spans_.size() >= kMaxSpans) {
-    ++spans_dropped_;
-    return;
-  }
-  spans_.push_back(std::move(span));
-}
-
 MetricsSnapshot Registry::snapshot() const {
   MetricsSnapshot snap;
-  {
-    std::shared_lock lock(mutex_);
-    snap.counters.reserve(counters_.size());
-    for (const auto& [name, c] : counters_) {
-      snap.counters.emplace_back(name, c->value());
-    }
-    snap.gauges.reserve(gauges_.size());
-    for (const auto& [name, g] : gauges_) {
-      snap.gauges.emplace_back(name, g->value());
-    }
-    snap.histograms.reserve(histograms_.size());
-    for (const auto& [name, h] : histograms_) {
-      MetricsSnapshot::HistogramValue hv;
-      hv.name = name;
-      hv.count = h->count();
-      hv.sum = h->sum();
-      hv.min = hv.count ? h->min() : 0.0;
-      hv.max = hv.count ? h->max() : 0.0;
-      for (std::size_t i = 0; i < Histogram::kBucketCount; ++i) {
-        const std::uint64_t n = h->bucket_count(i);
-        if (n != 0) hv.buckets.emplace_back(Histogram::bucket_bound(i), n);
-      }
-      snap.histograms.push_back(std::move(hv));
-    }
+  std::shared_lock lock(mutex_);
+  snap.counters.reserve(counters_.size());
+  for (const auto& [name, c] : counters_) {
+    snap.counters.emplace_back(name, c->value());
   }
-  {
-    std::lock_guard lock(span_mutex_);
-    snap.spans = spans_;
-    snap.spans_dropped = spans_dropped_;
+  snap.gauges.reserve(gauges_.size());
+  for (const auto& [name, g] : gauges_) {
+    snap.gauges.emplace_back(name, g->value());
+  }
+  snap.histograms.reserve(histograms_.size());
+  for (const auto& [name, h] : histograms_) {
+    MetricsSnapshot::HistogramValue hv;
+    hv.name = name;
+    hv.count = h->count();
+    hv.sum = h->sum();
+    hv.min = hv.count ? h->min() : 0.0;
+    hv.max = hv.count ? h->max() : 0.0;
+    for (std::size_t i = 0; i < Histogram::kBucketCount; ++i) {
+      const std::uint64_t n = h->bucket_count(i);
+      if (n != 0) hv.buckets.emplace_back(Histogram::bucket_bound(i), n);
+    }
+    snap.histograms.push_back(std::move(hv));
   }
   return snap;
 }
@@ -138,10 +123,6 @@ void Registry::reset() {
   counters_.clear();
   gauges_.clear();
   histograms_.clear();
-  lock.unlock();
-  std::lock_guard span_lock(span_mutex_);
-  spans_.clear();
-  spans_dropped_ = 0;
 }
 
 Registry& registry() {

@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
@@ -123,16 +122,6 @@ class Histogram {
   Histogram() noexcept;
 };
 
-/// One finished span, appended to the registry's span log by obs::Span.
-/// Times are seconds since the process-wide steady-clock anchor.
-struct FinishedSpan {
-  std::uint64_t id = 0;
-  std::uint64_t parent_id = 0;  ///< 0 = root
-  std::string name;
-  double start_seconds = 0.0;
-  double duration_seconds = 0.0;
-};
-
 /// Point-in-time copy of a registry, for exporters and tests. Sorted by
 /// name so exports are deterministic.
 struct MetricsSnapshot {
@@ -148,8 +137,6 @@ struct MetricsSnapshot {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
   std::vector<std::pair<std::string, double>> gauges;
   std::vector<HistogramValue> histograms;
-  std::vector<FinishedSpan> spans;
-  std::uint64_t spans_dropped = 0;
 };
 
 /// Named metric store. Handles returned by counter()/gauge()/histogram()
@@ -158,19 +145,13 @@ struct MetricsSnapshot {
 /// obs::registry(); tests may build their own.
 class Registry {
  public:
-  /// Spans beyond this many are counted but not stored, bounding memory
-  /// on span-heavy workloads.
-  static constexpr std::size_t kMaxSpans = 16384;
-
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
   Histogram& histogram(std::string_view name);
 
-  void add_span(FinishedSpan span);
-
   MetricsSnapshot snapshot() const;
 
-  /// Drops every metric and span. Outstanding handles are invalidated;
+  /// Drops every metric. Outstanding handles are invalidated;
   /// intended for test isolation, not concurrent use with recorders.
   void reset();
 
@@ -183,10 +164,6 @@ class Registry {
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
-
-  mutable std::mutex span_mutex_;
-  std::vector<FinishedSpan> spans_;
-  std::uint64_t spans_dropped_ = 0;
 };
 
 /// The process-wide registry every built-in instrumentation point records

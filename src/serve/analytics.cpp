@@ -36,8 +36,8 @@ LiveAnalytics::LiveAnalytics(Options options) {
 }
 
 void LiveAnalytics::observe(const trace::FailureRecord& r) {
-  ++events_;
-  if (r.start > latest_at_) latest_at_ = r.start;
+  // The first event sets the clock, which may lie before the epoch.
+  if (events_++ == 0 || r.start > latest_at_) latest_at_ = r.start;
 
   auto sit = systems_.find(r.system_id);
   if (sit == systems_.end()) {

@@ -160,6 +160,16 @@ LiveAnalytics::Options analytics_options(const ServerOptions& options) {
   return aopts;
 }
 
+/// After a failed accept: true when the process or system is out of
+/// descriptors, counted as a refusal under `counter`. The caller then
+/// leaves its listener out of the next poll round, which would otherwise
+/// report the still-pending connection at once and spin.
+bool out_of_descriptors(const char* counter) {
+  if (errno != EMFILE && errno != ENFILE) return false;
+  if (obs::enabled()) obs::registry().counter(counter).add(1);
+  return true;
+}
+
 timeval to_timeval(std::chrono::milliseconds ms) {
   timeval tv{};
   tv.tv_sec = static_cast<time_t>(ms.count() / 1000);
@@ -272,6 +282,8 @@ void Server::start() {
     reg.counter("serve.rejected_events");
     reg.counter("serve.bytes_ingested");
     reg.counter("serve.connections");
+    reg.counter("serve.connections_refused{port=ingest}");
+    reg.counter("serve.connections_refused{port=http}");
     reg.counter("serve.http_requests");
     reg.counter("serve.http_request_timeouts");
     reg.counter("serve.http_truncated_responses");
@@ -405,10 +417,13 @@ void Server::compact_analytics_to_horizon() {
   analytics_horizon_ = horizon;
 }
 
-void Server::accept_ingest_connections() {
+bool Server::accept_ingest_connections() {
   while (true) {
     const int client = ::accept(ingest_fd_, nullptr, nullptr);
-    if (client < 0) break;  // EAGAIN: accepted everything pending
+    if (client < 0) {
+      // EAGAIN: accepted everything pending.
+      return out_of_descriptors("serve.connections_refused{port=ingest}");
+    }
     set_nonblocking(client);
     IngestShard& target = *shards_[next_shard_rr_ % shards_.size()];
     ++next_shard_rr_;
@@ -438,11 +453,16 @@ void Server::ingest_loop(IngestShard& shard) {
   }
 
   std::vector<pollfd> fds;
+  // Out of descriptors: the listener sits out one poll round as fd -1,
+  // which poll skips.
+  bool listener_paused = false;
   while (!stop_requested_.load(std::memory_order_acquire)) {
     fds.clear();
     fds.push_back({stop_pipe_[0], POLLIN, 0});
     fds.push_back({shard.notify_fds[0], POLLIN, 0});
-    if (acceptor) fds.push_back({ingest_fd_, POLLIN, 0});
+    if (acceptor) {
+      fds.push_back({listener_paused ? -1 : ingest_fd_, POLLIN, 0});
+    }
     const std::size_t conn_base = fds.size();
     for (const auto& conn : conns) fds.push_back({conn->fd, POLLIN, 0});
 
@@ -483,7 +503,8 @@ void Server::ingest_loop(IngestShard& shard) {
     }
     adopt_pending(shard, conns);
     if (acceptor) {
-      if ((fds[2].revents & POLLIN) != 0) accept_ingest_connections();
+      listener_paused =
+          (fds[2].revents & POLLIN) != 0 && accept_ingest_connections();
       if (tail) {
         drain_source(shard, *tail);
         const std::uint64_t rejected = tail->counters().rejected;
@@ -692,10 +713,12 @@ void Server::http_loop() {
   const auto request_budget =
       std::chrono::milliseconds(options_.http_request_deadline_ms);
   std::vector<pollfd> fds;
+  bool listener_paused = false;  // as in ingest_loop
   while (!stop_requested_.load(std::memory_order_acquire)) {
     fds.clear();
     fds.push_back({stop_pipe_[0], POLLIN, 0});
-    fds.push_back({http_fd_, POLLIN, 0});
+    fds.push_back({listener_paused ? -1 : http_fd_, POLLIN, 0});
+    listener_paused = false;
     const int ready = ::poll(fds.data(), fds.size(), kPollMillis);
     if (ready < 0 && errno != EINTR) break;
     if (stop_requested_.load(std::memory_order_acquire)) break;
@@ -703,7 +726,11 @@ void Server::http_loop() {
 
     while (true) {
       const int client = ::accept(http_fd_, nullptr, nullptr);
-      if (client < 0) break;
+      if (client < 0) {
+        listener_paused =
+            out_of_descriptors("serve.connections_refused{port=http}");
+        break;
+      }
       // Small blocking reads under an *overall* per-request deadline:
       // SO_RCVTIMEO alone bounds each recv, not the request, so a
       // client trickling one byte per timeout would otherwise hold the

@@ -161,7 +161,9 @@ class Server {
   struct IngestShard;
 
   void ingest_loop(IngestShard& shard);
-  void accept_ingest_connections();
+  /// Accepts every pending ingest connection; true when it stopped on
+  /// descriptor exhaustion (see out_of_descriptors in server.cpp).
+  bool accept_ingest_connections();
   void adopt_pending(IngestShard& shard,
                      std::vector<std::unique_ptr<Connection>>& conns);
   void http_loop();

@@ -15,7 +15,7 @@
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "dist/lognormal.hpp"
-#include "obs/span.hpp"
+#include "obs/timer.hpp"
 #include "stats/special.hpp"
 #include "trace/columns.hpp"
 #include "trace/merge.hpp"
@@ -739,7 +739,7 @@ std::vector<FailureRecord> TraceGenerator::generate_system(
   }
   HPCFAIL_EXPECTS(scen != nullptr, "system not present in the scenario");
 
-  obs::Span span("synth.generate_system");
+  obs::ScopedTimer timer("synth.generate_system");
   const SystemPlan plan =
       build_plan(config_.seed, catalog_.system(system_id), *scen);
   std::vector<NodeShard> shards;
@@ -767,8 +767,7 @@ trace::FailureDataset TraceGenerator::generate() const {
   // sorted columns with a single copy of the rows, which from_columns
   // adopts without re-sorting — the whole pipeline never builds an AoS
   // copy of the trace.
-  obs::Span span("synth.generate");
-  obs::StageTimer stage("synth.generate");
+  obs::ScopedTimer timer("synth.generate");
   std::vector<SystemPlan> plans;
   plans.reserve(config_.systems.size());
   for (const SystemScenario& s : config_.systems) {
@@ -786,11 +785,11 @@ trace::FailureDataset TraceGenerator::generate() const {
   }
   trace::FailureDataset dataset = trace::FailureDataset::from_columns(
       trace::merge_sorted(std::move(inputs), spec));
-  stage.stop();
-  if (obs::enabled() && stage.wall_seconds() > 0.0) {
+  timer.stop();
+  if (obs::enabled() && timer.elapsed_seconds() > 0.0) {
     obs::registry()
         .gauge("synth.generate.records_per_sec")
-        .set(static_cast<double>(dataset.size()) / stage.wall_seconds());
+        .set(static_cast<double>(dataset.size()) / timer.elapsed_seconds());
   }
   return dataset;
 }

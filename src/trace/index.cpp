@@ -1,12 +1,11 @@
 #include "trace/index.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
 #include "obs/metrics.hpp"
-#include "obs/span.hpp"
+#include "obs/timer.hpp"
 
 namespace hpcfail::trace {
 
@@ -51,8 +50,7 @@ std::vector<double> gaps_of(std::span<const Seconds> starts) {
 
 DatasetIndex::DatasetIndex(const ColumnStore& columns)
     : base_(columns) {
-  const auto build_start = std::chrono::steady_clock::now();
-  hpcfail::obs::ScopedTimer timer("trace.index_build");
+  hpcfail::obs::ScopedTimer timer("trace.index");
   const std::size_t n = columns.size();
 
   // Pass 1 (sequential, O(n)): per-system counts, then contiguous slices
@@ -142,10 +140,6 @@ DatasetIndex::DatasetIndex(const ColumnStore& columns)
   }
 
   if (obs::enabled()) {
-    const auto elapsed =
-        std::chrono::steady_clock::now() - build_start;
-    obs::registry().gauge("dataset.index_build_ms")
-        .set(std::chrono::duration<double, std::milli>(elapsed).count());
     obs::registry().gauge("dataset.index_records")
         .set(static_cast<double>(base_.size()));
   }

@@ -28,9 +28,9 @@
 // invalidated when the dataset is destroyed, moved, or assigned.
 //
 // Index construction parallelizes over systems on the shared thread pool
-// and is deterministic at any thread count. Build time is exported as the
-// obs gauge "dataset.index_build_ms"; every view-producing query counts
-// into "dataset.view_hits".
+// and is deterministic at any thread count. Build time is recorded into
+// the obs histogram "trace.index.seconds"; every view-producing query
+// counts into "dataset.view_hits".
 //
 // Memory cost: the per-system partition stores a columnar copy of every
 // record and the posting lists store one Seconds per record, so an indexed

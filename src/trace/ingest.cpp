@@ -1,11 +1,10 @@
 #include "trace/ingest.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "common/error.hpp"
-#include "obs/metrics.hpp"
+#include "obs/timer.hpp"
 #include "trace/index.hpp"
 #include "trace/merge.hpp"
 
@@ -105,7 +104,7 @@ void LiveDataset::do_seal() {
   }
   if (moved == 0) return;
   tail_count_.fetch_sub(moved, std::memory_order_acq_rel);
-  const auto t0 = std::chrono::steady_clock::now();
+  obs::ScopedTimer timer("trace.seal");
 
   // Stable radix merge of [sealed, tail 0, tail 1, ...]: equal keys
   // stay in part order (sealed first), which equals one stable sort of
@@ -139,14 +138,9 @@ void LiveDataset::do_seal() {
   publish(std::move(next));
   epoch_.fetch_add(1, std::memory_order_acq_rel);
 
-  const auto elapsed = std::chrono::steady_clock::now() - t0;
-  last_rebuild_ms_.store(
-      std::chrono::duration<double, std::milli>(elapsed).count(),
-      std::memory_order_release);
   if (obs::enabled()) {
     obs::registry().gauge("ingest.epoch")
         .set(static_cast<double>(epoch_.load(std::memory_order_acquire)));
-    obs::registry().gauge("ingest.rebuild_ms").set(last_rebuild_ms());
     obs::registry().gauge("ingest.sealed_records")
         .set(static_cast<double>(sealed_size()));
   }

@@ -154,11 +154,6 @@ class LiveDataset {
   /// for a given record stream.
   std::vector<CompactionCell> compaction_cells() const;
 
-  /// Wall-clock cost of the most recent seal, in milliseconds.
-  double last_rebuild_ms() const noexcept {
-    return last_rebuild_ms_.load(std::memory_order_acquire);
-  }
-
  private:
   /// Per-shard ingest state. The mutex guards the tail; the hot append
   /// path takes it uncontended (a seal contends only to swap the tail
@@ -195,7 +190,6 @@ class LiveDataset {
   std::atomic<std::uint64_t> compacted_events_{0};
   std::atomic<Seconds> retention_horizon_{
       std::numeric_limits<Seconds>::min()};
-  std::atomic<double> last_rebuild_ms_{0.0};
   /// Lazy obs handles (resolved on first use so enabling obs after
   /// construction still counts); atomic mirrors
   /// DatasetIndex::view_hits_.

@@ -238,4 +238,48 @@ TEST(CliContract, InconsistentTraceRecordIsAParseError) {
   std::remove(path.c_str());
 }
 
+TEST(CliContract, ProfileTimesEveryStageUnderOneName) {
+  // One timer serves the profile table and the dump: each stage row has
+  // its .seconds and .cpu_seconds histograms, the library's own stage
+  // timers carry perfbench's layer names, and no span, stage gauge or
+  // pre-rename name is left.
+  const std::string path =
+      (std::filesystem::path(::testing::TempDir()) / "profile.json").string();
+  const std::string args =
+      "profile --seed 7 --system 20 --threads 2 --metrics-format json";
+  const auto result = run_cli(args + " --metrics-out " + path);
+  ASSERT_EQ(result.exit_code, 0) << result.err;
+  const std::string dump = read_file(path);
+  std::remove(path.c_str());
+  EXPECT_NE(dump.find("\"schema_version\": 2,"), std::string::npos);
+  const std::size_t section = dump.find("\"histograms\": [");
+  ASSERT_NE(section, std::string::npos) << dump;
+  const auto has_histogram = [&](const std::string& name) {
+    const std::string entry = "{\"name\": \"" + name + "\"";
+    return dump.find(entry, section) != std::string::npos;
+  };
+
+  std::istringstream stages(
+      "generate validate index failure_rates interarrival per_node_fits "
+      "repair availability total");
+  for (std::string stage; stages >> stage;) {
+    EXPECT_NE(result.out.find("\n" + stage + " "), std::string::npos) << stage;
+    if (stage == "total") continue;
+    EXPECT_TRUE(has_histogram("profile." + stage + ".seconds")) << stage;
+    EXPECT_TRUE(has_histogram("profile." + stage + ".cpu_seconds")) << stage;
+  }
+  std::istringstream library(
+      "synth.generate trace.index analysis.rates analysis.per_node_fits");
+  for (std::string stage; library >> stage;) {
+    EXPECT_TRUE(has_histogram(stage + ".seconds")) << stage;
+  }
+  std::istringstream gone(
+      "span. stage. trace.index_build analysis.failure_rates "
+      "analysis.per_node_interarrival dataset.index_build_ms "
+      "ingest.rebuild_ms");
+  for (std::string prefix; gone >> prefix;) {
+    EXPECT_EQ(dump.find("\"name\": \"" + prefix), std::string::npos) << prefix;
+  }
+}
+
 }  // namespace

@@ -170,6 +170,21 @@ TEST(SlidingSuffStats, WindowMatchesBruteForceRescan) {
       events.size());
 }
 
+TEST(SlidingSuffStats, WindowPastTheLowestSecondsCoversEverything) {
+  // Regression: now - window overflowed for a pre-1970 `now` and the
+  // widest window /report accepts (signed overflow under UBSan, an
+  // empty window without it).
+  SlidingSuffStats sliding;
+  const Seconds march_1965 = to_epoch(1965, 3, 1);
+  for (int i = 0; i < 3; ++i) {
+    sliding.add(march_1965 + i * kSecondsPerHour, 30.0);
+  }
+  const Seconds lowest = std::numeric_limits<Seconds>::min();
+  const Seconds widest = std::numeric_limits<Seconds>::max();
+  EXPECT_EQ(sliding.window_stats(sliding.latest_at(), widest).n, 3u);
+  EXPECT_EQ(sliding.window_stats(lowest, widest).n, 0u);
+}
+
 TEST(SlidingSuffStats, MidStreamWindowsMatchTotalUpToNow) {
   // Windows queried while events keep arriving (the daemon's real mode).
   const std::vector<Event> events = event_stream(1000, 29);

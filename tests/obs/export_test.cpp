@@ -19,7 +19,7 @@ namespace {
 MetricsSnapshot sample_snapshot() {
   MetricsSnapshot snap;
   snap.counters.push_back({"csv.rows_read", 7});
-  snap.gauges.push_back({"stage.gen.wall_seconds", 0.5});
+  snap.gauges.push_back({"serve.events_per_sec", 0.5});
   MetricsSnapshot::HistogramValue h;
   h.name = "fit.seconds";
   h.count = 5;
@@ -28,8 +28,6 @@ MetricsSnapshot sample_snapshot() {
   h.max = 1.0;
   h.buckets = {{0.001, 2}, {1.0, 3}};
   snap.histograms.push_back(h);
-  snap.spans.push_back({3, 1, "synth.generate", 0.25, 1.5});
-  snap.spans_dropped = 0;
   return snap;
 }
 
@@ -37,23 +35,18 @@ TEST(JsonExport, GoldenLayout) {
   const std::string expected =
       "{\n"
       "  \"schema\": \"hpcfail.metrics\",\n"
-      "  \"schema_version\": 1,\n"
+      "  \"schema_version\": 2,\n"
       "  \"counters\": [\n"
       "    {\"name\": \"csv.rows_read\", \"value\": 7}\n"
       "  ],\n"
       "  \"gauges\": [\n"
-      "    {\"name\": \"stage.gen.wall_seconds\", \"value\": 0.5}\n"
+      "    {\"name\": \"serve.events_per_sec\", \"value\": 0.5}\n"
       "  ],\n"
       "  \"histograms\": [\n"
       "    {\"name\": \"fit.seconds\", \"count\": 5, \"sum\": 2.5, "
       "\"min\": 0.1, \"max\": 1, \"buckets\": "
       "[{\"le\": 0.001, \"count\": 2}, {\"le\": 1, \"count\": 3}]}\n"
-      "  ],\n"
-      "  \"spans\": [\n"
-      "    {\"id\": 3, \"parent_id\": 1, \"name\": \"synth.generate\", "
-      "\"start_seconds\": 0.25, \"duration_seconds\": 1.5}\n"
-      "  ],\n"
-      "  \"spans_dropped\": 0\n"
+      "  ]\n"
       "}\n";
   EXPECT_EQ(to_json(sample_snapshot()), expected);
 }
@@ -61,9 +54,9 @@ TEST(JsonExport, GoldenLayout) {
 TEST(JsonExport, EmptySnapshotIsValid) {
   const std::string out = to_json(MetricsSnapshot{});
   EXPECT_NE(out.find("\"schema\": \"hpcfail.metrics\""), std::string::npos);
-  EXPECT_NE(out.find("\"schema_version\": 1"), std::string::npos);
+  EXPECT_NE(out.find("\"schema_version\": 2"), std::string::npos);
   EXPECT_NE(out.find("\"counters\": []"), std::string::npos);
-  EXPECT_NE(out.find("\"spans_dropped\": 0"), std::string::npos);
+  EXPECT_NE(out.find("\"histograms\": []\n}"), std::string::npos);
 }
 
 TEST(JsonExport, EscapesNamesAndIsDeterministic) {
@@ -83,7 +76,7 @@ TEST(CsvExport, FlatSeriesRows) {
   std::getline(in, line);
   EXPECT_EQ(line, "counter,csv.rows_read,value,7");
   std::getline(in, line);
-  EXPECT_EQ(line, "gauge,stage.gen.wall_seconds,value,0.5");
+  EXPECT_EQ(line, "gauge,serve.events_per_sec,value,0.5");
   std::getline(in, line);
   EXPECT_EQ(line, "histogram,fit.seconds,count,5");
 }

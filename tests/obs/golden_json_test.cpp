@@ -28,14 +28,6 @@ hpcfail::obs::MetricsSnapshot fixed_snapshot() {
   hist.record(0.125);
   hist.record(0.125);
   hist.record(2.0);
-
-  hpcfail::obs::FinishedSpan span;
-  span.id = 1;
-  span.parent_id = 0;
-  span.name = "analysis.interarrival";
-  span.start_seconds = 0.25;
-  span.duration_seconds = 1.5;
-  reg.add_span(span);
   return reg.snapshot();
 }
 

@@ -49,23 +49,11 @@ TEST(Registry, ResetDropsEverything) {
   reg.counter("c").add(1);
   reg.gauge("g").set(2.0);
   reg.histogram("h").record(3.0);
-  reg.add_span({1, 0, "s", 0.0, 1.0});
   reg.reset();
   const MetricsSnapshot snap = reg.snapshot();
   EXPECT_TRUE(snap.counters.empty());
   EXPECT_TRUE(snap.gauges.empty());
   EXPECT_TRUE(snap.histograms.empty());
-  EXPECT_TRUE(snap.spans.empty());
-}
-
-TEST(Registry, SpanLogIsBounded) {
-  Registry reg;
-  for (std::size_t i = 0; i < Registry::kMaxSpans + 10; ++i) {
-    reg.add_span({i + 1, 0, "s", 0.0, 0.0});
-  }
-  const MetricsSnapshot snap = reg.snapshot();
-  EXPECT_EQ(snap.spans.size(), Registry::kMaxSpans);
-  EXPECT_EQ(snap.spans_dropped, 10u);
 }
 
 TEST(Histogram, BucketBoundsAreMonotonic) {

@@ -4,8 +4,10 @@
 #include "serve/server.hpp"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <pthread.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -17,6 +19,7 @@
 #include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <random>
@@ -31,6 +34,8 @@
 #include "common/time.hpp"
 #include "dist/suffstats.hpp"
 #include "dist/window.hpp"
+#include "obs/metrics.hpp"
+#include "obs/timer.hpp"
 #include "serve/analytics.hpp"
 #include "serve/replay.hpp"
 #include "trace/adapters/adapter.hpp"
@@ -95,6 +100,26 @@ TEST(LiveAnalytics, WindowExcludesOldEvents) {
   EXPECT_EQ(narrow.repair_minutes.n, 1u);
   const WindowReport wide = analytics.report(1, 100 * kSecondsPerHour);
   EXPECT_EQ(wide.repair_minutes.n, 2u);
+}
+
+TEST(LiveAnalytics, FirstEventSetsTheClockBeforeTheEpoch) {
+  // Regression: the clock started at 0 and only moved forward, so a
+  // trace lying wholly before 1970 reported at the epoch, with every
+  // event outside its window.
+  LiveAnalytics analytics;
+  const Seconds march_1965 = to_epoch(1965, 3, 1);
+  for (int i = 0; i < 3; ++i) {
+    analytics.observe(rec(20, i, march_1965 + i * kSecondsPerHour, 1800));
+  }
+  const Seconds last = march_1965 + 2 * kSecondsPerHour;
+  EXPECT_EQ(analytics.latest_at(), last);
+  const WindowReport day = analytics.report(20, 24 * kSecondsPerHour);
+  EXPECT_EQ(day.now, last);
+  EXPECT_EQ(day.repair_minutes.n, 3u);
+  // The widest window /report accepts reaches past the lowest Seconds.
+  const WindowReport widest =
+      analytics.report(20, std::numeric_limits<Seconds>::max());
+  EXPECT_EQ(widest.repair_minutes.n, 3u);
 }
 
 TEST(LiveAnalytics, UnknownSystemYieldsEmptyReport) {
@@ -323,8 +348,8 @@ TEST(LiveAnalytics, ReportMatchesPerCellReplayBitForBit) {
 
 // --- socket helpers -------------------------------------------------------
 
-int connect_to(int port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+/// Connects `fd` (a fresh socket unless given) to a local port.
+int connect_to(int port, int fd = ::socket(AF_INET, SOCK_STREAM, 0)) {
   EXPECT_GE(fd, 0);
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
@@ -351,9 +376,8 @@ struct HttpResponse {
   std::string body;
 };
 
-HttpResponse http_get(int port, const std::string& target) {
-  const int fd = connect_to(port);
-  send_all(fd, "GET " + target + " HTTP/1.0\r\n\r\n");
+/// Reads a response until the server closes, then closes `fd`.
+HttpResponse read_response(int fd) {
   std::string raw;
   char buffer[4096];
   while (true) {
@@ -372,6 +396,12 @@ HttpResponse http_get(int port, const std::string& target) {
     response.body = raw.substr(header_end + 4);
   }
   return response;
+}
+
+HttpResponse http_get(int port, const std::string& target) {
+  const int fd = connect_to(port);
+  send_all(fd, "GET " + target + " HTTP/1.0\r\n\r\n");
+  return read_response(fd);
 }
 
 void wait_until_ingested(const Server& server, std::uint64_t count) {
@@ -745,6 +775,62 @@ TEST(Server, SendFullyReturnsShortWhenThePeerIsGone) {
   // Must not raise SIGPIPE (MSG_NOSIGNAL) and must report the shortfall.
   EXPECT_LT(send_fully(fds[0], payload), payload.size());
   ::close(fds[0]);
+}
+
+// Regression: with every descriptor in use, accept() failed with EMFILE,
+// the accept loops stopped, and the next poll reported the listener ready
+// at once: both loops spun a core each and /healthz timed out.
+TEST(Server, RunningOutOfDescriptorsNeitherSpinsNorStopsServing) {
+  Server server(ServerOptions{});
+  server.start();
+
+  // A low limit keeps the filling short; it is restored below.
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  rlimit low = saved;
+  low.rlim_cur = std::min<rlim_t>(saved.rlim_cur, 256);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &low), 0);
+  std::vector<int> filler;
+  for (int fd; (fd = ::open("/dev/null", O_RDONLY)) >= 0;) {
+    filler.push_back(fd);
+  }
+  // Two descriptors back for the clients, both taken before either
+  // connects, so none is left for accept(): each listener keeps one
+  // connection in its backlog, and the HTTP one has its request waiting.
+  for (int i = 0; i < 2 && !filler.empty(); ++i) {
+    ::close(filler.back());
+    filler.pop_back();
+  }
+  const int ingest = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int http = ::socket(AF_INET, SOCK_STREAM, 0);
+  connect_to(server.ingest_port(), ingest);
+  connect_to(server.http_port(), http);
+  send_all(http, "GET /healthz HTTP/1.0\r\n\r\n");
+
+  obs::Registry unused;
+  obs::ScopedTimer idle("idle", /*cpu=*/true, unused);
+  std::this_thread::sleep_for(std::chrono::seconds(1));
+  idle.stop();
+  const double cpu = idle.cpu_seconds();
+  EXPECT_LT(cpu, 0.25 * idle.elapsed_seconds()) << cpu << " CPU-s in 1 s";
+
+  for (const int fd : filler) ::close(fd);
+  ::setrlimit(RLIMIT_NOFILE, &saved);
+  timeval patience{};  // a failure must not hang the test
+  patience.tv_sec = 5;
+  ::setsockopt(http, SOL_SOCKET, SO_RCVTIMEO, &patience, sizeof(patience));
+  const HttpResponse health = read_response(http);
+  EXPECT_EQ(health.status, 200);
+  EXPECT_EQ(health.body, "ok\n");
+  send_all(ingest, csv_line(rec(2, 0, t0, 60)));
+  wait_until_ingested(server, 1);
+  for (const std::string port : {"ingest", "http"}) {
+    const std::string name = "serve.connections_refused{port=" + port + "}";
+    EXPECT_GT(obs::registry().counter(name).value(), 0u) << name;
+  }
+  ::close(ingest);
+  server.stop();
+  server.wait();
 }
 
 // --- sharded ingest end-to-end --------------------------------------------

@@ -1,18 +1,18 @@
 #!/usr/bin/env python3
-"""Validates an hpcfail metrics JSON dump against schema version 1.
+"""Validates an hpcfail metrics JSON dump against schema version 2.
 
 Usage: check_metrics_schema.py FILE [--require-stage STAGE ...]
            [--require-gauge NAME ...] [--require-counter NAME ...]
 
 Checks the layout emitted by obs::to_json (schema "hpcfail.metrics",
-schema_version 1): top-level keys and types, per-entry shapes, histogram
-bucket ordering, and optionally that stage gauges exist for the named
-pipeline stages. --require-gauge / --require-counter assert that a
-specific metric was recorded at all (e.g. the "dataset.bytes" storage
-gauge or the "fit.suffstat_reuse" counter), catching instrumentation
-points that silently fall out of the pipeline. Exits non-zero with a
-message on the first violation. Stdlib only, so CI can run it anywhere
-python3 exists.
+schema_version 2): exactly the top-level keys, per-entry shapes and
+histogram bucket ordering. --require-stage S asserts that the stage timer
+histogram "S.seconds" exists (obs::ScopedTimer records one per stage);
+--require-gauge / --require-counter assert that a specific metric was
+recorded at all (e.g. the "dataset.bytes" storage gauge or the
+"fit.suffstat_reuse" counter), catching instrumentation points that
+silently fall out of the pipeline. Exits 1 with a message on the first
+violation. Stdlib only, so CI can run it anywhere python3 exists.
 """
 import json
 import sys
@@ -64,29 +64,6 @@ def check_histograms(histograms):
                  f"{h['count']}")
 
 
-def check_spans(spans):
-    if not isinstance(spans, list):
-        fail("'spans' must be an array")
-    ids = set()
-    for s in spans:
-        for field, kind in (("id", int), ("parent_id", int),
-                            ("start_seconds", (int, float)),
-                            ("duration_seconds", (int, float))):
-            if not isinstance(s.get(field), kind):
-                fail(f"span missing {field}")
-        if not isinstance(s.get("name"), str) or not s["name"]:
-            fail("span missing a non-empty string 'name'")
-        if s["id"] == 0 or s["id"] in ids:
-            fail(f"span id {s['id']} is zero or duplicated")
-        ids.add(s["id"])
-    for s in spans:
-        if s["parent_id"] != 0 and s["parent_id"] not in ids:
-            # Parents can legitimately be missing only when the log was
-            # truncated at the kMaxSpans cap.
-            return False
-    return True
-
-
 def main():
     args = sys.argv[1:]
     if not args:
@@ -117,27 +94,21 @@ def main():
 
     if doc.get("schema") != "hpcfail.metrics":
         fail(f"schema is {doc.get('schema')!r}, expected 'hpcfail.metrics'")
-    if doc.get("schema_version") != 1:
-        fail(f"schema_version is {doc.get('schema_version')!r}, expected 1")
-    for key in ("counters", "gauges", "histograms", "spans",
-                "spans_dropped"):
-        if key not in doc:
-            fail(f"missing top-level key '{key}'")
+    if doc.get("schema_version") != 2:
+        fail(f"schema_version is {doc.get('schema_version')!r}, expected 2")
+    keys = {"schema", "schema_version", "counters", "gauges", "histograms"}
+    if set(doc) != keys:
+        fail(f"top-level keys are {sorted(doc)}, expected {sorted(keys)}")
 
     check_named_values(doc["counters"], "counters", int)
     check_named_values(doc["gauges"], "gauges", (int, float))
     check_histograms(doc["histograms"])
-    all_parents = check_spans(doc["spans"])
-    if not isinstance(doc["spans_dropped"], int):
-        fail("'spans_dropped' must be an integer")
-    if doc["spans_dropped"] == 0 and not all_parents:
-        fail("span parent_id references a span that was never logged")
 
-    gauge_names = {g["name"] for g in doc["gauges"]}
+    histogram_names = {h["name"] for h in doc["histograms"]}
     for stage in required_stages:
-        wanted = f"stage.{stage}.wall_seconds"
-        if wanted not in gauge_names:
-            fail(f"required stage gauge '{wanted}' not present")
+        if f"{stage}.seconds" not in histogram_names:
+            fail(f"required stage histogram '{stage}.seconds' not present")
+    gauge_names = {g["name"] for g in doc["gauges"]}
     for gauge in required_gauges:
         if gauge not in gauge_names:
             fail(f"required gauge '{gauge}' not present")
@@ -148,7 +119,7 @@ def main():
 
     print(f"{path}: schema v{doc['schema_version']} OK "
           f"({len(doc['counters'])} counters, {len(doc['gauges'])} gauges, "
-          f"{len(doc['histograms'])} histograms, {len(doc['spans'])} spans)")
+          f"{len(doc['histograms'])} histograms)")
 
 
 if __name__ == "__main__":

@@ -495,14 +495,15 @@ int cmd_profile(const Args& args) {
     double cpu = 0.0;
   };
   std::vector<StageRow> rows;
-  // Each stage runs under its own StageTimer so the table is read off the
-  // timers directly (and the same numbers land in the obs registry as
-  // stage.profile.* gauges for --metrics-out).
+  // Each stage runs under its own CPU-measuring ScopedTimer so the table
+  // is read off the timers directly (and the same numbers land in the obs
+  // registry as profile.<stage>.seconds / .cpu_seconds histograms for
+  // --metrics-out).
   const auto timed = [&rows](const std::string& name, auto&& fn) {
-    obs::StageTimer stage("profile." + name);
+    obs::ScopedTimer stage("profile." + name, /*cpu=*/true);
     fn();
     stage.stop();
-    rows.push_back({name, stage.wall_seconds(), stage.cpu_seconds()});
+    rows.push_back({name, stage.elapsed_seconds(), stage.cpu_seconds()});
   };
 
   const std::uint64_t seed = args.get_u64("seed");

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <fstream>
 #include <limits>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
@@ -193,22 +194,32 @@ std::string to_csv(const MetricsSnapshot& snapshot) {
 
 std::string to_prometheus(const MetricsSnapshot& snapshot) {
   std::string out;
+  // The text format allows one TYPE line per family. A family's labelled
+  // series are adjacent (the snapshot is sorted by name), so a TYPE line
+  // is written only when it differs from the previous series' one.
+  std::string last_type;
+  const auto type_line = [&](const std::string& metric, const char* kind) {
+    std::string line = "# TYPE " + metric + " " + kind + "\n";
+    if (line == last_type) return;
+    out += line;
+    last_type = std::move(line);
+  };
   for (const auto& [name, value] : snapshot.counters) {
     std::vector<std::pair<std::string, std::string>> labels;
     const std::string metric = prom_name(name, labels);
-    out += "# TYPE " + metric + " counter\n";
+    type_line(metric, "counter");
     out += metric + prom_labels(labels) + " " + format_number(value) + "\n";
   }
   for (const auto& [name, value] : snapshot.gauges) {
     std::vector<std::pair<std::string, std::string>> labels;
     const std::string metric = prom_name(name, labels);
-    out += "# TYPE " + metric + " gauge\n";
+    type_line(metric, "gauge");
     out += metric + prom_labels(labels) + " " + format_number(value) + "\n";
   }
   for (const auto& h : snapshot.histograms) {
     std::vector<std::pair<std::string, std::string>> labels;
     const std::string metric = prom_name(h.name, labels);
-    out += "# TYPE " + metric + " histogram\n";
+    type_line(metric, "histogram");
     std::uint64_t cumulative = 0;
     for (const auto& [le, n] : h.buckets) {
       cumulative += n;

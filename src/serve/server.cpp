@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
-#include <map>
 #include <utility>
 
 #include "common/error.hpp"
@@ -205,7 +204,7 @@ struct Server::Connection {
 
 /// One ingest shard: the connections owned by one ingest thread, the
 /// hand-off queue the acceptor (shard 0's thread) fills, and the
-/// shard's ingest accounting for /stats.
+/// shard's ingest counts, whose sums are the daemon's totals.
 struct Server::IngestShard {
   std::size_t index = 0;
   int notify_fds[2] = {-1, -1};  ///< wakes the shard when pending_ fills
@@ -215,6 +214,23 @@ struct Server::IngestShard {
   std::atomic<std::uint64_t> rejected{0};
   std::atomic<std::uint64_t> connections{0};
 };
+
+std::uint64_t Server::shard_total(
+    std::atomic<std::uint64_t> IngestShard::*field) const noexcept {
+  std::uint64_t total = 0;
+  for (const auto& shard : shards_) {
+    total += (shard.get()->*field).load(std::memory_order_acquire);
+  }
+  return total;
+}
+
+std::uint64_t Server::events_ingested() const noexcept {
+  return shard_total(&IngestShard::accepted);
+}
+
+std::uint64_t Server::events_rejected() const noexcept {
+  return shard_total(&IngestShard::rejected);
+}
 
 Server::Server(ServerOptions options)
     : options_(validated(std::move(options))),
@@ -291,7 +307,6 @@ void Server::start() {
     reg.gauge("serve.events_per_sec");
     reg.gauge("serve.ingest_threads")
         .set(static_cast<double>(options_.ingest_threads));
-    reg.gauge("serve.index_epoch");
     reg.gauge("serve.epoch_lag_records");
     reg.gauge("serve.window_staleness_seconds");
   }
@@ -328,7 +343,8 @@ void Server::wait() {
   running_.store(false, std::memory_order_release);
 }
 
-void Server::drain_source(IngestShard& shard, trace::Source& source) {
+void Server::drain_source(IngestShard& shard, trace::Source& source,
+                          std::uint64_t& rejected_seen) {
   // live_ appends run lock-free for readers (the seal publishes behind
   // its own pointer swap), so only the analytics cells need the mutex —
   // taken per small batch, never across a seal.
@@ -351,12 +367,20 @@ void Server::drain_source(IngestShard& shard, trace::Source& source) {
   flush();
   if (accepted > 0) {
     shard.accepted.fetch_add(accepted, std::memory_order_acq_rel);
-    events_ingested_.fetch_add(accepted, std::memory_order_acq_rel);
     last_event_ns_.store(
         std::chrono::steady_clock::now().time_since_epoch().count(),
         std::memory_order_release);
     if (obs::enabled()) {
       obs::registry().counter("serve.events_ingested").add(accepted);
+    }
+  }
+  const std::uint64_t rejected = source.counters().rejected;
+  if (rejected > rejected_seen) {
+    const std::uint64_t delta = rejected - rejected_seen;
+    rejected_seen = rejected;
+    shard.rejected.fetch_add(delta, std::memory_order_acq_rel);
+    if (obs::enabled()) {
+      obs::registry().counter("serve.rejected_events").add(delta);
     }
   }
 }
@@ -368,17 +392,7 @@ void Server::ingest_chunk(IngestShard& shard, Connection& conn,
   if (obs::enabled()) {
     obs::registry().counter("serve.bytes_ingested").add(bytes.size());
   }
-  drain_source(shard, conn.source);
-  const std::uint64_t rejected = conn.source.counters().rejected;
-  if (rejected > conn.rejected_seen) {
-    const std::uint64_t delta = rejected - conn.rejected_seen;
-    conn.rejected_seen = rejected;
-    shard.rejected.fetch_add(delta, std::memory_order_acq_rel);
-    events_rejected_.fetch_add(delta, std::memory_order_acq_rel);
-    if (obs::enabled()) {
-      obs::registry().counter("serve.rejected_events").add(delta);
-    }
-  }
+  drain_source(shard, conn.source, conn.rejected_seen);
 }
 
 void Server::update_gauges() {
@@ -386,8 +400,7 @@ void Server::update_gauges() {
   const double dt =
       std::chrono::duration<double>(now - rate_last_time_).count();
   if (dt < 1.0) return;
-  const std::uint64_t total =
-      events_ingested_.load(std::memory_order_acquire);
+  const std::uint64_t total = events_ingested();
   const double rate = static_cast<double>(total - rate_last_events_) / dt;
   rate_last_events_ = total;
   rate_last_time_ = now;
@@ -397,7 +410,6 @@ void Server::update_gauges() {
             last_event_ns_.load(std::memory_order_acquire)));
     obs::Registry& reg = obs::registry();
     reg.gauge("serve.events_per_sec").set(rate);
-    reg.gauge("serve.index_epoch").set(static_cast<double>(live_.epoch()));
     reg.gauge("serve.epoch_lag_records")
         .set(static_cast<double>(live_.tail_size()));
     reg.gauge("serve.window_staleness_seconds")
@@ -435,7 +447,6 @@ bool Server::accept_ingest_connections() {
     [[maybe_unused]] const auto n =
         ::write(target.notify_fds[1], &byte, 1);
     target.connections.fetch_add(1, std::memory_order_acq_rel);
-    connections_.fetch_add(1, std::memory_order_acq_rel);
     if (obs::enabled()) {
       obs::registry().counter("serve.connections").add(1);
     }
@@ -505,26 +516,12 @@ void Server::ingest_loop(IngestShard& shard) {
     if (acceptor) {
       listener_paused =
           (fds[2].revents & POLLIN) != 0 && accept_ingest_connections();
-      if (tail) {
-        drain_source(shard, *tail);
-        const std::uint64_t rejected = tail->counters().rejected;
-        if (rejected > tail_rejected_seen) {
-          const std::uint64_t delta = rejected - tail_rejected_seen;
-          tail_rejected_seen = rejected;
-          shard.rejected.fetch_add(delta, std::memory_order_acq_rel);
-          events_rejected_.fetch_add(delta, std::memory_order_acq_rel);
-          if (obs::enabled()) {
-            obs::registry().counter("serve.rejected_events").add(delta);
-          }
-        }
-      }
+      if (tail) drain_source(shard, *tail, tail_rejected_seen);
       update_gauges();
       compact_analytics_to_horizon();
     }
 
-    if (options_.max_events > 0 &&
-        events_ingested_.load(std::memory_order_acquire) >=
-            options_.max_events) {
+    if (options_.max_events > 0 && events_ingested() >= options_.max_events) {
       stop();
       break;
     }
@@ -541,8 +538,6 @@ void Server::ingest_loop(IngestShard& shard) {
     live_.seal();
     compact_analytics_to_horizon();
     if (obs::enabled()) {
-      obs::registry().gauge("serve.index_epoch")
-          .set(static_cast<double>(live_.epoch()));
       obs::registry().gauge("serve.epoch_lag_records")
           .set(static_cast<double>(live_.tail_size()));
     }
@@ -570,7 +565,7 @@ std::string Server::stats_json() const {
   out += ",\"bytes_ingested\":" +
          std::to_string(bytes_ingested_.load(std::memory_order_acquire));
   out += ",\"connections\":" +
-         std::to_string(connections_.load(std::memory_order_acquire));
+         std::to_string(shard_total(&IngestShard::connections));
   out += ",\"http_requests\":" + std::to_string(http_requests());
   out += ",\"http_request_timeouts\":" +
          std::to_string(http_request_timeouts());
@@ -679,24 +674,14 @@ std::string Server::handle_request(const std::string& target, int& status) {
         report = analytics_.report(system_id, window);
       }
       // Compacted-ledger section: events retention dropped past the
-      // horizon still show up as per-cause pooled repair SuffStats, so
-      // /report accounts for the full ingested history (satellite of
-      // the retention contract; compaction_cells() is safe while
-      // ingest runs).
-      std::map<trace::RootCause, dist::SuffStats> compacted;
+      // horizon still show up as per-cause repair SuffStats, so /report
+      // accounts for the full ingested history. The ledger's (system,
+      // cause) cells come in ascending cause; compaction_cells() is safe
+      // while ingest runs.
       for (const trace::CompactionCell& cell : live_.compaction_cells()) {
         if (cell.system_id != system_id) continue;
         report.compacted_events += cell.repair_minutes.n;
-        auto [it, fresh] = compacted.try_emplace(cell.cause);
-        if (fresh) {
-          it->second = cell.repair_minutes;
-        } else {
-          it->second.merge(cell.repair_minutes);
-        }
-      }
-      report.compacted_by_cause.reserve(compacted.size());
-      for (const auto& [cause, suff] : compacted) {
-        report.compacted_by_cause.push_back(CauseWindow{cause, suff});
+        report.compacted_by_cause.push_back({cell.cause, cell.repair_minutes});
       }
       return to_json(report);
     } catch (const ParseError& e) {

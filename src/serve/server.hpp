@@ -6,8 +6,8 @@
 //     connections speaking the line protocol (one record per line in the
 //     --format schema, native CSV rows by default; see
 //     trace/source.hpp), fed through per-connection trace::LineSources
-//     into that shard's tail of the shared trace::LiveDataset
-//     (incremental index, see trace/ingest.hpp) and the shared
+//     into that shard's tail of the shared trace::LiveDataset (sealed
+//     snapshot + per-shard tails, see trace/ingest.hpp) and the shared
 //     serve::LiveAnalytics (windowed moment cells, short mutex per
 //     small batch). Shard 0 additionally owns the accept loop — new
 //     connections are handed round-robin to the shards over per-shard
@@ -15,10 +15,11 @@
 //     (trace::TailSource) and the once-per-second gauge refresh.
 //     Malformed lines are rejected and counted (serve.rejected_events,
 //     and per shard in /stats) — one bad producer cannot take the
-//     daemon down. Seal-time merges run on whichever ingest thread
-//     trips the rebuild threshold; the sealed snapshot is bit-identical
-//     to a from-scratch build at any --ingest-threads count (the
-//     LiveDataset determinism contract).
+//     daemon down. The per-shard counts are the daemon's only ingest
+//     totals: /stats and the accessors sum them. Seal-time merges run
+//     on whichever ingest thread trips the rebuild threshold; the
+//     sealed snapshot is bit-identical to a from-scratch build at any
+//     --ingest-threads count (the LiveDataset determinism contract).
 //
 //   * the HTTP thread serves many concurrent readers a minimal HTTP/1.0
 //     GET surface: /healthz, /stats (ingest accounting JSON), /report?
@@ -35,9 +36,10 @@
 //
 // Retention: when the LiveDataset options enable a horizon
 // (retain_seconds / max_sealed_events), raw events older than the
-// horizon are compacted into per-(system, node, cause) SuffStats at
-// seal time; /stats reports compacted_events and retention_horizon,
-// and the analytics windows are trimmed to the same horizon.
+// horizon are compacted into per-(system, cause) SuffStats at seal
+// time, which /report appends as its "compacted" section; /stats
+// reports compacted_events and retention_horizon, and the analytics
+// windows are trimmed to the same horizon.
 //
 // Backpressure: each ingest thread reads at most one chunk per
 // connection per poll round and appends synchronously, so a producer
@@ -134,12 +136,9 @@ class Server {
   int ingest_port() const noexcept { return bound_ingest_port_; }
   int http_port() const noexcept { return bound_http_port_; }
 
-  std::uint64_t events_ingested() const noexcept {
-    return events_ingested_.load(std::memory_order_acquire);
-  }
-  std::uint64_t events_rejected() const noexcept {
-    return events_rejected_.load(std::memory_order_acquire);
-  }
+  /// Sums of the per-shard counts /stats lists under "shards".
+  std::uint64_t events_ingested() const noexcept;
+  std::uint64_t events_rejected() const noexcept;
   std::uint64_t http_requests() const noexcept {
     return http_requests_.load(std::memory_order_acquire);
   }
@@ -169,11 +168,17 @@ class Server {
   void http_loop();
   void ingest_chunk(IngestShard& shard, Connection& conn,
                     std::string_view bytes);
-  void drain_source(IngestShard& shard, trace::Source& source);
+  /// Appends and observes every event `source` holds, then counts the
+  /// lines it rejected since `rejected_seen` (its counter's watermark):
+  /// one accounting path for sockets and the tailed file.
+  void drain_source(IngestShard& shard, trace::Source& source,
+                    std::uint64_t& rejected_seen);
   void update_gauges();
   void compact_analytics_to_horizon();
   std::string handle_request(const std::string& target, int& status);
   std::string stats_json() const;
+  std::uint64_t shard_total(
+      std::atomic<std::uint64_t> IngestShard::*field) const noexcept;
 
   ServerOptions options_;
   /// Resolved from options_.ingest_format; the format singletons outlive
@@ -181,8 +186,8 @@ class Server {
   const trace::Adapter* format_;
   trace::LiveDataset live_;
   LiveAnalytics analytics_;
-  /// Guards analytics_ and the rejected-line bookkeeping shared between
-  /// the ingest loops (writes) and /report, /stats (reads).
+  /// Guards analytics_, shared between the ingest loops' observe
+  /// flushes and /report, /stats.
   mutable std::mutex analytics_mutex_;
 
   std::vector<std::unique_ptr<IngestShard>> shards_;
@@ -197,10 +202,7 @@ class Server {
   int bound_ingest_port_ = 0;
   int bound_http_port_ = 0;
 
-  std::atomic<std::uint64_t> events_ingested_{0};
-  std::atomic<std::uint64_t> events_rejected_{0};
   std::atomic<std::uint64_t> bytes_ingested_{0};
-  std::atomic<std::uint64_t> connections_{0};
   std::atomic<std::uint64_t> http_requests_{0};
   std::atomic<std::uint64_t> http_timeouts_{0};
   std::atomic<std::uint64_t> http_truncated_{0};

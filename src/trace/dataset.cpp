@@ -7,16 +7,11 @@
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
 #include "trace/index.hpp"
+#include "trace/merge.hpp"
 
 namespace hpcfail::trace {
 
 namespace {
-
-bool record_order(const FailureRecord& a, const FailureRecord& b) noexcept {
-  if (a.start != b.start) return a.start < b.start;
-  if (a.system_id != b.system_id) return a.system_id < b.system_id;
-  return a.node_id < b.node_id;
-}
 
 [[noreturn]] void throw_inconsistent(std::size_t index) {
   throw InvalidArgument("inconsistent failure record at index " +
@@ -62,14 +57,12 @@ FailureDataset::FailureDataset(std::vector<FailureRecord> records)
     : FailureDataset(from_columns(ColumnStore::from_records(records))) {}
 
 FailureDataset FailureDataset::from_columns(ColumnStore columns) {
-  const bool sorted = validate_columns(columns);
-  if (!sorted) {
+  if (!validate_columns(columns)) {
     // Rare slow path (the generator and every CSV this library writes
-    // arrive sorted): permuting seven parallel arrays is simplest
-    // through records. Stable, so equal keys keep their input order.
-    std::vector<FailureRecord> records = columns.to_records();
-    std::stable_sort(records.begin(), records.end(), record_order);
-    columns = ColumnStore::from_records(records);
+    // arrive sorted). Stable, so equal keys keep their input order.
+    std::vector<MergeInput> parts{{&columns, {}}};
+    const MergeKeySpec spec = merge_key_spec_for(parts);
+    columns = merge_sorted(std::move(parts), spec);
   }
   FailureDataset out;
   out.columns_ = std::move(columns);

@@ -43,7 +43,7 @@ class FailureDataset {
   /// InvalidArgument if any row has end < start, bad ids or a cause/detail
   /// mismatch, reporting the offending index. Columns that arrive
   /// (start, system, node)-sorted are adopted as-is; anything else is
-  /// stably sorted through a one-time AoS round trip.
+  /// stably sorted by the radix merge (trace/merge.hpp) over one part.
   static FailureDataset from_columns(ColumnStore columns);
 
   /// The empty dataset.

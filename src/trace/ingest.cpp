@@ -5,7 +5,6 @@
 
 #include "common/error.hpp"
 #include "obs/timer.hpp"
-#include "trace/index.hpp"
 #include "trace/merge.hpp"
 
 namespace hpcfail::trace {
@@ -33,12 +32,7 @@ LiveDataset::LiveDataset(Options options) : options_(options) {
 LiveDataset::LiveDataset(FailureDataset seed, Options options)
     : LiveDataset(options) {
   sealed_count_.store(seed.size(), std::memory_order_release);
-  // Build the index on the shared instance (a move would drop it — the
-  // dataset move ctor invalidates the source's index), so readers of the
-  // first snapshot never trigger a lazy build.
-  auto next = std::make_shared<const FailureDataset>(std::move(seed));
-  next->index();
-  publish(std::move(next));
+  publish(std::make_shared<const FailureDataset>(std::move(seed)));
 }
 
 std::size_t LiveDataset::seal_threshold() const noexcept {
@@ -127,12 +121,9 @@ void LiveDataset::do_seal() {
   }
 
   // Revalidates in one fused pass and adopts (the merge output is
-  // sorted, so no AoS round trip happens). The index is built on the
-  // shared instance *after* the move — the dataset move ctor drops the
-  // source's index — and before the swap, so readers never block on it.
+  // sorted, so from_columns does not sort again).
   auto next = std::make_shared<const FailureDataset>(
       FailureDataset::from_columns(std::move(merged)));
-  next->index();
 
   sealed_count_.store(next->size(), std::memory_order_release);
   publish(std::move(next));
@@ -174,9 +165,8 @@ void LiveDataset::compact_prefix(const ColumnStore& merged, std::size_t cut) {
   {
     std::lock_guard<std::mutex> lock(compaction_mutex_);
     for (std::size_t i = 0; i < cut; ++i) {
-      dist::SuffStats& cell = compacted_[{merged.system_id[i],
-                                          merged.node_id[i],
-                                          merged.cause[i]}];
+      dist::SuffStats& cell =
+          compacted_[{merged.system_id[i], merged.cause[i]}];
       cell.add(static_cast<double>(merged.end[i] - merged.start[i]) / 60.0);
     }
   }
@@ -200,8 +190,7 @@ std::vector<CompactionCell> LiveDataset::compaction_cells() const {
   std::lock_guard<std::mutex> lock(compaction_mutex_);
   cells.reserve(compacted_.size());
   for (const auto& [key, stats] : compacted_) {
-    cells.push_back(
-        {std::get<0>(key), std::get<1>(key), std::get<2>(key), stats});
+    cells.push_back({key.first, key.second, stats});
   }
   return cells;
 }

@@ -2,17 +2,18 @@
 //
 // The batch pipeline builds one immutable FailureDataset and one
 // DatasetIndex over it. A live daemon cannot afford a full O(n log n)
-// re-sort + reindex per arriving event, so LiveDataset splits the data in
-// two:
+// re-sort per arriving event, so LiveDataset splits the data in two:
 //
-//   * the *sealed* prefix: an immutable FailureDataset (with its index
-//     already built) published to readers as a shared_ptr snapshot;
+//   * the *sealed* prefix: an immutable FailureDataset published to
+//     readers as a shared_ptr snapshot. No seal builds its index: a
+//     reader that queries index()/view() builds it lazily, once per
+//     snapshot (FailureDataset::index() is thread-safe);
 //   * the *tails*: recent appends, kept columnar in arrival order in one
 //     tail per ingest shard.
 //
-// Per-node queries go to the sealed snapshot's DatasetIndex, which has
-// exact per-node posting lists; the live per-node view of unsealed
-// events is serve::LiveAnalytics' per-node table.
+// The live per-node view of unsealed events is serve::LiveAnalytics'
+// per-node table; per-node posting lists over sealed events come from
+// a snapshot's index, on demand.
 //
 // When the combined tails outgrow the rebuild policy
 // (max(min_rebuild_tail, rebuild_fraction x sealed size) — geometric
@@ -24,19 +25,18 @@
 // order — which equals one stable sort of the concatenation, so the
 // sealed snapshot is bit-identical to a from-scratch build at any shard
 // count whenever records have unique keys (and deterministic for a
-// fixed partition otherwise). The new index is built *before* the
-// snapshot pointer swap, so readers never block and never observe a
-// half-built index.
+// fixed partition otherwise). The merged store is revalidated and then
+// published by one pointer swap, so readers never block on a seal.
 //
 // Retention (Options::retain_seconds / max_sealed_events) bounds memory
 // on unbounded runs: at seal time the merged prefix older than the
-// horizon is folded into a per-(system, node, cause) dist::SuffStats
-// compaction ledger (repair minutes) and dropped from the raw store.
-// The cut always lands on a start-timestamp boundary, so the dropped
-// set is exactly {rows : start < horizon} and compaction commutes with
-// re-partitioning. Late arrivals older than the horizon are accepted
-// into a tail, then compacted at the next seal — they never resurrect
-// dropped raw rows.
+// horizon is folded into a per-(system, cause) dist::SuffStats
+// compaction ledger (repair minutes, the grain /report serves) and
+// dropped from the raw store. The cut always lands on a start-timestamp
+// boundary, so the dropped set is exactly {rows : start < horizon} and
+// compaction commutes with re-partitioning. Late arrivals older than
+// the horizon are accepted into a tail, then compacted at the next seal
+// — they never resurrect dropped raw rows.
 //
 // Threading contract: append(shard, r) is single-writer *per shard*;
 // distinct shards may ingest concurrently. seal() is safe from any
@@ -54,7 +54,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "dist/suffstats.hpp"
@@ -68,11 +68,10 @@ class Counter;
 namespace hpcfail::trace {
 
 /// One compaction-ledger cell: the sufficient statistics of the repair
-/// minutes of every raw event of one (system, node, cause) dropped past
-/// the retention horizon.
+/// minutes of every raw event of one (system, cause) dropped past the
+/// retention horizon.
 struct CompactionCell {
   int system_id = 0;
-  int node_id = 0;
   RootCause cause = RootCause::unknown;
   dist::SuffStats repair_minutes;
 };
@@ -128,7 +127,7 @@ class LiveDataset {
   std::size_t sealed_size() const noexcept {
     return sealed_count_.load(std::memory_order_acquire);
   }
-  /// Records appended but not yet sealed — the index epoch lag.
+  /// Records appended but not yet sealed — the epoch lag.
   std::size_t tail_size() const noexcept {
     return tail_count_.load(std::memory_order_acquire);
   }
@@ -148,10 +147,11 @@ class LiveDataset {
     return retention_horizon_.load(std::memory_order_acquire);
   }
 
-  /// The compaction ledger, ordered by (system, node, cause). Each
-  /// cell's SuffStats::add sequence follows the global (start, system,
-  /// node) order of the dropped rows, so the ledger is deterministic
-  /// for a given record stream.
+  /// The compaction ledger, one cell per (system, cause) compacted,
+  /// ordered by (system, cause). Each cell's SuffStats::add sequence
+  /// follows the merged (start, system, node) order of the rows each
+  /// seal drops, seal after seal, so the ledger is deterministic for a
+  /// given record stream.
   std::vector<CompactionCell> compaction_cells() const;
 
  private:
@@ -182,7 +182,7 @@ class LiveDataset {
   std::shared_ptr<const FailureDataset> sealed_;
 
   mutable std::mutex compaction_mutex_;  ///< guards compacted_ ledger
-  std::map<std::tuple<int, int, RootCause>, dist::SuffStats> compacted_;
+  std::map<std::pair<int, RootCause>, dist::SuffStats> compacted_;
 
   std::atomic<std::uint64_t> epoch_{0};
   std::atomic<std::size_t> sealed_count_{0};

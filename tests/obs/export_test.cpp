@@ -123,6 +123,42 @@ TEST(PrometheusExport, SanitizesNamesAndParsesLabels) {
             std::string::npos);
 }
 
+// The text format allows one TYPE line per metric family, however many
+// labelled series the family has.
+TEST(PrometheusExport, WritesOneTypeLinePerFamily) {
+  MetricsSnapshot snap;
+  snap.counters.push_back({"serve.connections_refused{port=http}", 1});
+  snap.counters.push_back({"serve.connections_refused{port=ingest}", 2});
+  MetricsSnapshot::HistogramValue h;
+  h.count = 1;
+  h.sum = 4.0;
+  h.buckets = {{4.0, 1}};
+  h.name = "dist.fit.solver_steps{family=gamma}";
+  snap.histograms.push_back(h);
+  h.name = "dist.fit.solver_steps{family=weibull}";
+  snap.histograms.push_back(h);
+
+  const std::string out = to_prometheus(snap);
+  const auto occurrences = [&out](const std::string& needle) {
+    std::size_t n = 0;
+    for (std::size_t at = out.find(needle); at != std::string::npos;
+         at = out.find(needle, at + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  EXPECT_EQ(occurrences("# TYPE "), 2u) << out;
+  EXPECT_EQ(occurrences("# TYPE hpcfail_serve_connections_refused counter\n"),
+            1u);
+  EXPECT_EQ(occurrences("# TYPE hpcfail_dist_fit_solver_steps histogram\n"),
+            1u);
+  // Every series is still written, under its family's one TYPE line.
+  EXPECT_NE(out.find("hpcfail_serve_connections_refused{port=\"http\"} 1\n"
+                     "hpcfail_serve_connections_refused{port=\"ingest\"} 2\n"),
+            std::string::npos);
+  EXPECT_EQ(occurrences("hpcfail_dist_fit_solver_steps_count{family="), 2u);
+}
+
 TEST(ExportFormat, ParsesKnownNamesAndRejectsUnknown) {
   EXPECT_EQ(export_format_from_string("json"), ExportFormat::json);
   EXPECT_EQ(export_format_from_string("csv"), ExportFormat::csv);

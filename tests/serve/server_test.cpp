@@ -404,6 +404,18 @@ HttpResponse http_get(int port, const std::string& target) {
   return read_response(fd);
 }
 
+/// The unsigned number after the first `"key":` at or after `from`.
+std::uint64_t json_number(const std::string& body, const std::string& key,
+                          std::size_t from = 0) {
+  const std::string needle = "\"" + key + "\":";
+  const std::size_t at = body.find(needle, from);
+  if (at == std::string::npos) {
+    ADD_FAILURE() << "no " << needle << " in " << body;
+    return 0;
+  }
+  return std::stoull(body.substr(at + needle.size()));
+}
+
 void wait_until_ingested(const Server& server, std::uint64_t count) {
   for (int i = 0; i < 500 && server.events_ingested() < count; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -855,6 +867,7 @@ TEST(Server, ShardedIngestSealsIdenticalToBatch) {
   std::vector<int> clients;
   std::vector<std::string> payloads(4);
   for (int c = 0; c < 4; ++c) clients.push_back(connect_to(server.ingest_port()));
+  payloads[0] = payloads[2] = "not,a,valid,line\n";  // one reject each
   for (const trace::FailureRecord& r : records) {
     const std::size_t c = (static_cast<std::size_t>(r.system_id) * 8191u +
                            static_cast<std::size_t>(r.node_id)) %
@@ -863,12 +876,36 @@ TEST(Server, ShardedIngestSealsIdenticalToBatch) {
   }
   for (int c = 0; c < 4; ++c) send_all(clients[c], payloads[c]);
   wait_until_ingested(server, kEvents);
+  for (int i = 0; i < 500 && server.events_rejected() < 2; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
 
   const HttpResponse stats = http_get(server.http_port(), "/stats");
   EXPECT_EQ(stats.status, 200);
   EXPECT_NE(stats.body.find("\"ingest_threads\":4"), std::string::npos)
       << stats.body;
-  EXPECT_NE(stats.body.find("\"shards\":["), std::string::npos);
+  // The daemon's totals are the sums of its per-shard counts.
+  const std::size_t shards_at = stats.body.find("\"shards\":[");
+  ASSERT_NE(shards_at, std::string::npos) << stats.body;
+  const std::size_t shards_end = stats.body.find(']', shards_at);
+  std::uint64_t accepted = 0;
+  std::uint64_t rejected = 0;
+  std::uint64_t connections = 0;
+  std::size_t entries = 0;
+  for (std::size_t at = stats.body.find('{', shards_at); at < shards_end;
+       at = stats.body.find('{', at + 1)) {
+    accepted += json_number(stats.body, "accepted", at);
+    rejected += json_number(stats.body, "rejected", at);
+    connections += json_number(stats.body, "connections", at);
+    ++entries;
+  }
+  EXPECT_EQ(entries, 4u);
+  EXPECT_EQ(json_number(stats.body, "events_ingested"), accepted);
+  EXPECT_EQ(json_number(stats.body, "events_rejected"), rejected);
+  EXPECT_EQ(json_number(stats.body, "connections"), connections);
+  EXPECT_EQ(accepted, kEvents);
+  EXPECT_EQ(rejected, 2u);
+  EXPECT_EQ(connections, 4u);
 
   for (const int c : clients) ::close(c);
   server.stop();

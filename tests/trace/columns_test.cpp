@@ -1,12 +1,14 @@
 // ColumnStore / ColumnsView unit tests: the SoA storage must be a
 // faithful row store (AoS round trips are identity), and
 // FailureDataset::from_columns must accept sorted columns as-is, sort
-// unsorted ones to the exact order the record constructor produces, and
-// reject inconsistent rows with the same diagnostics.
+// unsorted ones to the exact order a stable sort of the records
+// produces, and reject inconsistent rows with the same diagnostics.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <iterator>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/error.hpp"
@@ -156,16 +158,39 @@ TEST(FromColumns, AdoptsSortedColumnsAsIs) {
   }
 }
 
-TEST(FromColumns, SortsUnsortedColumnsLikeTheRecordConstructor) {
-  const auto records = random_records(500, 16);  // unsorted
-  const FailureDataset via_columns =
-      FailureDataset::from_columns(ColumnStore::from_records(records));
-  const FailureDataset via_records(
-      std::vector<FailureRecord>(records.begin(), records.end()));
-  ASSERT_EQ(via_columns.size(), via_records.size());
-  for (std::size_t i = 0; i < via_columns.size(); ++i) {
-    EXPECT_EQ(via_columns.records()[i], via_records.records()[i])
-        << "row " << i;
+// Unsorted columns come out in the order of a stable sort of the records
+// by (start, system, node). Each repeated key differs in its end, cause
+// and workload, so a sort that reorders ties shows. The second input has
+// one start far enough out that the keys no longer pack into 64 bits,
+// which takes the comparison sort instead of the radix passes.
+TEST(FromColumns, SortsUnsortedColumnsLikeAStableSortOfTheRecords) {
+  constexpr hpcfail::Seconds kFar = hpcfail::Seconds{1} << 60;
+  for (const hpcfail::Seconds far : {hpcfail::Seconds{0}, kFar}) {
+    SCOPED_TRACE("far=" + std::to_string(far));
+    auto records = random_records(500, 16);  // unsorted
+    records[250].start += far;
+    records[250].end += far;
+    // Two ties for each of rows 0-99 (compute, hardware).
+    for (std::size_t i = 0; i < 200; ++i) {
+      FailureRecord tie = records[i % 100];
+      tie.end += 1 + static_cast<hpcfail::Seconds>(i);
+      tie.workload = i < 100 ? Workload::graphics : Workload::frontend;
+      tie.detail = i < 100 ? DetailCause::scheduler : DetailCause::nic;
+      tie.cause = hpcfail::trace::category_of(tie.detail);
+      records.push_back(tie);
+    }
+    std::vector<FailureRecord> want = records;
+    std::stable_sort(want.begin(), want.end(),
+                     [](const FailureRecord& a, const FailureRecord& b) {
+                       return std::tie(a.start, a.system_id, a.node_id) <
+                              std::tie(b.start, b.system_id, b.node_id);
+                     });
+    const FailureDataset got =
+        FailureDataset::from_columns(ColumnStore::from_records(records));
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got.records()[i], want[i]) << "row " << i;
+    }
   }
 }
 

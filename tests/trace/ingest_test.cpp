@@ -16,6 +16,8 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "dist/suffstats.hpp"
+#include "obs/metrics.hpp"
 #include "trace/dataset.hpp"
 #include "trace/index.hpp"
 #include "trace/source.hpp"
@@ -241,6 +243,35 @@ TEST(LiveDataset, OldSnapshotsSurviveLaterSeals) {
   EXPECT_NE(old.get(), live.snapshot().get());
 }
 
+#ifndef HPCFAIL_OBS_DISABLE
+// No live reader queries a snapshot's index, so neither seeding nor a
+// seal builds one; the first view() of a snapshot does, once.
+TEST(LiveDataset, SealsBuildNoIndexUntilASnapshotIsQueried) {
+  const bool was_enabled = obs::enabled();
+  obs::enable();
+  const obs::Histogram& builds =
+      obs::registry().histogram("trace.index.seconds");
+  const std::uint64_t before = builds.count();
+
+  const std::vector<FailureRecord> records = random_records(600, 89);
+  std::vector<FailureRecord> head(records.begin(), records.begin() + 200);
+  LiveDataset live{FailureDataset(std::move(head))};
+  for (std::size_t i = 200; i < records.size(); ++i) {
+    live.append(records[i]);
+    if (i % 100 == 99) live.seal();
+  }
+  EXPECT_EQ(live.epoch(), 4u);
+  EXPECT_EQ(builds.count(), before);
+
+  const std::shared_ptr<const FailureDataset> snap = live.snapshot();
+  EXPECT_EQ(snap->view().size(), records.size());
+  EXPECT_EQ(builds.count(), before + 1);
+  EXPECT_EQ(snap->view().size(), records.size());  // built once per snapshot
+  EXPECT_EQ(builds.count(), before + 1);
+  obs::set_enabled(was_enabled);
+}
+#endif
+
 // Regression for the index.hpp lifetime contract: a FailureDataset with a
 // built index must stay usable after being moved (the index is dropped
 // under the mutex and lazily rebuilt over the new storage — stale views
@@ -255,8 +286,8 @@ TEST(LiveDataset, AppendThenMoveRebuildsIndexOverNewStorage) {
   EXPECT_EQ(systems_after, systems_before);
   EXPECT_EQ(moved.index().all().size(), records.size());
 
-  // Same through the streaming path: seed (index built before publish),
-  // append, seal, and query the new epoch's index.
+  // Same through the streaming path: seed, append, seal, and query the
+  // new epoch's index (built on first use).
   LiveDataset live(std::move(moved));
   live.append(rec(9, 0, t0 - 100, 60));
   live.seal();
@@ -392,49 +423,75 @@ TEST(LiveDataset, CountRetentionRoundsDownToAStartBoundary) {
   EXPECT_EQ(live.retention_horizon(), t0 + 500);
 }
 
-TEST(LiveDataset, CompactionLedgerMatchesBruteForce) {
-  const std::vector<FailureRecord> records = random_records(2000, 83);
-  LiveDataset::Options opts;
-  opts.min_rebuild_tail = 128;
-  opts.shards = 2;
-  opts.max_sealed_events = 500;
-  LiveDataset live(opts);
-  for (const FailureRecord& r : records) live.append(shard_of(r, 2), r);
-  live.seal();
-
-  ASSERT_GT(live.compacted_events(), 0u);
-  EXPECT_EQ(live.size() + live.compacted_events(), records.size());
-  const Seconds horizon = live.retention_horizon();
-
-  // Brute force: every record below the final horizon must be in the
-  // ledger, keyed by (system, node, cause), with matching moments.
-  std::map<std::tuple<int, int, RootCause>, std::vector<double>> want;
-  std::vector<FailureRecord> sorted(records);
-  std::sort(sorted.begin(), sorted.end(),
+/// random_records with varied repair lengths and causes, in
+/// (start, system, node) order.
+std::vector<FailureRecord> varied_sorted_records(std::size_t n,
+                                                 std::uint32_t seed) {
+  std::vector<FailureRecord> out = random_records(n, seed);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i].detail =
+        static_cast<DetailCause>((i * 7) % kDetailCauseNames.size());
+    out[i].cause = category_of(out[i].detail);
+    out[i].end = out[i].start + 60 + static_cast<Seconds>((i * 977) % 86'400);
+  }
+  std::sort(out.begin(), out.end(),
             [](const FailureRecord& a, const FailureRecord& b) {
-              return a.start < b.start;
+              return std::tie(a.start, a.system_id, a.node_id) <
+                     std::tie(b.start, b.system_id, b.node_id);
             });
-  std::uint64_t dropped = 0;
-  for (const FailureRecord& r : sorted) {
-    if (r.start < horizon) {
-      want[{r.system_id, r.node_id, r.cause}].push_back(
-          r.downtime_minutes());
+  return out;
+}
+
+// The ledger keeps one cell per (system, cause), each folded in the
+// global (start, system, node) order of the rows it dropped. Arrivals
+// come in that order, so each seal drops rows after the previous seal's
+// and a single fold of all dropped rows is the reference.
+TEST(LiveDataset, CompactionLedgerMatchesBruteForce) {
+  const std::vector<FailureRecord> records = varied_sorted_records(2000, 83);
+  for (const std::size_t shards : {1u, 2u, 8u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    LiveDataset::Options opts;
+    opts.min_rebuild_tail = 128;
+    opts.shards = shards;
+    opts.max_sealed_events = 500;
+    LiveDataset live(opts);
+    for (const FailureRecord& r : records) live.append(shard_of(r, shards), r);
+    live.seal();
+
+    ASSERT_GT(live.compacted_events(), 0u);
+    EXPECT_EQ(live.size() + live.compacted_events(), records.size());
+    const Seconds horizon = live.retention_horizon();
+
+    std::map<std::pair<int, RootCause>, dist::SuffStats> want;
+    std::uint64_t dropped = 0;
+    for (const FailureRecord& r : records) {
+      if (r.start >= horizon) break;
+      want[{r.system_id, r.cause}].add(r.downtime_minutes());
       ++dropped;
     }
-  }
-  EXPECT_EQ(live.compacted_events(), dropped);
+    EXPECT_EQ(live.compacted_events(), dropped);
 
-  const std::vector<CompactionCell> cells = live.compaction_cells();
-  ASSERT_EQ(cells.size(), want.size());
-  for (const CompactionCell& cell : cells) {
-    const auto it =
-        want.find({cell.system_id, cell.node_id, cell.cause});
-    ASSERT_NE(it, want.end());
-    const std::vector<double>& values = it->second;
-    ASSERT_EQ(cell.repair_minutes.n, values.size());
-    double sum = 0.0;
-    for (const double v : values) sum += v;
-    EXPECT_NEAR(cell.repair_minutes.mean(), sum / values.size(), 1e-9);
+    const std::vector<CompactionCell> cells = live.compaction_cells();
+    ASSERT_EQ(cells.size(), want.size());
+    auto it = want.begin();
+    for (const CompactionCell& cell : cells) {
+      EXPECT_EQ(cell.system_id, it->first.first);
+      EXPECT_EQ(cell.cause, it->first.second);
+      const dist::SuffStats& got = cell.repair_minutes;
+      const dist::SuffStats& ref = it->second;
+      EXPECT_EQ(got.n, ref.n);
+      EXPECT_EQ(got.floor_at, ref.floor_at);
+      EXPECT_EQ(got.sum_raw, ref.sum_raw);
+      EXPECT_EQ(got.shift, ref.shift);
+      EXPECT_EQ(got.mean_dev, ref.mean_dev);
+      EXPECT_EQ(got.m2, ref.m2);
+      EXPECT_EQ(got.log_shift, ref.log_shift);
+      EXPECT_EQ(got.log_mean_dev, ref.log_mean_dev);
+      EXPECT_EQ(got.log_m2, ref.log_m2);
+      EXPECT_EQ(got.min, ref.min);
+      EXPECT_EQ(got.max, ref.max);
+      ++it;
+    }
   }
 }
 

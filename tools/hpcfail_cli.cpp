@@ -738,7 +738,7 @@ int cmd_serve(const Args& args) {
   std::signal(SIGTERM, SIG_DFL);
 
   std::cout << "ingested " << server->events_ingested() << " events ("
-            << server->events_rejected() << " rejected), index epoch "
+            << server->events_rejected() << " rejected), epoch "
             << server->dataset().epoch() << ", " << server->dataset().size()
             << " records";
   if (server->dataset().compacted_events() > 0) {

@@ -10,9 +10,7 @@ namespace {
 std::atomic<bool> g_enabled{true};
 }  // namespace
 
-#ifndef HPCFAIL_OBS_DISABLE
 bool enabled() noexcept { return g_enabled.load(std::memory_order_relaxed); }
-#endif
 
 void set_enabled(bool on) noexcept {
   g_enabled.store(on, std::memory_order_relaxed);

@@ -10,9 +10,8 @@
 //      PRNG streams or changes iteration order, so traces and fits are
 //      bit-identical with observability on or off (asserted by
 //      tests/obs/determinism_obs_test.cpp).
-//   3. Everything can be turned off: obs::disable() flips one atomic that
-//      call sites check first, and building with -DHPCFAIL_OBS_DISABLE
-//      compiles enabled() down to `false` so the branches fold away.
+//   3. Everything can be turned off at run time: obs::disable() flips one
+//      atomic that call sites check first.
 //
 // Metric names are dotted paths with optional {key=value} labels, e.g.
 // "synth.shard_seconds{system=20}". The registry treats the full string
@@ -30,13 +29,8 @@
 
 namespace hpcfail::obs {
 
-/// True when metric recording is globally enabled (the default). Compiled
-/// to a constant false under -DHPCFAIL_OBS_DISABLE.
-#ifdef HPCFAIL_OBS_DISABLE
-constexpr bool enabled() noexcept { return false; }
-#else
+/// True when metric recording is globally enabled (the default).
 bool enabled() noexcept;
-#endif
 
 /// Globally enables/disables recording. Metric handles stay valid while
 /// disabled; record calls become no-ops at the call-site check.

@@ -6,8 +6,8 @@
 // production slowdown read the same way.
 //
 // The timer always measures: `hpcfail profile` reads its numbers back
-// even in an HPCFAIL_OBS_DISABLE build. It records into the registry
-// only while obs is enabled.
+// even after obs::disable(). It records into the registry only while obs
+// is enabled.
 #pragma once
 
 #include <chrono>

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -23,7 +21,6 @@
 namespace hpcfail::synth {
 
 using trace::ColumnStore;
-using trace::MergeKeySpec;
 using trace::DetailCause;
 using trace::FailureRecord;
 using trace::NodeCategory;
@@ -431,36 +428,6 @@ SystemPlan build_plan(std::uint64_t seed, const SystemInfo& sys,
   return plan;
 }
 
-// Key layout for the seal-time merge (trace/merge.hpp), fixed before
-// emission from the catalog's ranges — which may be wider than the data
-// actually emitted; pack() only needs to cover it. Computing keys during
-// emission fuses the key pass into the generation loop.
-MergeKeySpec make_key_spec(const std::vector<SystemPlan>& plans) {
-  if (plans.empty()) return MergeKeySpec{};
-  Seconds lo = std::numeric_limits<Seconds>::max();
-  Seconds hi = std::numeric_limits<Seconds>::min();
-  std::int64_t max_sys = 0;
-  std::int64_t max_node = 0;
-  for (const SystemPlan& p : plans) {
-    if (p.sys->id < 0 || p.sys->nodes <= 0) return MergeKeySpec{};
-    lo = std::min(lo, p.grid.start);
-    hi = std::max(hi, p.grid.end());
-    max_sys = std::max(max_sys, static_cast<std::int64_t>(p.sys->id));
-    max_node =
-        std::max(max_node, static_cast<std::int64_t>(p.sys->nodes - 1));
-  }
-  if (hi < lo) return MergeKeySpec{};
-  return trace::make_merge_key_spec(lo, hi, max_sys, max_node);
-}
-
-// One shard's records in emission order, stored as columns, plus the
-// packed merge key of every record when the generate() path requested
-// them (generate_system() skips the keys).
-struct ShardOut {
-  ColumnStore columns;
-  std::vector<std::uint64_t> keys;
-};
-
 // Column write cursors with one capacity check per record instead of one
 // per column. The store is resized up front to the shard's estimated row
 // count (doubling when the estimate is exceeded); finish() shrinks it to
@@ -468,14 +435,13 @@ struct ShardOut {
 // never touches the written rows.
 class EmitBuffer {
  public:
-  EmitBuffer(ColumnStore& out, std::vector<std::uint64_t>* keys,
-             std::size_t capacity)
-      : out_(&out), keys_(keys), cap_(capacity > 0 ? capacity : 16) {
+  EmitBuffer(ColumnStore& out, std::size_t capacity)
+      : out_(&out), cap_(capacity > 0 ? capacity : 16) {
     resize_all();
   }
 
   void push(int system, int node, Seconds start, Seconds end, Workload w,
-            RootCause cause, DetailCause detail, std::uint64_t key) {
+            RootCause cause, DetailCause detail) {
     if (n_ == cap_) {
       cap_ *= 2;
       resize_all();
@@ -487,19 +453,14 @@ class EmitBuffer {
     workload_[n_] = w;
     cause_[n_] = cause;
     detail_[n_] = detail;
-    if (key_ != nullptr) key_[n_] = key;
     ++n_;
   }
 
-  void finish() {
-    out_->resize(n_);
-    if (keys_ != nullptr) keys_->resize(n_);
-  }
+  void finish() { out_->resize(n_); }
 
  private:
   void resize_all() {
     out_->resize(cap_);
-    if (keys_ != nullptr) keys_->resize(cap_);
     system_ = out_->system_id.data();
     node_ = out_->node_id.data();
     start_ = out_->start.data();
@@ -507,11 +468,9 @@ class EmitBuffer {
     workload_ = out_->workload.data();
     cause_ = out_->cause.data();
     detail_ = out_->detail.data();
-    key_ = keys_ != nullptr ? keys_->data() : nullptr;
   }
 
   ColumnStore* out_;
-  std::vector<std::uint64_t>* keys_;
   std::size_t cap_ = 0;
   std::size_t n_ = 0;
   int* system_ = nullptr;
@@ -521,33 +480,29 @@ class EmitBuffer {
   Workload* workload_ = nullptr;
   RootCause* cause_ = nullptr;
   DetailCause* detail_ = nullptr;
-  std::uint64_t* key_ = nullptr;
 };
 
 // Generates the records of nodes [node_begin, node_end) of one system —
 // exactly the records the sequential per-node loop would produce for that
 // range, because every node draws from its own (seed, system, node) PRNG
 // stream. Records land directly in the shard's columns; no AoS staging.
-ShardOut generate_node_range(const SystemPlan& plan, std::uint64_t seed,
-                             int node_begin, int node_end,
-                             const MergeKeySpec* keyspec) {
+ColumnStore generate_node_range(const SystemPlan& plan, std::uint64_t seed,
+                                int node_begin, int node_end) {
   const SystemScenario& scen = *plan.scen;
   const SystemInfo& sys = *plan.sys;
   const HardwareProfile& profile = *plan.profile;
   const IntensityGrid& grid = plan.grid;
 
-  ShardOut shard;
+  ColumnStore shard;
   const double share =
       static_cast<double>(node_end - node_begin) /
       static_cast<double>(std::max(1, sys.nodes));
   EmitBuffer buf(
-      shard.columns, keyspec != nullptr ? &shard.keys : nullptr,
-      static_cast<std::size_t>(plan.target_total * share * 1.2) + 16);
+      shard, static_cast<std::size_t>(plan.target_total * share * 1.2) + 16);
 
   const auto emit = [&](int node_id, Seconds start, Seconds end, Workload w,
                         RootCause cause, DetailCause detail) {
-    buf.push(sys.id, node_id, start, end, w, cause, detail,
-             keyspec != nullptr ? keyspec->pack(start, sys.id, node_id) : 0);
+    buf.push(sys.id, node_id, start, end, w, cause, detail);
   };
 
   // Past the decay window the unknown-cause boost is exactly zero and
@@ -656,28 +611,25 @@ void append_shards(const SystemPlan& plan, std::vector<NodeShard>& shards) {
   }
 }
 
-// Runs the shards on the shared pool. The generate() path passes a key
-// spec so every record's packed merge key is emitted alongside the
-// columns; the generate_system() path passes none and reads the columns
-// in emission order.
+// Runs the shards on the shared pool; each returns its records in
+// emission order.
 //
 // Each shard's wall time and record count go to the per-system obs
 // histograms ("synth.shard_seconds{system=N}" / "synth.shard_records{...}");
 // timing is measured around the deterministic generation, never fed back
 // into it, so the output is bit-identical with obs on or off.
-std::vector<ShardOut> run_shards(const std::vector<NodeShard>& shards,
-                                 std::uint64_t seed, const MergeKeySpec* keyspec) {
+std::vector<ColumnStore> run_shards(const std::vector<NodeShard>& shards,
+                                    std::uint64_t seed) {
   const bool observed = hpcfail::obs::enabled();
   auto parts = hpcfail::parallel_map(
-      shards.size(), [&shards, seed, keyspec, observed](std::size_t k) {
+      shards.size(), [&shards, seed, observed](std::size_t k) {
         const NodeShard& s = shards[k];
         if (!observed) {
-          return generate_node_range(*s.plan, seed, s.node_begin, s.node_end,
-                                     keyspec);
+          return generate_node_range(*s.plan, seed, s.node_begin, s.node_end);
         }
         const auto t0 = std::chrono::steady_clock::now();
-        ShardOut shard = generate_node_range(*s.plan, seed, s.node_begin,
-                                             s.node_end, keyspec);
+        ColumnStore shard =
+            generate_node_range(*s.plan, seed, s.node_begin, s.node_end);
         const double elapsed =
             std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                           t0)
@@ -687,12 +639,12 @@ std::vector<ShardOut> run_shards(const std::vector<NodeShard>& shards,
         hpcfail::obs::Registry& reg = hpcfail::obs::registry();
         reg.histogram("synth.shard_seconds" + label).record(elapsed);
         reg.histogram("synth.shard_records" + label)
-            .record(static_cast<double>(shard.columns.size()));
+            .record(static_cast<double>(shard.size()));
         return shard;
       });
   if (observed) {
     std::size_t total = 0;
-    for (const auto& part : parts) total += part.columns.size();
+    for (const auto& part : parts) total += part.size();
     hpcfail::obs::registry().counter("synth.records_total").add(total);
   }
   return parts;
@@ -746,14 +698,14 @@ std::vector<FailureRecord> TraceGenerator::generate_system(
   append_shards(plan, shards);
   // Emission order, shard by shard — the exact vector the sequential
   // per-node loop builds; AoS records are reconstituted at this edge.
-  auto parts = run_shards(shards, config_.seed, /*keyspec=*/nullptr);
+  auto parts = run_shards(shards, config_.seed);
   std::size_t total = 0;
-  for (const auto& part : parts) total += part.columns.size();
+  for (const auto& part : parts) total += part.size();
   std::vector<FailureRecord> all;
   all.reserve(total);
   for (const auto& part : parts) {
-    const std::size_t n = part.columns.size();
-    for (std::size_t i = 0; i < n; ++i) all.push_back(part.columns.row(i));
+    const std::size_t n = part.size();
+    for (std::size_t i = 0; i < n; ++i) all.push_back(part.row(i));
   }
   return all;
 }
@@ -762,29 +714,24 @@ trace::FailureDataset TraceGenerator::generate() const {
   // Plans (hourly intensity grid, per-node weights, calibration) are
   // cheap; build them up front so the expensive event generation can fan
   // out per (system, node-range) shard across the shared pool. Workers
-  // emit columns plus a packed (start, system, node) key per record; a
-  // stable radix sort of the keys then merges the shards into globally
-  // sorted columns with a single copy of the rows, which from_columns
-  // adopts without re-sorting — the whole pipeline never builds an AoS
-  // copy of the trace.
+  // emit columns; the stable radix merge (trace/merge.hpp) then sorts the
+  // shards into global (start, system, node) order with a single copy of
+  // the rows, which from_columns adopts without re-sorting — the whole
+  // pipeline never builds an AoS copy of the trace.
   obs::ScopedTimer timer("synth.generate");
   std::vector<SystemPlan> plans;
   plans.reserve(config_.systems.size());
   for (const SystemScenario& s : config_.systems) {
     plans.push_back(build_plan(config_.seed, catalog_.system(s.system_id), s));
   }
-  const MergeKeySpec spec = make_key_spec(plans);
   std::vector<NodeShard> shards;
   for (const SystemPlan& plan : plans) append_shards(plan, shards);
-  auto parts =
-      run_shards(shards, config_.seed, spec.packable ? &spec : nullptr);
-  std::vector<trace::MergeInput> inputs;
+  const std::vector<ColumnStore> parts = run_shards(shards, config_.seed);
+  std::vector<const ColumnStore*> inputs;
   inputs.reserve(parts.size());
-  for (ShardOut& p : parts) {
-    inputs.push_back({&p.columns, std::move(p.keys)});
-  }
-  trace::FailureDataset dataset = trace::FailureDataset::from_columns(
-      trace::merge_sorted(std::move(inputs), spec));
+  for (const ColumnStore& p : parts) inputs.push_back(&p);
+  trace::FailureDataset dataset =
+      trace::FailureDataset::from_columns(trace::merge_sorted(inputs));
   timer.stop();
   if (obs::enabled() && timer.elapsed_seconds() > 0.0) {
     obs::registry()

@@ -96,6 +96,36 @@ std::vector<FailureRecord> ColumnStore::to_records(std::size_t first,
   return out;
 }
 
+Seconds ColumnsView::last_end() const noexcept {
+  const std::span<const Seconds> e = ends();
+  Seconds latest = e.front();
+  for (const Seconds x : e) latest = std::max(latest, x);
+  return latest;
+}
+
+std::vector<double> ColumnsView::repair_times_minutes() const {
+  // The division stays a division so the values match
+  // FailureRecord::downtime_minutes() bit for bit.
+  const std::span<const Seconds> s = starts();
+  const std::span<const Seconds> e = ends();
+  std::vector<double> times;
+  times.reserve(s.size());
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    times.push_back(static_cast<double>(e[i] - s[i]) / 60.0);
+  }
+  return times;
+}
+
+double ColumnsView::total_downtime_minutes() const noexcept {
+  const std::span<const Seconds> s = starts();
+  const std::span<const Seconds> e = ends();
+  double total = 0.0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    total += static_cast<double>(e[i] - s[i]) / 60.0;
+  }
+  return total;
+}
+
 ColumnStore ColumnsView::to_store() const {
   ColumnStore out;
   if (store_ == nullptr || count_ == 0) {

@@ -149,6 +149,16 @@ class ColumnsView {
                        : std::span{store_->detail.data() + offset_, count_};
   }
 
+  /// Latest end among the viewed rows. Requires a non-empty view.
+  Seconds last_end() const noexcept;
+
+  /// Repair times (end - start) in minutes, one per viewed row, in row
+  /// order — one fused pass over the start/end columns.
+  std::vector<double> repair_times_minutes() const;
+
+  /// Sum of the viewed rows' downtime, in minutes, added in row order.
+  double total_downtime_minutes() const noexcept;
+
   /// This view narrowed to rows [first, first + count) of itself.
   ColumnsView subview(std::size_t first, std::size_t count) const noexcept {
     return {store_, offset_ + first, count};

@@ -1,6 +1,5 @@
 #include "trace/dataset.hpp"
 
-#include <algorithm>
 #include <set>
 #include <string>
 
@@ -60,9 +59,7 @@ FailureDataset FailureDataset::from_columns(ColumnStore columns) {
   if (!validate_columns(columns)) {
     // Rare slow path (the generator and every CSV this library writes
     // arrive sorted). Stable, so equal keys keep their input order.
-    std::vector<MergeInput> parts{{&columns, {}}};
-    const MergeKeySpec spec = merge_key_spec_for(parts);
-    columns = merge_sorted(std::move(parts), spec);
+    columns = merge_sorted({&columns});
   }
   FailureDataset out;
   out.columns_ = std::move(columns);
@@ -125,9 +122,7 @@ Seconds FailureDataset::first_start() const {
 
 Seconds FailureDataset::last_end() const {
   HPCFAIL_EXPECTS(!columns_.empty(), "last_end of empty dataset");
-  Seconds latest = columns_.end.front();
-  for (Seconds e : columns_.end) latest = std::max(latest, e);
-  return latest;
+  return records().last_end();
 }
 
 FailureDataset FailureDataset::filter(
@@ -141,17 +136,7 @@ FailureDataset FailureDataset::filter(
 }
 
 std::vector<double> FailureDataset::repair_times_minutes() const {
-  // Fused unit conversion over the start/end columns; the record-level
-  // downtime_minutes() helper stays for edge callers only. The division
-  // stays a division so the values match the per-record path bit for bit.
-  const std::size_t n = columns_.size();
-  std::vector<double> times;
-  times.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    times.push_back(
-        static_cast<double>(columns_.end[i] - columns_.start[i]) / 60.0);
-  }
-  return times;
+  return records().repair_times_minutes();
 }
 
 std::vector<int> FailureDataset::system_ids() const {
@@ -161,12 +146,7 @@ std::vector<int> FailureDataset::system_ids() const {
 }
 
 double FailureDataset::total_downtime_minutes() const noexcept {
-  double total = 0.0;
-  const std::size_t n = columns_.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    total += static_cast<double>(columns_.end[i] - columns_.start[i]) / 60.0;
-  }
-  return total;
+  return records().total_downtime_minutes();
 }
 
 }  // namespace hpcfail::trace

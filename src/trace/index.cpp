@@ -191,10 +191,7 @@ Seconds DatasetView::first_start() const {
 
 Seconds DatasetView::last_end() const {
   HPCFAIL_EXPECTS(!view_.empty(), "last_end of empty view");
-  const std::span<const Seconds> ends = view_.ends();
-  Seconds latest = ends.front();
-  for (Seconds e : ends) latest = std::max(latest, e);
-  return latest;
+  return view_.last_end();
 }
 
 DatasetView DatasetView::for_system(int system_id) const {
@@ -313,26 +310,11 @@ std::map<int, std::size_t> DatasetView::failures_per_node() const {
 
 std::vector<double> DatasetView::repair_times_minutes() const {
   if (index_ != nullptr) index_->count_view_hit();
-  // Fused unit conversion over the start/end columns (the division stays
-  // a division so values match the per-record helper bit for bit).
-  const std::span<const Seconds> starts = view_.starts();
-  const std::span<const Seconds> ends = view_.ends();
-  std::vector<double> times;
-  times.reserve(starts.size());
-  for (std::size_t i = 0; i < starts.size(); ++i) {
-    times.push_back(static_cast<double>(ends[i] - starts[i]) / 60.0);
-  }
-  return times;
+  return view_.repair_times_minutes();
 }
 
 double DatasetView::total_downtime_minutes() const noexcept {
-  const std::span<const Seconds> starts = view_.starts();
-  const std::span<const Seconds> ends = view_.ends();
-  double total = 0.0;
-  for (std::size_t i = 0; i < starts.size(); ++i) {
-    total += static_cast<double>(ends[i] - starts[i]) / 60.0;
-  }
-  return total;
+  return view_.total_downtime_minutes();
 }
 
 FailureDataset DatasetView::materialize() const {

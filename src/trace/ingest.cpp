@@ -105,14 +105,13 @@ void LiveDataset::do_seal() {
   // the concatenation — so repeated seals commute with a single batch
   // build on the same data, at any shard count.
   const std::shared_ptr<const FailureDataset> sealed_ptr = snapshot();
-  std::vector<MergeInput> parts;
+  std::vector<const ColumnStore*> parts;
   parts.reserve(1 + tails.size());
-  parts.push_back({&sealed_ptr->columns(), {}});
+  parts.push_back(&sealed_ptr->columns());
   for (const ColumnStore& t : tails) {
-    if (!t.empty()) parts.push_back({&t, {}});
+    if (!t.empty()) parts.push_back(&t);
   }
-  const MergeKeySpec spec = merge_key_spec_for(parts);
-  ColumnStore merged = merge_sorted(std::move(parts), spec);
+  ColumnStore merged = merge_sorted(parts);
 
   const std::size_t cut = retention_cut(merged);
   if (cut > 0) {
@@ -141,7 +140,12 @@ std::size_t LiveDataset::retention_cut(const ColumnStore& merged) const {
   if (merged.size() == 0) return 0;
   std::size_t cut = 0;
   if (options_.retain_seconds > 0) {
-    const Seconds horizon = merged.start.back() - options_.retain_seconds;
+    // A horizon before the lowest Seconds saturates there: it cuts nothing.
+    constexpr Seconds kLowest = std::numeric_limits<Seconds>::min();
+    const Seconds last = merged.start.back();
+    const Seconds horizon = last < kLowest + options_.retain_seconds
+                                ? kLowest
+                                : last - options_.retain_seconds;
     cut = static_cast<std::size_t>(
         std::lower_bound(merged.start.begin(), merged.start.end(), horizon) -
         merged.start.begin());

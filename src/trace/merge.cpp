@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdint>
 #include <limits>
-
-#include "common/error.hpp"
 
 namespace hpcfail::trace {
 namespace {
@@ -15,51 +14,64 @@ unsigned bits_for(std::uint64_t v) noexcept {
 
 constexpr unsigned kRadixDigitBits = 16;
 
-}  // namespace
+/// Layout of the packed (start, system, node) merge key. The key orders
+/// exactly like the dataset's record comparator, so a stable integer
+/// sort of the keys is the global merge; equal keys stay in input order.
+struct MergeKeySpec {
+  Seconds base = 0;
+  unsigned start_bits = 0;
+  unsigned sys_bits = 0;
+  unsigned node_bits = 0;
+  bool packable = false;
 
-MergeKeySpec make_merge_key_spec(Seconds min_start, Seconds max_start,
-                                 std::int64_t max_system,
-                                 std::int64_t max_node) noexcept {
+  unsigned total_bits() const noexcept {
+    return start_bits + sys_bits + node_bits;
+  }
+
+  // Start offsets are unsigned: two int64 starts can lie further apart
+  // than Seconds holds.
+  std::uint64_t pack(Seconds start, int system, int node) const noexcept {
+    return ((static_cast<std::uint64_t>(start) -
+             static_cast<std::uint64_t>(base))
+            << (sys_bits + node_bits)) |
+           (static_cast<std::uint64_t>(system) << node_bits) |
+           static_cast<std::uint64_t>(node);
+  }
+};
+
+/// Sizes the key from the parts' start/system/node ranges; not packable
+/// when an id is negative or the key needs more than 64 bits. Requires
+/// at least one row.
+MergeKeySpec merge_key_spec_for(
+    const std::vector<const ColumnStore*>& parts) noexcept {
+  Seconds lo = std::numeric_limits<Seconds>::max();
+  Seconds hi = std::numeric_limits<Seconds>::min();
+  int min_id = 0;
+  int max_sys = 0;
+  int max_node = 0;
+  for (const ColumnStore* part : parts) {
+    const ColumnStore& c = *part;
+    for (std::size_t i = 0; i < c.size(); ++i) {
+      lo = std::min(lo, c.start[i]);
+      hi = std::max(hi, c.start[i]);
+      min_id = std::min({min_id, c.system_id[i], c.node_id[i]});
+      max_sys = std::max(max_sys, c.system_id[i]);
+      max_node = std::max(max_node, c.node_id[i]);
+    }
+  }
   MergeKeySpec spec;
-  if (max_start < min_start || max_system < 0 || max_node < 0) return spec;
-  spec.base = min_start;
-  spec.start_bits = bits_for(static_cast<std::uint64_t>(max_start - min_start));
-  spec.sys_bits = bits_for(static_cast<std::uint64_t>(max_system));
+  if (min_id < 0) return spec;
+  spec.base = lo;
+  spec.start_bits = bits_for(static_cast<std::uint64_t>(hi) -
+                             static_cast<std::uint64_t>(lo));
+  spec.sys_bits = bits_for(static_cast<std::uint64_t>(max_sys));
   spec.node_bits = bits_for(static_cast<std::uint64_t>(max_node));
   spec.packable = spec.total_bits() <= 64;
   return spec;
 }
 
-MergeKeySpec merge_key_spec_for(
-    const std::vector<MergeInput>& parts) noexcept {
-  Seconds lo = std::numeric_limits<Seconds>::max();
-  Seconds hi = std::numeric_limits<Seconds>::min();
-  std::int64_t max_sys = 0;
-  std::int64_t max_node = 0;
-  bool any = false;
-  for (const MergeInput& p : parts) {
-    if (p.columns == nullptr) continue;
-    const ColumnStore& c = *p.columns;
-    for (std::size_t i = 0; i < c.size(); ++i) {
-      any = true;
-      lo = std::min(lo, c.start[i]);
-      hi = std::max(hi, c.start[i]);
-      if (c.system_id[i] < 0 || c.node_id[i] < 0) return MergeKeySpec{};
-      max_sys = std::max(max_sys, static_cast<std::int64_t>(c.system_id[i]));
-      max_node = std::max(max_node, static_cast<std::int64_t>(c.node_id[i]));
-    }
-  }
-  if (!any) return MergeKeySpec{};
-  return make_merge_key_spec(lo, hi, max_sys, max_node);
-}
-
-ColumnStore merge_sorted_by_comparison(const std::vector<MergeInput>& parts) {
-  std::size_t total = 0;
-  for (const MergeInput& p : parts) {
-    if (p.columns != nullptr) total += p.columns->size();
-  }
-  if (total == 0) return ColumnStore{};
-
+ColumnStore merge_sorted_by_comparison(
+    const std::vector<const ColumnStore*>& parts, std::size_t total) {
   struct Ref {
     Seconds start;
     int system;
@@ -70,8 +82,7 @@ ColumnStore merge_sorted_by_comparison(const std::vector<MergeInput>& parts) {
   std::vector<Ref> refs;
   refs.reserve(total);
   for (std::uint32_t p = 0; p < parts.size(); ++p) {
-    if (parts[p].columns == nullptr) continue;
-    const ColumnStore& c = *parts[p].columns;
+    const ColumnStore& c = *parts[p];
     for (std::size_t i = 0; i < c.size(); ++i) {
       refs.push_back({c.start[i], c.system_id[i], c.node_id[i], p, i});
     }
@@ -87,7 +98,7 @@ ColumnStore merge_sorted_by_comparison(const std::vector<MergeInput>& parts) {
   out.resize(total);
   for (std::size_t i = 0; i < total; ++i) {
     const Ref& r = refs[i];
-    const ColumnStore& c = *parts[r.part].columns;
+    const ColumnStore& c = *parts[r.part];
     out.system_id[i] = c.system_id[r.pos];
     out.node_id[i] = c.node_id[r.pos];
     out.start[i] = c.start[r.pos];
@@ -99,51 +110,33 @@ ColumnStore merge_sorted_by_comparison(const std::vector<MergeInput>& parts) {
   return out;
 }
 
-// Stable LSD radix sort of the packed keys carrying a (part, row)
-// reference, then one gather pass per output column. Stability leaves
-// equal keys in (part, row) order, so the result is deterministic and
-// independent of how the rows were partitioned across parts.
-ColumnStore merge_sorted(std::vector<MergeInput>&& parts,
-                         const MergeKeySpec& spec) {
-  std::size_t total = 0;
-  std::size_t max_rows = 0;
-  for (const MergeInput& p : parts) {
-    if (p.columns == nullptr) continue;
-    total += p.columns->size();
-    max_rows = std::max(max_rows, p.columns->size());
-  }
-  if (total == 0) return ColumnStore{};
-
-  const unsigned pos_bits =
-      max_rows > 1 ? bits_for(static_cast<std::uint64_t>(max_rows - 1)) : 0;
-  const unsigned part_bits =
-      parts.size() > 1 ? bits_for(parts.size() - 1) : 0;
-  if (!spec.packable || pos_bits + part_bits > 32 ||
-      total >= std::numeric_limits<std::uint32_t>::max()) {
-    return merge_sorted_by_comparison(parts);
-  }
-
-  // Fill in packed keys for parts whose producer did not emit them.
-  for (MergeInput& p : parts) {
-    if (p.columns == nullptr || !p.keys.empty()) continue;
-    const ColumnStore& c = *p.columns;
-    p.keys.resize(c.size());
-    for (std::size_t i = 0; i < c.size(); ++i) {
-      p.keys[i] = spec.pack(c.start[i], c.system_id[i], c.node_id[i]);
-    }
-  }
-
+// The (part << pos_bits | row) reference of every row, in merged order:
+// a stable LSD radix sort of the packed keys. Stability leaves equal keys
+// in (part, row) order, so the result is deterministic and independent
+// of how the rows were partitioned across parts.
+std::vector<std::uint32_t> sorted_refs(
+    const std::vector<const ColumnStore*>& parts, const MergeKeySpec& spec,
+    unsigned pos_bits, std::size_t total) {
   const unsigned key_bits = std::max(1u, spec.total_bits());
   const unsigned passes = (key_bits + kRadixDigitBits - 1) / kRadixDigitBits;
   constexpr std::size_t kBuckets = std::size_t{1} << kRadixDigitBits;
   constexpr std::uint64_t kDigitMask = kBuckets - 1;
 
-  // Every pass's digit histogram in one read of the part keys.
+  // Pack the keys and their references in input order, counting every
+  // pass's digit histogram in the same read of the parts.
+  std::vector<std::uint64_t> key(total);
+  std::vector<std::uint32_t> ref(total);
   std::vector<std::uint32_t> hist(passes * kBuckets, 0);
-  for (const MergeInput& part : parts) {
-    HPCFAIL_ASSERT(part.columns == nullptr ||
-                   part.keys.size() == part.columns->size());
-    for (const std::uint64_t k : part.keys) {
+  std::size_t at = 0;
+  for (std::size_t p = 0; p < parts.size(); ++p) {
+    const ColumnStore& c = *parts[p];
+    const auto tag = static_cast<std::uint32_t>(
+        static_cast<std::uint64_t>(p) << pos_bits);
+    for (std::size_t i = 0; i < c.size(); ++i, ++at) {
+      const std::uint64_t k =
+          spec.pack(c.start[i], c.system_id[i], c.node_id[i]);
+      key[at] = k;
+      ref[at] = tag | static_cast<std::uint32_t>(i);
       for (unsigned pass = 0; pass < passes; ++pass) {
         ++hist[pass * kBuckets +
                ((k >> (pass * kRadixDigitBits)) & kDigitMask)];
@@ -154,89 +147,60 @@ ColumnStore merge_sorted(std::vector<MergeInput>&& parts,
   // A pass whose digit is constant across the input is an identity
   // permutation and is skipped; the last live pass does not need to
   // forward the keys (only the references survive it).
-  const auto digit_constant = [&](unsigned pass) {
-    const std::uint32_t* h = hist.data() + pass * kBuckets;
-    for (std::size_t d = 0; d < kBuckets; ++d) {
-      if (h[d] == 0) continue;
-      return static_cast<std::size_t>(h[d]) == total;
-    }
-    return true;
-  };
-  unsigned live_passes = 0;
-  unsigned last_live = 0;
+  std::vector<unsigned> live;
   for (unsigned pass = 0; pass < passes; ++pass) {
-    if (!digit_constant(pass)) {
-      ++live_passes;
-      last_live = pass;
-    }
+    const std::uint32_t* h = hist.data() + pass * kBuckets;
+    const std::uint32_t* first = std::find_if(
+        h, h + kBuckets, [](std::uint32_t count) { return count != 0; });
+    if (*first != total) live.push_back(pass);
   }
+  std::vector<std::uint64_t> key_tmp(live.size() > 1 ? total : 0);
+  std::vector<std::uint32_t> ref_tmp(live.empty() ? 0 : total);
+  for (std::size_t l = 0; l < live.size(); ++l) {
+    std::uint32_t* h = hist.data() + live[l] * kBuckets;
+    std::uint32_t sum = 0;
+    for (std::size_t d = 0; d < kBuckets; ++d) {
+      const std::uint32_t c = h[d];
+      h[d] = sum;
+      sum += c;
+    }
+    const unsigned shift = live[l] * kRadixDigitBits;
+    const bool forward_keys = l + 1 < live.size();
+    for (std::size_t i = 0; i < total; ++i) {
+      const std::uint64_t k = key[i];
+      const std::uint32_t dst = h[(k >> shift) & kDigitMask]++;
+      if (forward_keys) key_tmp[dst] = k;
+      ref_tmp[dst] = ref[i];
+    }
+    key.swap(key_tmp);
+    ref.swap(ref_tmp);
+  }
+  return ref;
+}
 
-  std::vector<std::uint32_t> ref(total);
-  if (live_passes == 0) {
-    // Fully constant keys: input order already is the global order.
-    std::size_t at = 0;
-    for (std::uint32_t p = 0; p < parts.size(); ++p) {
-      const auto tag = static_cast<std::uint32_t>(
-          static_cast<std::uint64_t>(p) << pos_bits);
-      const std::size_t n = parts[p].keys.size();
-      for (std::size_t i = 0; i < n; ++i) {
-        ref[at++] = tag | static_cast<std::uint32_t>(i);
-      }
-    }
-  } else {
-    std::vector<std::uint64_t> key(live_passes > 1 ? total : 0);
-    std::vector<std::uint64_t> key_tmp(live_passes > 2 ? total : 0);
-    std::vector<std::uint32_t> ref_tmp(live_passes > 1 ? total : 0);
-    bool scattered = false;
-    for (unsigned pass = 0; pass < passes; ++pass) {
-      if (digit_constant(pass)) continue;
-      std::uint32_t* h = hist.data() + pass * kBuckets;
-      std::uint32_t sum = 0;
-      for (std::size_t d = 0; d < kBuckets; ++d) {
-        const std::uint32_t c = h[d];
-        h[d] = sum;
-        sum += c;
-      }
-      const unsigned shift = pass * kRadixDigitBits;
-      const bool forward_keys = pass != last_live;
-      if (!scattered) {
-        // The first live pass streams straight out of the parts' key
-        // arrays, fusing the fill copy into the scatter.
-        std::uint64_t* kout = key.data();
-        std::uint32_t* rout = ref.data();
-        for (std::uint32_t p = 0; p < parts.size(); ++p) {
-          std::vector<std::uint64_t>& pk = parts[p].keys;
-          const auto tag = static_cast<std::uint32_t>(
-              static_cast<std::uint64_t>(p) << pos_bits);
-          const std::size_t n = pk.size();
-          for (std::size_t i = 0; i < n; ++i) {
-            const std::uint64_t k = pk[i];
-            const std::uint32_t dst = h[(k >> shift) & kDigitMask]++;
-            if (forward_keys) kout[dst] = k;
-            rout[dst] = tag | static_cast<std::uint32_t>(i);
-          }
-          std::vector<std::uint64_t>().swap(pk);
-        }
-        scattered = true;
-      } else {
-        std::uint64_t* kout = key_tmp.data();
-        std::uint32_t* rout = ref_tmp.data();
-        const std::uint64_t* kin = key.data();
-        const std::uint32_t* rin = ref.data();
-        for (std::size_t i = 0; i < total; ++i) {
-          const std::uint64_t k = kin[i];
-          const std::uint32_t dst = h[(k >> shift) & kDigitMask]++;
-          if (forward_keys) kout[dst] = k;
-          rout[dst] = rin[i];
-        }
-        key.swap(key_tmp);
-        ref.swap(ref_tmp);
-      }
-    }
+}  // namespace
+
+ColumnStore merge_sorted(const std::vector<const ColumnStore*>& parts) {
+  std::size_t total = 0;
+  std::size_t max_rows = 0;
+  for (const ColumnStore* c : parts) {
+    total += c->size();
+    max_rows = std::max(max_rows, c->size());
   }
-  for (MergeInput& part : parts) {
-    std::vector<std::uint64_t>().swap(part.keys);
+  if (total == 0) return ColumnStore{};
+
+  const unsigned pos_bits =
+      max_rows > 1 ? bits_for(static_cast<std::uint64_t>(max_rows - 1)) : 0;
+  const unsigned part_bits =
+      parts.size() > 1 ? bits_for(parts.size() - 1) : 0;
+  if (pos_bits + part_bits > 32 ||
+      total >= std::numeric_limits<std::uint32_t>::max()) {
+    return merge_sorted_by_comparison(parts, total);
   }
+  const MergeKeySpec spec = merge_key_spec_for(parts);
+  if (!spec.packable) return merge_sorted_by_comparison(parts, total);
+  const std::vector<std::uint32_t> ref =
+      sorted_refs(parts, spec, pos_bits, total);
 
   // Gather the rows in sorted order, one column at a time: the
   // destination stays a pure forward stream and the source working set
@@ -251,10 +215,8 @@ ColumnStore merge_sorted(std::vector<MergeInput>&& parts,
   std::vector<const Workload*> w_p(nparts);
   std::vector<const RootCause*> cause_p(nparts);
   std::vector<const DetailCause*> detail_p(nparts);
-  static const ColumnStore kEmpty;
   for (std::size_t p = 0; p < nparts; ++p) {
-    const ColumnStore& c =
-        parts[p].columns != nullptr ? *parts[p].columns : kEmpty;
+    const ColumnStore& c = *parts[p];
     sys_p[p] = c.system_id.data();
     node_p[p] = c.node_id.data();
     start_p[p] = c.start.data();

@@ -5,79 +5,29 @@
 // become one store sorted by the dataset comparator (start, system,
 // node), and the result must be bit-identical to a single stable sort
 // of the concatenated input regardless of how the rows were
-// partitioned. merge_sorted() is that primitive. It packs each row's
-// (start, system, node) into a single integer key whose numeric order
-// equals the comparator order, stable-LSD-radix-sorts (part, row)
-// references by key, and gathers each column once in sorted order.
-// Stability keeps equal keys in (part, emission) order, so the caller
-// controls tie order purely by part order — the seal path passes the
-// already-sorted sealed store as part 0 and the arrival-order shard
-// tails after it, and gets the "sealed first on ties" contract for
-// free. Catalogs whose key range does not pack into 64 bits fall back
-// to a comparison stable_sort with identical output.
+// partitioned. merge_sorted() is that primitive. It sizes a packed
+// (start, system, node) integer key from the ranges in the data, so the
+// key's numeric order equals the comparator order, stable-LSD-radix-sorts
+// (part, row) references by key, and gathers each column once in sorted
+// order. Stability keeps equal keys in (part, emission) order, so the
+// caller controls tie order purely by part order — the seal path passes
+// the already-sorted sealed store as part 0 and the arrival-order shard
+// tails after it, and gets the "sealed first on ties" contract for free.
+// Data whose key range does not pack into 64 bits (a negative id, or
+// starts spread too far apart) falls back to a comparison stable_sort
+// with identical output.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "trace/columns.hpp"
-#include "trace/types.hpp"
 
 namespace hpcfail::trace {
-
-/// Layout of the packed (start, system, node) merge key, fixed before
-/// keys are computed. The key orders exactly like the dataset's record
-/// comparator, so a stable integer sort of the keys is the global
-/// merge; equal keys stay in input order.
-struct MergeKeySpec {
-  Seconds base = 0;
-  unsigned start_bits = 0;
-  unsigned sys_bits = 0;
-  unsigned node_bits = 0;
-  bool packable = false;
-
-  unsigned total_bits() const noexcept {
-    return start_bits + sys_bits + node_bits;
-  }
-
-  std::uint64_t pack(Seconds start, int system, int node) const noexcept {
-    return (static_cast<std::uint64_t>(start - base)
-            << (sys_bits + node_bits)) |
-           (static_cast<std::uint64_t>(system) << node_bits) |
-           static_cast<std::uint64_t>(node);
-  }
-};
-
-/// Builds a key spec covering the closed ranges [min_start, max_start],
-/// [0, max_system], [0, max_node]. Returns packable=false when any id is
-/// negative, the range is empty, or the packed key exceeds 64 bits.
-MergeKeySpec make_merge_key_spec(Seconds min_start, Seconds max_start,
-                                 std::int64_t max_system,
-                                 std::int64_t max_node) noexcept;
-
-/// One input batch: a borrowed column store (must outlive the merge
-/// call) plus, optionally, the precomputed packed key of every row.
-/// Producers that know the key spec up front (the generator) emit keys
-/// alongside the columns; producers that do not (the ingest seal path)
-/// leave `keys` empty and merge_sorted() computes them on the fly.
-struct MergeInput {
-  const ColumnStore* columns = nullptr;
-  std::vector<std::uint64_t> keys;
-};
-
-/// Derives a key spec by scanning the parts' start/system/node columns.
-MergeKeySpec merge_key_spec_for(const std::vector<MergeInput>& parts) noexcept;
 
 /// Stable merge of the parts into one (start, system, node)-sorted
 /// store. Equal keys stay in (part, row) order; the output is
 /// bit-identical to one stable sort of the concatenation of the parts.
-/// Consumes the parts' key vectors (they are scratch for the sort); the
-/// borrowed column stores are left untouched.
-ColumnStore merge_sorted(std::vector<MergeInput>&& parts,
-                         const MergeKeySpec& spec);
-
-/// Comparison-sort fallback with output identical to merge_sorted();
-/// used when keys do not pack and exposed for differential tests.
-ColumnStore merge_sorted_by_comparison(const std::vector<MergeInput>& parts);
+/// The parts are borrowed and left untouched.
+ColumnStore merge_sorted(const std::vector<const ColumnStore*>& parts);
 
 }  // namespace hpcfail::trace

@@ -136,6 +136,9 @@ TEST(CliContract, ExitCodeTable) {
       {"serve --host not.an.ip --max-events 1", 1, "validation error:"},
       {"serve --ingest-threads 0 --max-events 1", 1, "validation error:"},
       {"serve --ingest-threads 65 --max-events 1", 1, "validation error:"},
+      // the first hour count whose seconds overflow Seconds
+      {"serve --retain-hours 2562047788015216 --max-events 1", 1,
+       "validation error: --retain-hours"},
       {"serve --trace " + missing + " --max-events 1", 1, "io error:"},
       {"replay --trace " + missing + " --port 80", 1, "io error:"},
       {"fit --system 20 --trace " + missing, 1, "io error:"},

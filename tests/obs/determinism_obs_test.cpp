@@ -81,7 +81,6 @@ TEST_F(ObsDeterminismTest, FitResultsIdenticalWithObsOnAndOff) {
 }
 
 TEST_F(ObsDeterminismTest, GenerationFillsTheRegistry) {
-#ifndef HPCFAIL_OBS_DISABLE
   hpcfail::obs::enable();
   hpcfail::obs::registry().reset();
   (void)generate_records(42);
@@ -98,7 +97,6 @@ TEST_F(ObsDeterminismTest, GenerationFillsTheRegistry) {
   }
   EXPECT_TRUE(has_stage_histogram);
   EXPECT_TRUE(has_shard_histogram);
-#endif
 }
 
 }  // namespace

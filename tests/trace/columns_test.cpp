@@ -194,6 +194,20 @@ TEST(FromColumns, SortsUnsortedColumnsLikeAStableSortOfTheRecords) {
   }
 }
 
+// Starts at +9e18 and -9e18 lie further apart than Seconds holds, so
+// the merge key's start range must be taken without signed overflow.
+TEST(FromColumns, SortsStartsFurtherApartThanSecondsHolds) {
+  constexpr hpcfail::Seconds kFar = 9'000'000'000'000'000'000;
+  const FailureRecord late = make_record(1, 0, kFar, 0);
+  const FailureRecord early = make_record(1, 0, -kFar, 60);
+  const std::vector<FailureRecord> records = {late, early};
+  const FailureDataset ds =
+      FailureDataset::from_columns(ColumnStore::from_records(records));
+  ASSERT_EQ(ds.size(), 2u);
+  EXPECT_EQ(ds.records()[0], early);
+  EXPECT_EQ(ds.records()[1], late);
+}
+
 TEST(FromColumns, RejectsInconsistentRowsWithIndex) {
   auto records = random_records(10, 17);
   records[3].end = records[3].start - 1;  // end < start

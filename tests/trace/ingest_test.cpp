@@ -243,7 +243,6 @@ TEST(LiveDataset, OldSnapshotsSurviveLaterSeals) {
   EXPECT_NE(old.get(), live.snapshot().get());
 }
 
-#ifndef HPCFAIL_OBS_DISABLE
 // No live reader queries a snapshot's index, so neither seeding nor a
 // seal builds one; the first view() of a snapshot does, once.
 TEST(LiveDataset, SealsBuildNoIndexUntilASnapshotIsQueried) {
@@ -270,7 +269,6 @@ TEST(LiveDataset, SealsBuildNoIndexUntilASnapshotIsQueried) {
   EXPECT_EQ(builds.count(), before + 1);
   obs::set_enabled(was_enabled);
 }
-#endif
 
 // Regression for the index.hpp lifetime contract: a FailureDataset with a
 // built index must stay usable after being moved (the index is dropped
@@ -556,6 +554,18 @@ TEST(LiveDataset, RetentionNeverEmptiesTheStore) {
   EXPECT_GE(live.sealed_size(), 1u);
   EXPECT_EQ(live.snapshot()->records().starts().back(), t0 + 40000);
   EXPECT_EQ(live.compacted_events() + live.size(), 5u);
+}
+
+// An hour before a start this close to the lowest Seconds lies below it;
+// the horizon saturates there, so the seal compacts nothing.
+TEST(LiveDataset, HorizonBelowTheLowestSecondsCompactsNothing) {
+  LiveDataset::Options opts;
+  opts.retain_seconds = 3600;
+  LiveDataset live(opts);
+  live.append(rec(1, 0, Seconds{-9223372036854775000}, 60));
+  live.seal();
+  EXPECT_EQ(live.compacted_events(), 0u);
+  EXPECT_EQ(live.sealed_size(), 1u);
 }
 
 }  // namespace

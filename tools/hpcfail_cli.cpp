@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -702,8 +703,14 @@ int cmd_serve(const Args& args) {
   opts.max_events = args.get_u64("max-events");
   opts.ingest_threads = static_cast<std::size_t>(args.get_u64("ingest-threads"));
   if (args.given("retain-hours")) {
-    opts.epoch.retain_seconds =
-        static_cast<Seconds>(args.get_u64("retain-hours")) * kSecondsPerHour;
+    constexpr auto kMaxHours = static_cast<std::uint64_t>(
+        std::numeric_limits<Seconds>::max() / kSecondsPerHour);
+    const std::uint64_t hours = args.get_u64("retain-hours");
+    if (hours > kMaxHours) {
+      throw ValidationError("--retain-hours must be at most " +
+                            std::to_string(kMaxHours));
+    }
+    opts.epoch.retain_seconds = static_cast<Seconds>(hours) * kSecondsPerHour;
   }
   opts.epoch.max_sealed_events =
       static_cast<std::size_t>(args.get_u64("max-sealed-events"));

@@ -27,12 +27,12 @@ HazardReport node_hazard_analysis(const trace::FailureDataset& dataset,
     const std::span<const Seconds> starts = node.starts;
     for (std::size_t i = 1; i < starts.size(); ++i) {
       report.observations.push_back(
-          {static_cast<double>(starts[i] - starts[i - 1]), true});
+          {seconds_between(starts[i - 1], starts[i]), true});
     }
     report.events += starts.size() - 1;
     if (horizon > starts.back()) {
       report.observations.push_back(
-          {static_cast<double>(horizon - starts.back()), false});
+          {seconds_between(starts.back(), horizon), false});
       ++report.censored;
     }
   }

@@ -12,7 +12,7 @@ std::vector<SystemRate> failure_rates(const trace::FailureDataset& dataset,
   HPCFAIL_EXPECTS(!dataset.empty(), "failure rates of empty dataset");
   const trace::DatasetView view = dataset.view();
   std::vector<SystemRate> rates;
-  for (const int id : dataset.index().system_ids()) {
+  for (const int id : dataset.system_ids()) {
     const trace::SystemInfo& sys = catalog.system(id);
     SystemRate r;
     r.system_id = id;

@@ -79,7 +79,7 @@ RepairReport repair_analysis(const trace::FailureDataset& dataset,
   // and summarizes and fits it, so only the samples in flight are held.
   // A system on which every family fails gets an empty report.
   const trace::DatasetView view = dataset.view();
-  const std::vector<int> ids = dataset.index().system_ids();
+  const std::vector<int> ids = dataset.system_ids();
   report.by_system = hpcfail::parallel_map(ids.size(), [&](std::size_t i) {
     const std::vector<double> minutes =
         view.for_system(ids[i]).repair_times_minutes();

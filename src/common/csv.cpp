@@ -1,26 +1,19 @@
 #include "common/csv.hpp"
 
 #include <istream>
-#include <ostream>
 #include <sstream>
 
 #include "common/error.hpp"
-#include "obs/metrics.hpp"
 
 namespace hpcfail {
 
 CsvReader::CsvReader(std::istream& source, char separator)
-    : in_(source), sep_(separator) {
-  if (obs::enabled()) {
-    rows_counter_ = &obs::registry().counter("csv.rows_read");
-  }
-}
+    : in_(source), sep_(separator) {}
 
 bool CsvReader::next_row(std::vector<std::string>& fields) {
   fields.clear();
   int ch = in_.get();
   if (ch == std::istream::traits_type::eof()) return false;
-  if (rows_counter_ != nullptr) rows_counter_->add(1);
   ++line_;
   row_start_line_ = line_;
 
@@ -83,22 +76,6 @@ bool CsvReader::next_row(std::vector<std::string>& fields) {
   }
 }
 
-CsvWriter::CsvWriter(std::ostream& sink, char separator)
-    : out_(sink), sep_(separator) {
-  if (obs::enabled()) {
-    rows_counter_ = &obs::registry().counter("csv.rows_written");
-  }
-}
-
-void CsvWriter::write_row(const std::vector<std::string>& fields) {
-  if (rows_counter_ != nullptr) rows_counter_->add(1);
-  for (std::size_t i = 0; i < fields.size(); ++i) {
-    if (i != 0) out_ << sep_;
-    out_ << csv_escape(fields[i], sep_);
-  }
-  out_ << '\n';
-}
-
 bool CsvLineSplitter::next(std::string_view& field) {
   if (done_) return false;
   // Consumes the field ending at `end` and the separator after it.
@@ -137,24 +114,6 @@ bool CsvLineSplitter::next(std::string_view& field) {
   field = std::string_view(unquoted_).substr(begin);
   consume(end);
   return true;
-}
-
-std::string csv_escape(std::string_view field, char separator) {
-  const bool needs_quotes =
-      field.find(separator) != std::string_view::npos ||
-      field.find('"') != std::string_view::npos ||
-      field.find('\n') != std::string_view::npos ||
-      field.find('\r') != std::string_view::npos;
-  if (!needs_quotes) return std::string(field);
-  std::string out;
-  out.reserve(field.size() + 2);
-  out.push_back('"');
-  for (const char c : field) {
-    if (c == '"') out.push_back('"');
-    out.push_back(c);
-  }
-  out.push_back('"');
-  return out;
 }
 
 std::vector<std::vector<std::string>> parse_csv(std::string_view text,

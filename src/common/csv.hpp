@@ -1,11 +1,11 @@
-// RFC-4180-style CSV reading and writing.
+// RFC-4180-style CSV reading.
 //
-// The public LANL failure-data release is distributed as CSV; this module
-// provides the lossless round-trip layer used by hpcfail::trace. Fields
-// containing the separator, quotes, or newlines are quoted; embedded quotes
-// are doubled. The reader is streaming (row at a time) and reports the line
-// number of any malformed row. CsvLineSplitter applies the reader's quoting
-// rules to one line already framed by the caller (the trace line sources).
+// The public LANL failure-data release is distributed as CSV. Quoted
+// fields may hold the separator, quotes (doubled) and newlines; fields are
+// written with csv_escape (common/strings.hpp). CsvLineSplitter applies
+// the reader's quoting rules to one line already framed by the caller (the
+// trace line sources); CsvReader and parse_csv read whole documents and
+// report the line number of any malformed row.
 #pragma once
 
 #include <iosfwd>
@@ -13,17 +13,9 @@
 #include <string_view>
 #include <vector>
 
-namespace hpcfail::obs {
-class Counter;
-}  // namespace hpcfail::obs
-
 namespace hpcfail {
 
 /// Streaming CSV reader over any std::istream.
-///
-/// Rows delivered are counted into the obs counter "csv.rows_read" (the
-/// handle is resolved once per reader, so the per-row cost is one relaxed
-/// atomic increment; zero when obs is disabled at construction).
 class CsvReader {
  public:
   /// `source` must outlive the reader.
@@ -41,23 +33,6 @@ class CsvReader {
   char sep_;
   std::size_t line_ = 0;
   std::size_t row_start_line_ = 0;
-  obs::Counter* rows_counter_ = nullptr;  ///< null when obs is disabled
-};
-
-/// Streaming CSV writer over any std::ostream. Rows written are counted
-/// into the obs counter "csv.rows_written" (same scheme as CsvReader).
-class CsvWriter {
- public:
-  /// `sink` must outlive the writer.
-  explicit CsvWriter(std::ostream& sink, char separator = ',');
-
-  /// Writes one row, quoting fields as needed, terminated by '\n'.
-  void write_row(const std::vector<std::string>& fields);
-
- private:
-  std::ostream& out_;
-  char sep_;
-  obs::Counter* rows_counter_ = nullptr;  ///< null when obs is disabled
 };
 
 /// Splits one line (no '\n') into its fields with CsvReader's quoting
@@ -85,10 +60,6 @@ class CsvLineSplitter {
   bool unterminated_ = false;
   std::string unquoted_;
 };
-
-/// Quotes a single field if it contains the separator, a quote, or a
-/// newline; otherwise returns it unchanged.
-std::string csv_escape(std::string_view field, char separator = ',');
 
 /// Parses a full document in memory. Convenience for tests and small files.
 std::vector<std::vector<std::string>> parse_csv(std::string_view text,

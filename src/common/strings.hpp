@@ -1,7 +1,7 @@
 // Small string utilities shared across the library (trimming, splitting,
-// checked numeric parsing, integer appending, JSON escaping). All parsers
-// throw ParseError with the offending text so trace-ingestion errors are
-// actionable.
+// checked numeric parsing, integer appending, JSON and CSV escaping). All
+// parsers throw ParseError with the offending text so trace-ingestion
+// errors are actionable.
 #pragma once
 
 #include <cstdint>
@@ -55,6 +55,26 @@ inline std::string json_escape(std::string_view s) {
         }
     }
   }
+  return out;
+}
+
+/// `field` as one CSV field: quoted, with each quote doubled, when it
+/// holds the separator, a quote, '\n' or '\r'; otherwise unchanged.
+/// Inline for the same reason as json_escape.
+inline std::string csv_escape(std::string_view field, char separator = ',') {
+  const char special[] = {separator, '"', '\n', '\r'};
+  if (field.find_first_of(std::string_view(special, sizeof special)) ==
+      std::string_view::npos) {
+    return std::string(field);
+  }
+  std::string out;
+  out.reserve(field.size() + 2);
+  out += '"';
+  for (const char c : field) {
+    if (c == '"') out += '"';
+    out += c;
+  }
+  out += '"';
   return out;
 }
 

@@ -112,7 +112,9 @@ int months_between(Seconds start, Seconds t) {
 }
 
 double years_between(Seconds start, Seconds end) noexcept {
-  return static_cast<double>(end - start) / kSecondsPerYear;
+  return (end >= start ? seconds_between(start, end)
+                       : -seconds_between(end, start)) /
+         kSecondsPerYear;
 }
 
 namespace {

@@ -74,6 +74,15 @@ int months_between(Seconds start, Seconds t);
 /// Fractional years between two instants (may be negative).
 double years_between(Seconds start, Seconds end) noexcept;
 
+/// `later - earlier` for `earlier <= later`, as a double. The subtraction
+/// runs in unsigned arithmetic, where it is exact for any two Seconds (a
+/// signed one overflows once the pair spans more than 2^63 - 1 seconds);
+/// wherever the signed difference fits, the result is the same double.
+inline double seconds_between(Seconds earlier, Seconds later) noexcept {
+  return static_cast<double>(static_cast<std::uint64_t>(later) -
+                             static_cast<std::uint64_t>(earlier));
+}
+
 /// Appends t as "YYYY-MM-DD HH:MM:SS" (UTC): the bytes of printf's
 /// "%04d-%02d-%02d %02d:%02d:%02d" over its fields, so a year outside
 /// 0..9999 keeps its sign and every digit. The one timestamp writer.

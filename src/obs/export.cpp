@@ -159,35 +159,24 @@ std::string to_json(const MetricsSnapshot& snapshot) {
 }
 
 std::string to_csv(const MetricsSnapshot& snapshot) {
-  // One flat series per row: kind,name,field,value. report::Series and
-  // gnuplot both ingest this directly.
+  // One flat series per row: kind,name,field,value, ready for gnuplot or a
+  // spreadsheet. Labelled metric names hold commas, so names go through
+  // csv_escape.
   std::string out = "kind,name,field,value\n";
-  const auto esc = [](const std::string& name) {
-    // Metric names may contain commas inside labels; quote per RFC 4180.
-    if (name.find(',') == std::string::npos &&
-        name.find('"') == std::string::npos) {
-      return name;
-    }
-    std::string quoted = "\"";
-    for (const char c : name) {
-      if (c == '"') quoted += '"';
-      quoted += c;
-    }
-    quoted += '"';
-    return quoted;
-  };
   for (const auto& [name, value] : snapshot.counters) {
-    out += "counter," + esc(name) + ",value," + format_number(value) + "\n";
+    out += "counter," + csv_escape(name) + ",value," + format_number(value) +
+           "\n";
   }
   for (const auto& [name, value] : snapshot.gauges) {
-    out += "gauge," + esc(name) + ",value," + format_number(value) + "\n";
+    out += "gauge," + csv_escape(name) + ",value," + format_number(value) +
+           "\n";
   }
   for (const auto& h : snapshot.histograms) {
-    out += "histogram," + esc(h.name) + ",count," + format_number(h.count) +
-           "\n";
-    out += "histogram," + esc(h.name) + ",sum," + format_number(h.sum) + "\n";
-    out += "histogram," + esc(h.name) + ",min," + format_number(h.min) + "\n";
-    out += "histogram," + esc(h.name) + ",max," + format_number(h.max) + "\n";
+    const std::string name = csv_escape(h.name);
+    out += "histogram," + name + ",count," + format_number(h.count) + "\n";
+    out += "histogram," + name + ",sum," + format_number(h.sum) + "\n";
+    out += "histogram," + name + ",min," + format_number(h.min) + "\n";
+    out += "histogram," + name + ",max," + format_number(h.max) + "\n";
   }
   return out;
 }

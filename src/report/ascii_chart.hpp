@@ -1,7 +1,6 @@
 // ASCII renderings of the paper's figure types: labelled bar charts
 // (Figs 1, 2, 3a, 5, 7b/c) and multi-series CDF plots with optional log-x
-// (Figs 3b, 6, 7a). These substitute for the authors' Matlab plots; the
-// CSV emitters in series.hpp export the same data for external plotting.
+// (Figs 3b, 6, 7a). These substitute for the authors' Matlab plots.
 #pragma once
 
 #include <functional>

@@ -142,7 +142,7 @@ void write_compare_csv(std::ostream& out,
          "gap_median_hours,gap_cv2,gap_best_family,weibull_shape,"
          "weibull_scale_hours,gap_ranking\n";
   for (const analysis::CompareSite& s : report.sites) {
-    out << s.label << ',' << s.records << ',' << s.nodes << ','
+    out << csv_escape(s.label) << ',' << s.records << ',' << s.nodes << ','
         << format_double(s.span_years, 6) << ','
         << format_double(s.failures_per_node_year, 6) << ','
         << value_or_na(s.failures_per_proc_year, 6);

@@ -20,9 +20,8 @@ constexpr double kGapFloorSeconds = 1.0;
 /// Adds the gap from `last` to `at` and advances `last` — unless the
 /// gap is negative (an out-of-order arrival), which is skipped.
 void add_gap(dist::SlidingSuffStats& gaps, Seconds& last, Seconds at) {
-  const Seconds gap = at - last;
-  if (gap < 0) return;
-  gaps.add(at, static_cast<double>(gap));
+  if (at < last) return;
+  gaps.add(at, seconds_between(last, at));
   last = at;
 }
 

@@ -3,10 +3,10 @@
 //   system,node,start,end,workload,cause,detail
 //   2,0,1996-06-07 08:48:45,1996-06-07 08:55:14,compute,human,operator_error
 //
-// Fields are split with CsvReader's RFC 4180 quoting, so a quoted row on
-// one line reads exactly as the batch reader always read it. Ids and
-// timestamps are trimmed; workload/cause/detail are parsed
-// case-insensitively.
+// Fields are split by CsvLineSplitter with CsvReader's RFC 4180 quoting,
+// so a quoted row on one line reads exactly as the batch reader always
+// read it. Ids and timestamps are trimmed; workload/cause/detail are
+// parsed case-insensitively.
 // Every error, inconsistent records included, is a ParseError.
 #include "trace/adapters/adapter.hpp"
 

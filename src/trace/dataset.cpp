@@ -1,6 +1,5 @@
 #include "trace/dataset.hpp"
 
-#include <set>
 #include <string>
 
 #include "common/error.hpp"
@@ -140,9 +139,7 @@ std::vector<double> FailureDataset::repair_times_minutes() const {
 }
 
 std::vector<int> FailureDataset::system_ids() const {
-  std::set<int> ids;
-  for (int id : columns_.system_id) ids.insert(id);
-  return {ids.begin(), ids.end()};
+  return index().system_ids();
 }
 
 double FailureDataset::total_downtime_minutes() const noexcept {

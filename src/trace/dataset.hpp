@@ -94,7 +94,7 @@ class FailureDataset {
   /// over all records — one fused pass over the start/end columns.
   std::vector<double> repair_times_minutes() const;
 
-  /// Distinct system ids present, ascending.
+  /// Distinct system ids present, ascending: the index's list.
   std::vector<int> system_ids() const;
 
   /// Sum of downtime over all records, in minutes.

@@ -37,7 +37,7 @@ std::vector<double> gaps_of(std::span<const Seconds> starts) {
   if (starts.size() >= 2) {
     gaps.reserve(starts.size() - 1);
     for (std::size_t i = 1; i < starts.size(); ++i) {
-      gaps.push_back(static_cast<double>(starts[i] - starts[i - 1]));
+      gaps.push_back(seconds_between(starts[i - 1], starts[i]));
     }
   }
   return gaps;
@@ -255,15 +255,7 @@ std::vector<double> DatasetView::system_interarrivals() const {
   HPCFAIL_EXPECTS(system_.has_value(),
                   "system_interarrivals requires a system-scoped view");
   if (index_ != nullptr) index_->count_view_hit();
-  const std::span<const Seconds> starts = view_.starts();
-  std::vector<double> gaps;
-  if (starts.size() >= 2) {
-    gaps.reserve(starts.size() - 1);
-    for (std::size_t i = 1; i < starts.size(); ++i) {
-      gaps.push_back(static_cast<double>(starts[i] - starts[i - 1]));
-    }
-  }
-  return gaps;
+  return gaps_of(view_.starts());
 }
 
 std::vector<NodeStarts> DatasetView::node_starts() const {

@@ -1,6 +1,5 @@
 #include "trace/io.hpp"
 
-#include <algorithm>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -71,21 +70,17 @@ FailureDataset read_csv(std::istream& in, const Adapter& format,
       columns.push_back(record);
     }
   };
-  std::uint64_t lines = 0;
-  char last = '\n';
   for (; !bytes.empty(); bytes = read_block()) {
-    lines += static_cast<std::uint64_t>(
-        std::count(bytes.begin(), bytes.end(), '\n'));
-    last = bytes.back();
     source.feed(bytes);
     drain();
   }
   source.finish();
   drain();
-  if (last != '\n') ++lines;  // a final line without its newline
 
   if (counters != nullptr) *counters = source.counters();
-  if (obs::enabled()) obs::registry().counter("csv.rows_read").add(lines);
+  if (obs::enabled()) {
+    obs::registry().counter("csv.rows_read").add(source.lines());
+  }
   return FailureDataset::from_columns(std::move(columns));
 }
 

@@ -108,6 +108,10 @@ class LineSource : public Source {
 
   SourceStatus next(FailureRecord& out) override;
 
+  /// Lines framed so far, blank, header and rejected ones included; an
+  /// over-long line counts once.
+  std::uint64_t lines() const noexcept { return lines_; }
+
  private:
   /// Accounts for one framed line; true when it produced `out`.
   bool take(std::string_view line, FailureRecord& out);

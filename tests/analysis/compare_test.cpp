@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/csv.hpp"
 #include "common/error.hpp"
 #include "common/time.hpp"
 #include "dist/fit.hpp"
@@ -121,6 +122,23 @@ TEST(CompareReportRender, CsvHasHeaderAndOneRowPerSite) {
   EXPECT_EQ(csv.rfind("site,records,nodes,span_years,", 0), 0u);
   EXPECT_NE(csv.find("\nlu,"), std::string::npos);
   EXPECT_NE(csv.find("\ntan,"), std::string::npos);
+}
+
+TEST(CompareReportRender, CsvQuotesLabelsThatHoldCsvSyntax) {
+  // A --trace path or a library label may hold a comma, a quote or a
+  // newline; every row must still read back as the header's 25 fields.
+  CompareInput quoted = site_input("lu", 42);
+  quoted.label = "a,\"b";
+  CompareInput multiline = quoted;
+  multiline.label = "line\nbreak";
+  const CompareReport report = compare_sites({quoted, multiline});
+  std::ostringstream out;
+  report::write_compare_csv(out, report);
+  const auto rows = parse_csv(out.str());
+  ASSERT_EQ(rows.size(), 3u);
+  for (const auto& row : rows) EXPECT_EQ(row.size(), 25u);
+  EXPECT_EQ(rows[1][0], "a,\"b");
+  EXPECT_EQ(rows[2][0], "line\nbreak");
 }
 
 TEST(CompareBattery, NativeAndForeignLoadsOfSameTraceAgree) {

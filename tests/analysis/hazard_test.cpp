@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -174,6 +176,39 @@ TEST(HazardAnalysis, InnerHorizonEqualsTheDatasetCutAtIt) {
     }
     EXPECT_EQ(got.log_log_slope, want.log_log_slope);
   }
+}
+
+TEST(HazardAnalysis, GapsWiderThanTheSignedRangeAreExact) {
+  // Raw epoch seconds from a Lu log: node 0 fails at -9e18 and +9e18,
+  // node 1 at -9e18 and 0, node 2 once at -9e18. The default horizon is
+  // +9e18, so node 0's gap and node 2's censored interval are 1.8e19 s,
+  // past the largest Seconds.
+  constexpr Seconds kFar = 9'000'000'000'000'000'000;
+  const auto at = [](int node, Seconds start) {
+    FailureRecord r;
+    r.system_id = 1;
+    r.node_id = node;
+    r.start = r.end = start;
+    r.cause = RootCause::hardware;
+    r.detail = DetailCause::cpu;
+    return r;
+  };
+  const FailureDataset ds(
+      {at(0, -kFar), at(0, kFar), at(1, -kFar), at(1, 0), at(2, -kFar)});
+  const HazardReport report = node_hazard_analysis(ds, 1, {}, 2);
+  EXPECT_EQ(report.events, 2u);
+  EXPECT_EQ(report.censored, 2u);
+  ASSERT_EQ(report.observations.size(), 4u);
+  const std::vector<std::pair<double, bool>> want = {
+      {1.8e19, true}, {9e18, true}, {9e18, false}, {1.8e19, false}};
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(report.observations[i].time, want[i].first) << i;
+    EXPECT_EQ(report.observations[i].observed, want[i].second) << i;
+  }
+  // Four at risk at 9e18 (one event), then two at 1.8e19 (one event).
+  ASSERT_EQ(report.cumulative_hazard.size(), 2u);
+  EXPECT_EQ(report.cumulative_hazard[1].time, 1.8e19);
+  EXPECT_DOUBLE_EQ(report.cumulative_hazard[1].value, 0.25 + 0.5);
 }
 
 TEST(HazardAnalysis, ThrowsOnMissingOrTinySystems) {

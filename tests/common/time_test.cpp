@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -133,6 +135,37 @@ TEST(MonthsBetween, RejectsReversedArguments) {
 TEST(YearsBetween, ApproximatesCalendarYears) {
   EXPECT_NEAR(years_between(to_epoch(1996, 6, 1), to_epoch(2005, 6, 1)),
               9.0, 0.01);
+}
+
+TEST(YearsBetween, SpansWiderThanTheSignedRangeAreExact) {
+  constexpr Seconds kFar = 9'000'000'000'000'000'000;
+  EXPECT_EQ(years_between(-kFar, kFar), 1.8e19 / kSecondsPerYear);
+  EXPECT_EQ(years_between(kFar, -kFar), -1.8e19 / kSecondsPerYear);
+}
+
+TEST(SecondsBetween, ExactAcrossTheWholeRange) {
+  constexpr Seconds kMin = std::numeric_limits<Seconds>::min();
+  constexpr Seconds kMax = std::numeric_limits<Seconds>::max();
+  EXPECT_EQ(seconds_between(kMin, kMax), 0x1p64);  // 2^64 - 1, rounded
+  EXPECT_EQ(seconds_between(-9'000'000'000'000'000'000,
+                            9'000'000'000'000'000'000),
+            1.8e19);
+  EXPECT_EQ(seconds_between(kMax, kMax), 0.0);
+  // Wherever the signed difference fits, it is the same double.
+  Rng rng(0x5ec0u);
+  for (int i = 0; i < 10000; ++i) {
+    const int bits = 1 + static_cast<int>(rng.uniform_index(62));
+    const auto draw = [&rng, bits] {
+      const Seconds magnitude =
+          static_cast<Seconds>(rng.next_u64() >> (64 - bits));
+      return rng.uniform_index(2) == 0 ? magnitude : -magnitude;
+    };
+    Seconds a = draw();
+    Seconds b = draw();
+    if (b < a) std::swap(a, b);
+    ASSERT_EQ(seconds_between(a, b), static_cast<double>(b - a))
+        << a << " " << b;
+  }
 }
 
 TEST(FormatTimestamp, CanonicalForm) {

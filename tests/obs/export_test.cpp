@@ -88,6 +88,17 @@ TEST(CsvExport, QuotesNamesWithCommas) {
   EXPECT_NE(out.find("counter,\"x{a=1,b=2}\",value,4"), std::string::npos);
 }
 
+TEST(CsvExport, QuotesNamesWithLineBreaks) {
+  MetricsSnapshot snap;
+  snap.counters.push_back({"x{path=a\nb}", 4});
+  snap.gauges.push_back({"y{path=c\rd}", 1});
+  const std::string out = to_csv(snap);
+  EXPECT_NE(out.find("counter,\"x{path=a\nb}\",value,4\n"),
+            std::string::npos);
+  EXPECT_NE(out.find("gauge,\"y{path=c\rd}\",value,1\n"),
+            std::string::npos);
+}
+
 TEST(PrometheusExport, SanitizesNamesAndParsesLabels) {
   MetricsSnapshot snap;
   snap.counters.push_back({"synth.records_total", 100});

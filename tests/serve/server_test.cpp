@@ -122,6 +122,21 @@ TEST(LiveAnalytics, FirstEventSetsTheClockBeforeTheEpoch) {
   EXPECT_EQ(widest.repair_minutes.n, 3u);
 }
 
+TEST(LiveAnalytics, GapsWiderThanTheSignedRangeAreExact) {
+  // `hpcfail serve --format lu` takes raw epoch seconds: one node can
+  // fail at -9e18 and then at +9e18, 1.8e19 s later.
+  constexpr Seconds kFar = 9'000'000'000'000'000'000;
+  LiveAnalytics analytics;
+  analytics.observe(rec(1, 0, -kFar, 0));
+  analytics.observe(rec(1, 0, kFar, 0));
+  const WindowReport report = analytics.report(1, kSecondsPerHour);
+  EXPECT_EQ(report.now, kFar);
+  EXPECT_EQ(report.node_gaps_seconds.n, 1u);
+  EXPECT_EQ(report.node_gaps_seconds.sum_raw, 1.8e19);
+  EXPECT_EQ(report.system_gaps_seconds.n, 1u);
+  EXPECT_EQ(report.system_gaps_seconds.sum_raw, 1.8e19);
+}
+
 TEST(LiveAnalytics, UnknownSystemYieldsEmptyReport) {
   LiveAnalytics analytics;
   analytics.observe(rec(1, 0, t0, 600));

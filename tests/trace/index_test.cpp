@@ -157,10 +157,25 @@ TEST(DatasetView, MaterializeDeepCopies) {
   EXPECT_EQ(copy.records()[0].start, t0 + 1000);
 }
 
+TEST(DatasetView, GapsWiderThanTheSignedRangeAreExact) {
+  // A Lu log carries raw epoch seconds, so one node can fail at -9e18 and
+  // at +9e18: a gap of 1.8e19 s, past the largest Seconds.
+  constexpr Seconds kFar = 9'000'000'000'000'000'000;
+  const FailureDataset ds({rec(1, 0, -kFar, 0), rec(1, 0, kFar, 0)});
+  const DatasetView sys1 = ds.view().for_system(1);
+  EXPECT_EQ(sys1.node_interarrivals(0), std::vector<double>{1.8e19});
+  EXPECT_EQ(sys1.system_interarrivals(), std::vector<double>{1.8e19});
+  const auto groups = sys1.node_interarrival_groups();
+  ASSERT_EQ(groups.size(), 1u);
+  EXPECT_EQ(groups[0].gaps_seconds, std::vector<double>{1.8e19});
+}
+
 TEST(DatasetIndex, SystemIdsSortedUnique) {
   const FailureDataset ds = small_dataset();
   EXPECT_EQ(ds.index().system_ids(), (std::vector<int>{1, 2}));
+  EXPECT_EQ(ds.system_ids(), ds.index().system_ids());
   EXPECT_EQ(ds.index().record_count(), 5u);
+  EXPECT_TRUE(FailureDataset().system_ids().empty());
 }
 
 TEST(DatasetIndex, CopyAndMoveResetTheIndex) {

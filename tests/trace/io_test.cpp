@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
+#include "obs/metrics.hpp"
 
 namespace hpcfail::trace {
 namespace {
@@ -149,6 +154,33 @@ TEST(TraceIo, SkipsARepeatedHeader) {
       "system,node,start,end,workload,cause,detail\n"
       "1,0,2000-01-02 00:00:00,2000-01-02 01:00:00,compute,hardware,cpu\n");
   EXPECT_EQ(read_csv(in).size(), 2u);
+}
+
+TEST(TraceIo, RowsReadCountsEveryLineOnce) {
+  // csv.rows_read counts the lines of the file: each '\n', plus a last
+  // line without one. Blank lines and headers count; a line over the
+  // 64 KiB limit counts once, however many 64 KiB reads it spans.
+  obs::Counter& read = obs::registry().counter("csv.rows_read");
+  const std::string header = kCsvHeader;
+  const std::string good =
+      "1,0,2000-01-01 00:00:00,2000-01-01 01:00:00,compute,hardware,cpu";
+  const std::string longer(200 * 1024, 'x');
+  const std::vector<std::pair<std::string, std::uint64_t>> files = {
+      {header + "\n\n" + good + "\n   \r\n" + longer + "\n" + good, 6},
+      {header + "\n" + good + "\n\n" + longer, 4},
+      {header + "\n" + longer + "\n\n" + good + "\n", 4},
+      {header + "\n" + good + "\n" + header + "\n\n\n", 5},
+  };
+  for (const auto& [text, lines] : files) {
+    ASSERT_EQ(lines, static_cast<std::uint64_t>(
+                         std::count(text.begin(), text.end(), '\n') +
+                         (text.back() != '\n')));
+    std::istringstream in(text);
+    SourceCounters counters;
+    const std::uint64_t before = read.value();
+    read_csv(in, native_format(), &counters);
+    EXPECT_EQ(read.value() - before, lines) << lines;
+  }
 }
 
 TEST(TraceIo, FileRoundTrip) {

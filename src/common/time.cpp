@@ -1,18 +1,21 @@
 #include "common/time.hpp"
 
+#include <algorithm>
 #include <array>
 #include <charconv>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "common/error.hpp"
 
 namespace hpcfail {
 
-std::int64_t days_from_civil(int y, int m, int d) noexcept {
-  // Howard Hinnant, "chrono-Compatible Low-Level Date Algorithms".
-  y -= m <= 2;
+std::int64_t days_from_civil(int year, int m, int d) noexcept {
+  // Howard Hinnant, "chrono-Compatible Low-Level Date Algorithms". The
+  // year moves back one in 64 bits, where INT_MIN - 1 still fits.
+  const std::int64_t y = std::int64_t{year} - (m <= 2);
   const std::int64_t era = (y >= 0 ? y : y - 399) / 400;
   const unsigned yoe = static_cast<unsigned>(y - era * 400);           // [0,399]
   const unsigned doy =
@@ -22,7 +25,7 @@ std::int64_t days_from_civil(int y, int m, int d) noexcept {
   return era * 146097 + static_cast<std::int64_t>(doe) - 719468;
 }
 
-void civil_from_days(std::int64_t z, int& year, int& month,
+void civil_from_days(std::int64_t z, std::int64_t& year, int& month,
                      int& day) noexcept {
   z += 719468;
   const std::int64_t era = (z >= 0 ? z : z - 146096) / 146097;
@@ -34,7 +37,7 @@ void civil_from_days(std::int64_t z, int& year, int& month,
   const unsigned mp = (5 * doy + 2) / 153;                             // [0,11]
   day = static_cast<int>(doy - (153 * mp + 2) / 5 + 1);
   month = static_cast<int>(mp + (mp < 10 ? 3 : -9));
-  year = static_cast<int>(y + (month <= 2));
+  year = y + (month <= 2);
 }
 
 int days_in_month(int year, int month) noexcept {
@@ -53,12 +56,16 @@ bool is_valid_date(int year, int month, int day) noexcept {
 }
 
 Seconds to_epoch(const CivilDateTime& cdt) {
-  HPCFAIL_EXPECTS(is_valid_date(cdt.year, cdt.month, cdt.day),
+  HPCFAIL_EXPECTS(cdt.year >= std::numeric_limits<int>::min() &&
+                      cdt.year <= std::numeric_limits<int>::max(),
+                  "year out of range");
+  const auto year = static_cast<int>(cdt.year);
+  HPCFAIL_EXPECTS(is_valid_date(year, cdt.month, cdt.day),
                   "invalid calendar date");
   HPCFAIL_EXPECTS(cdt.hour >= 0 && cdt.hour <= 23, "hour out of range");
   HPCFAIL_EXPECTS(cdt.minute >= 0 && cdt.minute <= 59, "minute out of range");
   HPCFAIL_EXPECTS(cdt.second >= 0 && cdt.second <= 59, "second out of range");
-  return days_from_civil(cdt.year, cdt.month, cdt.day) * kSecondsPerDay +
+  return days_from_civil(year, cdt.month, cdt.day) * kSecondsPerDay +
          cdt.hour * kSecondsPerHour + cdt.minute * kSecondsPerMinute +
          cdt.second;
 }
@@ -102,13 +109,15 @@ int months_between(Seconds start, Seconds t) {
   HPCFAIL_EXPECTS(t >= start, "months_between requires t >= start");
   const CivilDateTime a = from_epoch(start);
   const CivilDateTime b = from_epoch(t);
-  int months = (b.year - a.year) * 12 + (b.month - a.month);
+  // 64 bits: the years of two instants lie up to 5.8e11 apart.
+  std::int64_t months = (b.year - a.year) * 12 + (b.month - a.month);
   // Not yet a full month if the day-of-month (then time-of-day) is earlier.
   const auto time_of = [](const CivilDateTime& c) {
     return ((c.day * 24 + c.hour) * 60 + c.minute) * 60 + c.second;
   };
   if (time_of(b) < time_of(a)) --months;
-  return months < 0 ? 0 : months;
+  return static_cast<int>(std::clamp<std::int64_t>(
+      months, 0, std::numeric_limits<int>::max()));
 }
 
 double years_between(Seconds start, Seconds end) noexcept {
@@ -187,16 +196,17 @@ bool scan_char(std::string_view& s, char ch) {
 void append_timestamp(std::string& out, Seconds t) {
   const CivilDateTime c = from_epoch(t);
   if (c.year < 0 || c.year > 9999) {  // a sign or a fifth digit
-    char buf[32] = {};
+    char buf[40] = {};
     const int n = std::snprintf(buf, sizeof buf,
-                                "%04d-%02d-%02d %02d:%02d:%02d", c.year,
-                                c.month, c.day, c.hour, c.minute, c.second);
+                                "%04lld-%02d-%02d %02d:%02d:%02d",
+                                static_cast<long long>(c.year), c.month, c.day,
+                                c.hour, c.minute, c.second);
     out.append(buf, static_cast<std::size_t>(n));
     return;
   }
   char buf[19] = {};
-  put_pair(buf, c.year / 100);
-  put_pair(buf + 2, c.year % 100);
+  put_pair(buf, static_cast<int>(c.year / 100));
+  put_pair(buf + 2, static_cast<int>(c.year % 100));
   buf[4] = '-';
   put_pair(buf + 5, c.month);
   buf[7] = '-';
@@ -224,11 +234,12 @@ std::string format_timestamp(Seconds t) {
 Seconds parse_timestamp(std::string_view text) {
   if (Seconds t = 0; parse_canonical(text, t)) return t;
   CivilDateTime c;
+  int year = 0;
   std::string_view rest = text;
   const auto unparseable = [&text] {
     return ParseError("unparseable timestamp: '" + std::string(text) + "'");
   };
-  if (!scan_int(rest, c.year) || !scan_char(rest, '-') ||
+  if (!scan_int(rest, year) || !scan_char(rest, '-') ||
       !scan_int(rest, c.month) || !scan_char(rest, '-') ||
       !scan_int(rest, c.day)) {
     throw unparseable();
@@ -245,6 +256,7 @@ Seconds parse_timestamp(std::string_view text) {
     throw ParseError("trailing characters in timestamp: '" +
                      std::string(text) + "'");
   }
+  c.year = year;
   try {
     return to_epoch(c);
   } catch (const InvalidArgument&) {

@@ -22,9 +22,10 @@ inline constexpr Seconds kSecondsPerDay = 86400;
 inline constexpr double kSecondsPerYear = 365.2425 * 86400.0;
 inline constexpr double kSecondsPerMonth = kSecondsPerYear / 12.0;
 
-/// A calendar date-time (UTC, proleptic Gregorian).
+/// A calendar date-time (UTC, proleptic Gregorian). The year is 64-bit:
+/// every Seconds instant, ±2.9e11 years at the ends, has its own year.
 struct CivilDateTime {
-  int year = 1970;
+  std::int64_t year = 1970;
   int month = 1;  ///< 1..12
   int day = 1;    ///< 1..31
   int hour = 0;   ///< 0..23
@@ -37,8 +38,8 @@ struct CivilDateTime {
 /// Days since the epoch for a civil date (Hinnant's days_from_civil).
 std::int64_t days_from_civil(int year, int month, int day) noexcept;
 
-/// Inverse of days_from_civil.
-void civil_from_days(std::int64_t days, int& year, int& month,
+/// Inverse of days_from_civil, for any day of the int64 range.
+void civil_from_days(std::int64_t days, std::int64_t& year, int& month,
                      int& day) noexcept;
 
 /// True for a valid proleptic-Gregorian calendar date.
@@ -48,7 +49,7 @@ bool is_valid_date(int year, int month, int day) noexcept;
 int days_in_month(int year, int month) noexcept;
 
 /// Epoch seconds for a civil date-time. Throws InvalidArgument when any
-/// field is out of range.
+/// field is out of range, the year included: it must fit an int.
 Seconds to_epoch(const CivilDateTime& cdt);
 
 /// Convenience: epoch seconds at midnight of year/month/day.
@@ -67,8 +68,8 @@ int day_of_week(Seconds t) noexcept;
 bool is_weekend(Seconds t) noexcept;
 
 /// Whole calendar months from `start` to `t` (0 while inside the first
-/// month). Used to bucket failures into months-in-production. Throws
-/// InvalidArgument when t < start.
+/// month), saturated at INT_MAX. Used to bucket failures into
+/// months-in-production. Throws InvalidArgument when t < start.
 int months_between(Seconds start, Seconds t);
 
 /// Fractional years between two instants (may be negative).
@@ -84,7 +85,7 @@ inline double seconds_between(Seconds earlier, Seconds later) noexcept {
 }
 
 /// Appends t as "YYYY-MM-DD HH:MM:SS" (UTC): the bytes of printf's
-/// "%04d-%02d-%02d %02d:%02d:%02d" over its fields, so a year outside
+/// "%04lld-%02d-%02d %02d:%02d:%02d" over its fields, so a year outside
 /// 0..9999 keeps its sign and every digit. The one timestamp writer.
 void append_timestamp(std::string& out, Seconds t);
 

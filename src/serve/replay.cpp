@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/time.hpp"
 #include "serve/server.hpp"
 
 namespace hpcfail::serve {
@@ -20,6 +22,10 @@ namespace hpcfail::serve {
 namespace {
 
 constexpr std::size_t kFlushBytes = 64 * 1024;
+
+/// The latest wall offset a replay paces to, in seconds (about 32 years):
+/// later ones would overflow the steady clock's integer ticks.
+constexpr double kMaxPaceSeconds = 1e9;
 
 ReplayOptions validated(ReplayOptions options) {
   if (options.port <= 0 || options.port > 65535) {
@@ -104,8 +110,9 @@ ReplayStats replay_dataset(const trace::FailureDataset& dataset,
   for (std::uint64_t i = 0; i < count; ++i) {
     const trace::FailureRecord r = records[i];
     if (options.speedup > 0.0) {
-      const double offset =
-          static_cast<double>(r.start - first_start) / options.speedup;
+      const double offset = std::min(
+          seconds_between(first_start, r.start) / options.speedup,
+          kMaxPaceSeconds);
       const auto due = wall_base + std::chrono::duration_cast<
                                        std::chrono::steady_clock::duration>(
                                        std::chrono::duration<double>(offset));
@@ -136,7 +143,9 @@ ReplayStats replay_dataset(const trace::FailureDataset& dataset,
       stats.wall_seconds > 0.0
           ? static_cast<double>(stats.events_sent) / stats.wall_seconds
           : 0.0;
-  stats.trace_span = records[count - 1].start - first_start;
+  // Records are in start order, so the unsigned difference is exact.
+  stats.trace_span = static_cast<std::uint64_t>(records[count - 1].start) -
+                     static_cast<std::uint64_t>(first_start);
   return stats;
 }
 

@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <string>
 
-#include "common/time.hpp"
 #include "trace/adapters/adapter.hpp"
 #include "trace/dataset.hpp"
 
@@ -42,7 +41,9 @@ struct ReplayStats {
   std::uint64_t bytes_sent = 0;
   double wall_seconds = 0.0;
   double events_per_sec = 0.0;
-  Seconds trace_span = 0;  ///< last minus first replayed start timestamp
+  /// Last minus first replayed start, in seconds: exact even where the
+  /// two starts lie more than 2^63 - 1 seconds apart.
+  std::uint64_t trace_span = 0;
 };
 
 /// Replays `dataset` per `options`. Blocks until every event has been

@@ -8,7 +8,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <deque>
 #include <fstream>
 #include <functional>
 #include <numeric>
@@ -238,6 +237,45 @@ std::vector<double> hazard_aware_segment_ends(const CampaignScenario& scen,
   return ends;
 }
 
+/// An empty priority queue whose storage holds `n` items before it grows.
+template <typename Queue>
+Queue reserved_queue(std::size_t n) {
+  typename Queue::container_type storage;
+  storage.reserve(n);
+  return Queue(typename Queue::value_compare(), std::move(storage));
+}
+
+/// A first-in first-out queue of at most `capacity` items, in one
+/// allocation made up front.
+template <typename T>
+class BoundedFifo {
+ public:
+  explicit BoundedFifo(std::size_t capacity) : items_(capacity) {}
+
+  bool empty() const { return size_ == 0; }
+
+  void push_back(const T& item) {
+    HPCFAIL_ASSERT(size_ < items_.size());
+    std::size_t at = head_ + size_;
+    if (at >= items_.size()) at -= items_.size();
+    items_[at] = item;
+    ++size_;
+  }
+
+  /// Removes and returns the oldest item. Requires !empty().
+  T pop_front() {
+    const T item = items_[head_];
+    if (++head_ == items_.size()) head_ = 0;
+    --size_;
+    return item;
+  }
+
+ private:
+  std::vector<T> items_;
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
+};
+
 /// One run's faults in delivery order: (time, node) for renewal models,
 /// script order for scripted ones. A renewal node keeps one pending fault
 /// and draws from its forked stream (fork is const, so the run RNG's
@@ -248,6 +286,7 @@ class FaultSource {
   FaultSource(const CampaignScenario& scen, const Rng& run_rng)
       : scen_(scen) {
     if (scen.faults.kind == FaultModelKind::scripted) return;
+    pending_ = reserved_queue<PendingQueue>(scen.node_count);
     streams_.reserve(scen.node_count);
     for (std::size_t node = 0; node < scen.node_count; ++node) {
       streams_.push_back(run_rng.fork(static_cast<std::uint64_t>(node)));
@@ -290,7 +329,9 @@ class FaultSource {
   std::vector<Rng> streams_;  ///< renewal: one stream per node
   /// Renewal: each node's next (time, node), earliest first.
   using Pending = std::pair<double, std::size_t>;
-  std::priority_queue<Pending, std::vector<Pending>, std::greater<>> pending_;
+  using PendingQueue =
+      std::priority_queue<Pending, std::vector<Pending>, std::greater<>>;
+  PendingQueue pending_;
 };
 
 // ---------------------------------------------------------------------
@@ -323,15 +364,36 @@ struct QueuedRepair {
 
 class RunEngine {
  public:
-  /// `ranked` is the scenario's ranked-placement order; `segment_ends`
-  /// the cell's hazard-aware segment ends (empty under a fixed interval).
+  /// `ranked` is the scenario's ranked-placement order and `rank_of` its
+  /// inverse, each node's position in it; `segment_ends` the cell's
+  /// hazard-aware segment ends (empty under a fixed interval).
   RunEngine(const CampaignScenario& scen, const CampaignPolicy& pol,
-            std::span<const int> ranked, std::span<const double> segment_ends,
-            Rng rng)
-      : scen_(scen), pol_(pol), ranked_(ranked), segment_ends_(segment_ends),
-        faults_(scen, rng), rng_(rng), down_(scen.node_count, 0),
-        node_job_(scen.node_count, -1), free_(scen.node_count),
-        jobs_(scen.job_count) {
+            std::span<const int> ranked, std::span<const int> rank_of,
+            std::span<const double> segment_ends, Rng rng)
+      : scen_(scen),
+        pol_(pol),
+        width_(static_cast<std::size_t>(scen.job_width)),
+        by_rank_(pol.placement == PlacementPolicy::reliability_ranked),
+        ranked_(ranked),
+        rank_of_(rank_of),
+        segment_ends_(segment_ends),
+        faults_(scen, rng),
+        rng_(rng),
+        events_(reserved_queue<EventQueue>(scen.job_count + scen.node_count)),
+        down_(scen.node_count, 0),
+        node_job_(scen.node_count, -1),
+        free_bits_((scen.node_count + 63) / 64, 0),
+        free_(scen.node_count),
+        candidates_(scen.node_count),
+        jobs_(scen.job_count),
+        job_nodes_(scen.job_count * width_),
+        pending_(scen.job_count),
+        repair_queue_(scen.node_count) {
+    // Every node starts up and idle. Slots are rank positions or ids, so
+    // either way they cover [0, node_count).
+    for (std::size_t slot = 0; slot < scen.node_count; ++slot) {
+      free_bits_[slot / 64] |= std::uint64_t{1} << (slot % 64);
+    }
     for (Job& job : jobs_) job.remaining = scen.job_work_seconds;
     for (std::size_t j = 0; j < jobs_.size(); ++j) {
       pending_.push_back(static_cast<int>(j));
@@ -372,10 +434,12 @@ class RunEngine {
     double attempt_start = 0.0;
     double attempt_work = 0.0;     ///< `remaining` when the attempt began
     double attempt_restart = 0.0;  ///< `pending_restart` when it began
-    std::vector<int> nodes;
     std::uint64_t stamp = 0;  ///< bumped per dispatch/kill; stales events
     bool running = false;
   };
+
+  using EventQueue =
+      std::priority_queue<Event, std::vector<Event>, EventLater>;
 
   void push_event(double time, EventKind kind, int arg, std::uint64_t stamp) {
     events_.push(Event{time, next_seq_++, kind, arg, stamp});
@@ -399,57 +463,98 @@ class RunEngine {
     return restart + work + writes_for(work) * scen_.checkpoint_cost;
   }
 
-  bool node_free(std::size_t n) const { return !down_[n] && node_job_[n] < 0; }
+  /// Job `j`'s nodes while it runs: its row of `job_nodes_`.
+  std::span<int> nodes_of(int j) {
+    return {job_nodes_.data() + static_cast<std::size_t>(j) * width_, width_};
+  }
+
+  /// A node's bit in `free_bits_`: its rank position under ranked
+  /// placement, its id under random placement.
+  std::size_t slot_of(int node) const {
+    const auto n = static_cast<std::size_t>(node);
+    return by_rank_ ? static_cast<std::size_t>(rank_of_[n]) : n;
+  }
+
+  void mark_free(int node) {
+    const std::size_t slot = slot_of(node);
+    free_bits_[slot / 64] |= std::uint64_t{1} << (slot % 64);
+    ++free_;
+  }
+
+  void mark_taken(int node) {
+    const std::size_t slot = slot_of(node);
+    free_bits_[slot / 64] &= ~(std::uint64_t{1} << (slot % 64));
+    --free_;
+  }
+
+  std::size_t free_bit_count() const {
+    std::size_t count = 0;
+    for (const std::uint64_t word : free_bits_) {
+      count += static_cast<std::size_t>(std::popcount(word));
+    }
+    return count;
+  }
 
   /// Frees a finished or killed job's nodes; a node that is down stays
   /// unavailable until its repair is done.
-  void release_nodes(Job& job) {
-    for (const int n : job.nodes) {
+  void release_nodes(int j) {
+    for (const int n : nodes_of(j)) {
       node_job_[static_cast<std::size_t>(n)] = -1;
-      if (!down_[static_cast<std::size_t>(n)]) ++free_;
+      if (!down_[static_cast<std::size_t>(n)]) mark_free(n);
     }
-    job.nodes.clear();
+  }
+
+  /// Ranked placement: the nodes of the lowest free slots, best first.
+  void take_ranked(std::span<int> nodes) const {
+    std::size_t k = 0;
+    for (std::size_t w = 0; k < nodes.size(); ++w) {
+      for (std::uint64_t word = free_bits_[w]; word != 0 && k < nodes.size();
+           word &= word - 1) {
+        nodes[k++] = ranked_[w * 64 + static_cast<std::size_t>(
+                                          std::countr_zero(word))];
+      }
+    }
+  }
+
+  /// Random placement: a partial Fisher-Yates over the free nodes in
+  /// ascending id order, the only RNG consumption in the engine, one draw
+  /// per chosen node.
+  void take_random(std::span<int> nodes) {
+    std::size_t count = 0;
+    for (std::size_t w = 0; w < free_bits_.size(); ++w) {
+      for (std::uint64_t word = free_bits_[w]; word != 0; word &= word - 1) {
+        candidates_[count++] = static_cast<int>(
+            w * 64 + static_cast<std::size_t>(std::countr_zero(word)));
+      }
+    }
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      const std::size_t pick =
+          i + static_cast<std::size_t>(rng_.uniform_index(count - i));
+      std::swap(candidates_[i], candidates_[pick]);
+      nodes[i] = candidates_[i];
+    }
   }
 
   void try_dispatch(double now) {
-    const auto width = static_cast<std::size_t>(scen_.job_width);
-    const bool ranked = pol_.placement == PlacementPolicy::reliability_ranked;
     while (!pending_.empty()) {
       if (scen_.max_concurrent_jobs != 0 &&
           running_ >= scen_.max_concurrent_jobs) {
         return;
       }
-      if (free_ < width) return;
-      // Free nodes, in the scenario's ranked order or ascending by id.
-      candidates_.clear();
-      if (ranked) {
-        for (const int n : ranked_) {
-          if (node_free(static_cast<std::size_t>(n))) candidates_.push_back(n);
-        }
+      if (free_ < width_) return;
+      HPCFAIL_ASSERT(free_bit_count() == free_);
+      const int j = pending_.pop_front();
+      const std::span<int> nodes = nodes_of(j);
+      if (by_rank_) {
+        take_ranked(nodes);
       } else {
-        for (std::size_t n = 0; n < scen_.node_count; ++n) {
-          if (node_free(n)) candidates_.push_back(static_cast<int>(n));
-        }
+        take_random(nodes);
       }
-      HPCFAIL_ASSERT(candidates_.size() == free_);
-      const int j = pending_.front();
-      pending_.pop_front();
-      if (!ranked) {
-        // Partial Fisher-Yates over the ascending candidate list: the
-        // only RNG consumption in the engine, one draw per chosen node.
-        for (std::size_t i = 0; i < width; ++i) {
-          const std::size_t pick =
-              i + static_cast<std::size_t>(
-                      rng_.uniform_index(candidates_.size() - i));
-          std::swap(candidates_[i], candidates_[pick]);
-        }
+      for (const int n : nodes) {
+        node_job_[static_cast<std::size_t>(n)] = j;
+        mark_taken(n);
       }
       Job& job = jobs_[static_cast<std::size_t>(j)];
-      job.nodes.assign(candidates_.begin(),
-                       candidates_.begin() + static_cast<std::ptrdiff_t>(width));
-      std::sort(job.nodes.begin(), job.nodes.end());
-      for (const int n : job.nodes) node_job_[static_cast<std::size_t>(n)] = j;
-      free_ -= width;
       job.attempt_start = now;
       job.attempt_work = job.remaining;
       job.attempt_restart = job.pending_restart;
@@ -479,7 +584,7 @@ class RunEngine {
     }
     down_[n] = 1;
     const int j = node_job_[n];
-    if (j < 0) --free_;
+    if (j < 0) mark_taken(fault.node);
     if (scen_.repair_concurrency == 0 ||
         crews_busy_ < scen_.repair_concurrency) {
       ++crews_busy_;
@@ -492,7 +597,7 @@ class RunEngine {
 
   void kill_job(double now, int j) {
     Job& job = jobs_[static_cast<std::size_t>(j)];
-    const auto w = static_cast<double>(job.nodes.size());
+    const auto w = static_cast<double>(width_);
     const double elapsed = now - job.attempt_start;
     // Split the attempt's elapsed node-seconds into restart phase, saved
     // work, checkpoint writes, and the lost tail since the last
@@ -534,7 +639,7 @@ class RunEngine {
     job.running = false;
     ++job.stamp;  // stales the scheduled completion event
     --running_;
-    release_nodes(job);
+    release_nodes(j);
     pending_.push_back(j);
     try_dispatch(now);
   }
@@ -542,11 +647,10 @@ class RunEngine {
   void handle_repair_done(double now, int node) {
     // A down node runs no job: its job was killed by the fault.
     down_[static_cast<std::size_t>(node)] = 0;
-    ++free_;
+    mark_free(node);
     --crews_busy_;
     if (!repair_queue_.empty()) {
-      const QueuedRepair next = repair_queue_.front();
-      repair_queue_.pop_front();
+      const QueuedRepair next = repair_queue_.pop_front();
       ++crews_busy_;
       begin_repair(now, next.fault_time, next.node, next.duration);
     }
@@ -556,14 +660,14 @@ class RunEngine {
   void handle_complete(double now, int j, std::uint64_t stamp) {
     Job& job = jobs_[static_cast<std::size_t>(j)];
     if (!job.running || job.stamp != stamp) return;  // stale attempt
-    const auto w = static_cast<double>(job.nodes.size());
+    const auto w = static_cast<double>(width_);
     const double writes = writes_for(job.attempt_work);
     out_.useful_work += job.attempt_work * w;
     out_.checkpoint_overhead += writes * scen_.checkpoint_cost * w;
     out_.restart_overhead += job.attempt_restart * w;
     job.running = false;
     --running_;
-    release_nodes(job);
+    release_nodes(j);
     ++jobs_done_;
     out_.makespan = now;
     try_dispatch(now);
@@ -571,27 +675,33 @@ class RunEngine {
 
   const CampaignScenario& scen_;
   const CampaignPolicy& pol_;
+  const std::size_t width_;  ///< nodes per job
+  const bool by_rank_;       ///< reliability-ranked placement
   std::span<const int> ranked_;
+  std::span<const int> rank_of_;
   std::span<const double> segment_ends_;
   FaultSource faults_;
   Rng rng_;
   CampaignRunResult out_;
 
-  std::priority_queue<Event, std::vector<Event>, EventLater> events_;
+  EventQueue events_;
   std::uint64_t next_seq_ = 0;
 
   std::vector<char> down_;
   std::vector<int> node_job_;
-  std::size_t free_;  ///< nodes neither down nor running a job
-  std::vector<int> candidates_;
+  /// One bit per placement slot, set while its node is up and runs no job.
+  std::vector<std::uint64_t> free_bits_;
+  std::size_t free_;  ///< set bits: nodes neither down nor running a job
+  std::vector<int> candidates_;  ///< random placement's free-node list
 
   std::vector<Job> jobs_;
-  std::deque<int> pending_;
+  std::vector<int> job_nodes_;  ///< job_count x width; row j: job j's nodes
+  BoundedFifo<int> pending_;
   std::size_t running_ = 0;
   std::size_t jobs_done_ = 0;
 
   std::size_t crews_busy_ = 0;
-  std::deque<QueuedRepair> repair_queue_;
+  BoundedFifo<QueuedRepair> repair_queue_;
 };
 
 /// %.17g — the shortest format that round-trips every finite double.
@@ -750,7 +860,13 @@ Campaign::Campaign(CampaignSpec spec) : spec_(std::move(spec)) {
   validate_spec(spec_);
   fingerprint_ = fingerprint_spec(spec_);
   for (const CampaignScenario& scen : spec_.scenarios) {
-    ranked_nodes_.push_back(ranked_nodes(scen));
+    std::vector<int> order = ranked_nodes(scen);
+    std::vector<int> rank_of(order.size());
+    for (std::size_t rank = 0; rank < order.size(); ++rank) {
+      rank_of[static_cast<std::size_t>(order[rank])] = static_cast<int>(rank);
+    }
+    ranked_nodes_.push_back(std::move(order));
+    rank_of_.push_back(std::move(rank_of));
     for (const CampaignPolicy& pol : spec_.policies) {
       segment_ends_.push_back(
           pol.hazard_aware ? hazard_aware_segment_ends(scen, *pol.hazard_aware)
@@ -798,9 +914,9 @@ CampaignRunResult Campaign::execute_run(std::size_t cell,
   HPCFAIL_EXPECTS(replicate < spec_.runs_per_cell,
                   "replicate index out of range");
   const auto started = std::chrono::steady_clock::now();
+  const std::size_t scen = cell / spec_.policies.size();
   RunEngine engine(scenario_of_cell(cell), policy_of_cell(cell),
-                   ranked_nodes_[cell / spec_.policies.size()],
-                   segment_ends_[cell],
+                   ranked_nodes_[scen], rank_of_[scen], segment_ends_[cell],
                    Rng(mix_seed(spec_.seed, cell, replicate)));
   CampaignRunResult result = engine.run();
   result.cell = static_cast<std::uint32_t>(cell);

@@ -173,8 +173,10 @@ class Campaign {
 
   CampaignSpec spec_;
   std::uint64_t fingerprint_ = 0;
-  /// Per scenario: node ids, fewest expected faults first.
+  /// Per scenario: node ids, fewest expected faults first, and each
+  /// node's position in that order (its placement slot when ranked).
   std::vector<std::vector<int>> ranked_nodes_;
+  std::vector<std::vector<int>> rank_of_;
   /// Per cell: hazard-aware segment ends (empty under a fixed interval).
   std::vector<std::vector<double>> segment_ends_;
 };

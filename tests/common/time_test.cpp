@@ -31,12 +31,12 @@ TEST(CivilFromDays, RoundTripsAcrossFourCenturies) {
   // Covers leap years, century non-leaps, and the 400-year leap.
   for (std::int64_t day = days_from_civil(1900, 1, 1);
        day <= days_from_civil(2100, 1, 1); day += 13) {
-    int y = 0;
+    std::int64_t y = 0;
     int m = 0;
     int d = 0;
     civil_from_days(day, y, m, d);
-    EXPECT_EQ(days_from_civil(y, m, d), day);
-    EXPECT_TRUE(is_valid_date(y, m, d));
+    EXPECT_EQ(days_from_civil(static_cast<int>(y), m, d), day);
+    EXPECT_TRUE(is_valid_date(static_cast<int>(y), m, d));
   }
 }
 
@@ -70,6 +70,20 @@ TEST(ToEpoch, RejectsInvalidFields) {
   EXPECT_THROW(to_epoch(CivilDateTime{2005, 1, 1, 0, 60, 0}),
                InvalidArgument);
   EXPECT_THROW(to_epoch(CivilDateTime{2005, 1, 1, 0, 0, -1}),
+               InvalidArgument);
+}
+
+TEST(ToEpoch, TakesEveryIntYearAndRejectsWiderOnes) {
+  constexpr std::int64_t kIntMin = std::numeric_limits<int>::min();
+  constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+  // Hinnant's days_from_civil in exact integer arithmetic.
+  EXPECT_EQ(to_epoch(CivilDateTime{kIntMin, 1, 1, 0, 0, 0}),
+            -67'768'100'567'971'200);
+  EXPECT_EQ(to_epoch(CivilDateTime{kIntMax, 12, 31, 23, 59, 59}),
+            67'767'976'233'532'799);
+  EXPECT_THROW(to_epoch(CivilDateTime{kIntMin - 1, 1, 1, 0, 0, 0}),
+               InvalidArgument);
+  EXPECT_THROW(to_epoch(CivilDateTime{kIntMax + 1, 1, 1, 0, 0, 0}),
                InvalidArgument);
 }
 
@@ -127,6 +141,14 @@ TEST(MonthsBetween, MidMonthStart) {
   EXPECT_EQ(months_between(start, to_epoch(1997, 2, 15)), 1);
 }
 
+TEST(MonthsBetween, SaturatesAtIntMax) {
+  EXPECT_EQ(months_between(0, std::numeric_limits<Seconds>::max()),
+            std::numeric_limits<int>::max());
+  EXPECT_EQ(months_between(std::numeric_limits<Seconds>::min(),
+                           std::numeric_limits<Seconds>::max()),
+            std::numeric_limits<int>::max());
+}
+
 TEST(MonthsBetween, RejectsReversedArguments) {
   EXPECT_THROW(months_between(to_epoch(1998, 1, 1), to_epoch(1997, 1, 1)),
                InvalidArgument);
@@ -176,9 +198,22 @@ TEST(FormatTimestamp, CanonicalForm) {
 /// The printf spelling format_timestamp has always produced.
 std::string printf_timestamp(const CivilDateTime& c) {
   char buf[64];
-  std::snprintf(buf, sizeof buf, "%04d-%02d-%02d %02d:%02d:%02d", c.year,
-                c.month, c.day, c.hour, c.minute, c.second);
+  std::snprintf(buf, sizeof buf, "%04lld-%02d-%02d %02d:%02d:%02d",
+                static_cast<long long>(c.year), c.month, c.day, c.hour,
+                c.minute, c.second);
   return buf;
+}
+
+// Expected values from Hinnant's algorithm in exact integer arithmetic.
+TEST(FormatTimestamp, KeepsEveryDigitOfTheYearAtTheEndsOfTheRange) {
+  EXPECT_EQ(format_timestamp(9'000'000'000'000'000'000),
+            "285198648531-04-21 16:00:00");
+  EXPECT_EQ(format_timestamp(-9'000'000'000'000'000'000),
+            "-285198644592-09-12 08:00:00");
+  EXPECT_EQ(format_timestamp(std::numeric_limits<Seconds>::max()),
+            "292277026596-12-04 15:30:07");
+  EXPECT_EQ(format_timestamp(std::numeric_limits<Seconds>::min()),
+            "-292277022657-01-27 08:29:52");
 }
 
 TEST(FormatTimestamp, MatchesPrintfFromYearMinus9999To99999) {

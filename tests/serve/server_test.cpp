@@ -1275,9 +1275,33 @@ TEST(Replay, SpeedupPacesTheWallClock) {
   ropts.speedup = 20.0;  // 10s of trace time -> ~0.5s wall
   const ReplayStats stats = replay_dataset(dataset, ropts);
   EXPECT_EQ(stats.events_sent, 11u);
-  EXPECT_EQ(stats.trace_span, 10);
+  EXPECT_EQ(stats.trace_span, 10u);
   EXPECT_GE(stats.wall_seconds, 0.45);
   EXPECT_LT(stats.wall_seconds, 5.0);
+  server.stop();
+  server.wait();
+}
+
+// Raw epoch seconds, as a Lu-format log carries them, can put two starts
+// more than 2^63 - 1 seconds apart: the span and the pacing offsets are
+// taken in unsigned arithmetic, where that difference is exact.
+TEST(Replay, SpanPastTheSignedRangeIsExact) {
+  constexpr Seconds kFar = 9'000'000'000'000'000'000;
+  std::vector<trace::FailureRecord> records = {rec(1, 0, -kFar, 60),
+                                               rec(1, 1, kFar, 60)};
+  const trace::FailureDataset dataset{std::move(records)};
+
+  Server server(ServerOptions{});
+  server.start();
+  ReplayOptions ropts;
+  ropts.port = server.ingest_port();
+  for (const double speedup : {0.0, 1e20}) {  // 1e20: 1.8e19 s in 0.18 s
+    ropts.speedup = speedup;
+    const ReplayStats stats = replay_dataset(dataset, ropts);
+    EXPECT_EQ(stats.events_sent, 2u) << speedup;
+    EXPECT_EQ(stats.trace_span, 18'000'000'000'000'000'000u) << speedup;
+    EXPECT_LT(stats.wall_seconds, 5.0) << speedup;
+  }
   server.stop();
   server.wait();
 }

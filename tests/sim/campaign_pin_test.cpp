@@ -3,7 +3,10 @@
 // run and every cell summary of one mixed campaign. The constants were
 // recorded from the engine that materialized each run's whole fault
 // schedule up front; the lazy fault sources must reproduce them bit for
-// bit. A mismatch prints the row the engine now produces.
+// bit. A second pin covers clusters from 4 to 1000 nodes, recorded from
+// the engine that scanned every node per dispatch. A mismatch prints the
+// row the engine now produces.
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -147,8 +150,8 @@ constexpr CellPin kCells[] = {
     {"contention", "hourly", 0x7823f30c7ea013b3ULL, 0xacc67291835ab5fdULL,
      {0xc9c6412fdbc6dd7aULL, 0x065b75438ecfbd19ULL,
       0x9bd16fd78a37d26bULL, 0x8fb0038c25ad9c25ULL}},
-    {"contention", "hourly-ranked", 0x005310c2f347407dULL,
-     0x3ec907f255fe7f7eULL,
+    {"contention", "hourly-ranked", 0x7a37a207a9f66499ULL,
+     0x2bb27871bca73c77ULL,
      {0xe867d446583e8c89ULL, 0xd160d0c15577055aULL,
       0x8a1733fa3d701261ULL, 0xb2942274fa069f82ULL}},
     {"contention", "daly", 0x9df6e572aeaf4cb5ULL, 0x9604ea62bb4e1f2fULL,
@@ -160,7 +163,7 @@ constexpr CellPin kCells[] = {
     {"renewal", "hourly", 0xb5cd67060d91d26dULL, 0xe068b71414c11050ULL,
      {0xb1eaa48dd80b556fULL, 0x95c844aa7a146f6aULL,
       0x629a6a8a1e9c4530ULL, 0x036f1db79ec296e3ULL}},
-    {"renewal", "hourly-ranked", 0x35121d034703d32bULL, 0xa8ae56acaf475f34ULL,
+    {"renewal", "hourly-ranked", 0xb8fcafe7f1ead913ULL, 0xd2f37950dc103036ULL,
      {0x10cf1c717beaec4bULL, 0x5d932e48dc4100edULL,
       0xc9977b0b4a22bbedULL, 0x4b141c502fb1a42eULL}},
     {"renewal", "daly", 0xa1433f4d873ee9e1ULL, 0x1e7b537e8c22f2a4ULL,
@@ -205,12 +208,10 @@ TEST(CampaignPin, SchedulesMatchTheRecordedDraws) {
   }
 }
 
-// Every cell except contention and renewal under hourly-ranked. Those
-// two ranked nodes by how many of the run's own renewal faults fell
-// before the horizon, a count no scheduler can know; on a shared renewal
-// model every node now scores the same rate, so ranked placement takes
-// the lowest free node ids and those two cells' results moved. Their
-// schedules above are still pinned.
+// The runs and summaries of contention and renewal under hourly-ranked
+// were re-recorded once ranked placement ordered nodes by their expected
+// rate: on a shared renewal model every node scores the same, so ranked
+// placement takes the lowest free node ids. Their schedules never moved.
 TEST(CampaignPin, RunsAndSummariesMatchTheRecordedEngine) {
   const sim::Campaign campaign(pin_spec());
   const sim::CampaignResult result = campaign.run();
@@ -220,16 +221,63 @@ TEST(CampaignPin, RunsAndSummariesMatchTheRecordedEngine) {
     const CellPin& pin = kCells[cell];
     ASSERT_EQ(summary.scenario, pin.scenario);
     ASSERT_EQ(summary.policy, pin.policy);
-    const bool reranked =
-        summary.policy == "hourly-ranked" &&
-        (summary.scenario == "contention" || summary.scenario == "renewal");
-    if (reranked) continue;
     const std::uint64_t runs =
         runs_digest(result, cell, campaign.spec().runs_per_cell);
     const std::uint64_t cell_summary = summary_digest(summary);
     EXPECT_EQ(runs, pin.runs) << "cell " << cell << " runs now " << hex(runs);
     EXPECT_EQ(cell_summary, pin.summary)
         << "cell " << cell << " summary now " << hex(cell_summary);
+  }
+}
+
+/// The default scenario shapes at `nodes` nodes (bursts `min(8, nodes)`
+/// wide), plus the renewal scenario capped at 3 concurrent jobs, against
+/// the default policies.
+sim::CampaignSpec wide_spec(std::size_t nodes) {
+  const std::size_t burst = std::min<std::size_t>(8, nodes);
+  sim::CampaignScenario capped = sim::weibull_renewal_scenario(nodes);
+  capped.name = "renewal-capped";
+  capped.max_concurrent_jobs = 3;
+  sim::CampaignSpec spec;
+  spec.scenarios.push_back(sim::staggered_cascade_scenario(nodes));
+  spec.scenarios.push_back(sim::correlated_burst_scenario(nodes, 6, burst));
+  spec.scenarios.push_back(sim::repair_contention_scenario(nodes));
+  spec.scenarios.push_back(sim::weibull_renewal_scenario(nodes));
+  spec.scenarios.push_back(std::move(capped));
+  spec.policies = sim::default_policy_set();
+  spec.runs_per_cell = 16;
+  spec.seed = 9;
+  return spec;
+}
+
+struct WidePin {
+  std::size_t nodes;
+  std::uint64_t digest;  ///< every cell's runs and summary digests, in order
+};
+
+// One job's width, both sides of a 64-node word boundary, two words and
+// a ragged third, and a cluster far wider than any default scenario.
+constexpr WidePin kWide[] = {
+    {4, 0xeea63e96de5d28efULL},
+    {63, 0x2ac4b0c63466fb73ULL},
+    {64, 0x3fdb47f0a26f9d77ULL},
+    {65, 0x8c93d74563836dd4ULL},
+    {128, 0x82eac3358f51183bULL},
+    {129, 0x80e8073cc748f1feULL},
+    {1000, 0xaacbcb70d9a940e1ULL},
+};
+
+TEST(CampaignPin, WideClustersMatchTheParentEngine) {
+  for (const WidePin& pin : kWide) {
+    const sim::Campaign campaign(wide_spec(pin.nodes));
+    const sim::CampaignResult result = campaign.run();
+    Fnv d;
+    for (std::size_t cell = 0; cell < campaign.cell_count(); ++cell) {
+      d.u64(runs_digest(result, cell, campaign.spec().runs_per_cell));
+      d.u64(summary_digest(result.cells[cell]));
+    }
+    EXPECT_EQ(d.value(), pin.digest)
+        << pin.nodes << " nodes now " << hex(d.value());
   }
 }
 

@@ -58,7 +58,7 @@ RepairReport repair_analysis(const trace::FailureDataset& dataset,
                      static_cast<std::ptrdiff_t>(run_begin[k + 1]);
     if (begin == end) continue;
     cause_minutes.assign(begin, end);
-    std::sort(begin, end);
+    hpcfail::stats::sort_in_place(std::span<double>(begin, end));
     RepairByCause entry;
     entry.cause = trace::kAllRootCauses[k];
     entry.stats = hpcfail::stats::summarize(

@@ -101,23 +101,21 @@ void record_fit(const FitResult& result, std::size_t sample_size) {
       .record(static_cast<double>(sample_size));
 }
 
-// A sample prepared for the standard families: its sufficient statistics,
-// its ascending copy (borrowed from the caller; KS floors it as it reads)
-// and its floored logs in sample order (for the Weibull solver). Built
-// once per sample and shared by every standard family fitted to it.
+// A sample prepared for the standard families: its floored logs in
+// sample order (for the Weibull solver), taken by the same pass that
+// accumulates its sufficient statistics, and its ascending copy (borrowed
+// from the caller; KS floors it as it reads). Built once per sample and
+// shared by every standard family fitted to it.
 struct Prepared {
+  std::vector<double> logs;
   SuffStats stats;
   std::span<const double> sorted;
-  std::vector<double> logs;
 
   Prepared(std::span<const double> xs, std::span<const double> sorted_xs,
            double floor_at)
-      : stats(SuffStats::compute(xs, floor_at)), sorted(sorted_xs) {
-    logs.reserve(xs.size());
-    for (const double x : xs) {
-      logs.push_back(std::log(x < floor_at ? floor_at : x));
-    }
-  }
+      : logs(xs.size()),
+        stats(SuffStats::compute(xs, floor_at, logs)),
+        sorted(sorted_xs) {}
 };
 
 // The fitting engine of the standard families, shared by fit(),

@@ -30,16 +30,25 @@ void chan_merge(double na, double nb, double shift, double& mean_dev,
 
 }  // namespace
 
-SuffStats SuffStats::compute(std::span<const double> xs, double floor_at) {
+SuffStats SuffStats::compute(std::span<const double> xs, double floor_at,
+                             std::span<double> logs) {
   HPCFAIL_EXPECTS(floor_at > 0.0,
                   "sufficient statistics require a positive floor");
+  HPCFAIL_EXPECTS(logs.empty() || logs.size() == xs.size(),
+                  "sufficient statistics: one log slot per value");
   SuffStats s;
   s.floor_at = floor_at;
-  for (const double x : xs) s.add(x);
+  if (logs.empty()) {
+    for (const double x : xs) s.add(x);
+  } else {
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      logs[i] = s.add_with_log(xs[i]);
+    }
+  }
   return s;
 }
 
-void SuffStats::add(double x) {
+double SuffStats::add_with_log(double x) {
   HPCFAIL_EXPECTS(floor_at > 0.0,
                   "sufficient statistics require a positive floor");
   HPCFAIL_EXPECTS(x >= 0.0,
@@ -57,6 +66,7 @@ void SuffStats::add(double x) {
   welford_add(lv - log_shift, count, log_mean_dev, log_m2);
   if (v < min) min = v;
   if (v > max) max = v;
+  return lv;
 }
 
 void SuffStats::merge(const SuffStats& other) {

@@ -20,7 +20,8 @@
 //
 // Contracts:
 //   * compute() is a loop over add(), so an add() sequence and one
-//     compute() pass over the same values are bit-identical.
+//     compute() pass over the same values are bit-identical; the floored
+//     logs compute() hands out are the ones add() accumulated.
 //   * merge() combines accumulators exactly in exact arithmetic; in
 //     floating point a merged result matches a single pass to rounding
 //     (relative ~1e-13 on 10^7-point hostile samples, see the testkit
@@ -66,13 +67,20 @@ struct SuffStats {
 
   /// A loop of add() over the sample. Requires floor_at > 0 and
   /// non-negative data (InvalidArgument otherwise) — the same domain as
-  /// the positive-support fit_mle overloads.
+  /// the positive-support fit_mle overloads. A non-empty `logs`, one slot
+  /// per value, receives each value's floored log: the one add() takes,
+  /// so a fitter that keeps the logs (the Weibull solver's input) takes
+  /// each log once.
   static SuffStats compute(std::span<const double> xs,
-                           double floor_at = 1e-9);
+                           double floor_at = 1e-9,
+                           std::span<double> logs = {});
 
   /// Single-observation Welford update of both moment pairs; the first
   /// observation sets the shifts. Same domain checks as compute().
-  void add(double x);
+  void add(double x) { (void)add_with_log(x); }
+
+  /// add(x), returning the log it took: log(max(x, floor_at)).
+  double add_with_log(double x);
 
   /// Pools another accumulator computed with the same floor (throws
   /// InvalidArgument on a floor mismatch) by Chan's pairwise update,

@@ -20,12 +20,8 @@ Weibull::Weibull(double shape, double scale) : shape_(shape), scale_(scale) {
 }
 
 Weibull Weibull::fit_mle(std::span<const double> xs, double floor_at) {
-  const SuffStats stats = SuffStats::compute(xs, floor_at);
-  std::vector<double> logs;
-  logs.reserve(xs.size());
-  for (const double x : xs) {
-    logs.push_back(std::log(x < floor_at ? floor_at : x));
-  }
+  std::vector<double> logs(xs.size());
+  const SuffStats stats = SuffStats::compute(xs, floor_at, logs);
   return fit_mle_from_logs(logs, stats.log_shift + stats.log_mean_dev,
                            shape_hint_from(stats));
 }

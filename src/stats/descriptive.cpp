@@ -1,10 +1,13 @@
 #include "stats/descriptive.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "common/error.hpp"
+#include "common/radix.hpp"
 
 namespace hpcfail::stats {
 
@@ -96,9 +99,38 @@ Summary summarize(std::span<const double> xs,
   return s;
 }
 
+void sort_in_place(std::span<double> xs) {
+  constexpr std::uint64_t kSignBit = std::uint64_t{1} << 63;
+  const std::size_t n = xs.size();
+  if (n >= kRadixSortMinSize &&
+      n < std::numeric_limits<std::uint32_t>::max()) {
+    // The key flips the sign bit of a non-negative value and every bit of
+    // a negative one, so keys order as the values do. NaN has no place in
+    // that order and -0.0 ties +0.0 under <, so std::sort's arrangement
+    // of either is its own: a sample holding one is left to it.
+    std::vector<std::uint64_t> keys(n);
+    bool keyed = true;
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto bits = std::bit_cast<std::uint64_t>(xs[i]);
+      keyed = keyed && !std::isnan(xs[i]) && bits != kSignBit;
+      keys[i] = (bits & kSignBit) != 0 ? ~bits : bits | kSignBit;
+    }
+    if (keyed) {
+      radix_sort(keys);
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::uint64_t k = keys[i];
+        xs[i] = std::bit_cast<double>((k & kSignBit) != 0 ? k & ~kSignBit
+                                                          : ~k);
+      }
+      return;
+    }
+  }
+  std::sort(xs.begin(), xs.end());
+}
+
 std::vector<double> sorted_copy(std::span<const double> xs) {
   std::vector<double> out(xs.begin(), xs.end());
-  std::sort(out.begin(), out.end());
+  sort_in_place(out);
   return out;
 }
 

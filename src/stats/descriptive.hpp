@@ -57,7 +57,14 @@ Summary summarize(std::span<const double> xs);
 /// sample, or when `sorted` differs in size from `xs` or is not sorted.
 Summary summarize(std::span<const double> xs, std::span<const double> sorted);
 
-/// Returns a sorted copy; convenience for the quantile/ECDF entry points.
+/// Sorts `xs` ascending in place, into the same sequence std::sort
+/// gives: a sample of kRadixSortMinSize or more values that holds no NaN
+/// and no -0.0 is radix-sorted by an order-preserving key of each value
+/// (common/radix.hpp), any other sample by std::sort.
+void sort_in_place(std::span<double> xs);
+
+/// Returns a sorted copy (sort_in_place on a copy); convenience for the
+/// quantile/ECDF entry points.
 std::vector<double> sorted_copy(std::span<const double> xs);
 
 }  // namespace hpcfail::stats

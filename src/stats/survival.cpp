@@ -1,9 +1,13 @@
 #include "stats/survival.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "common/error.hpp"
+#include "common/radix.hpp"
 
 namespace hpcfail::stats {
 
@@ -14,17 +18,39 @@ std::vector<SurvivalObservation> prepared(
     std::span<const SurvivalObservation> sample) {
   HPCFAIL_EXPECTS(!sample.empty(), "survival estimate of empty sample");
   bool any_event = false;
+  bool any_negative_zero = false;
   for (const SurvivalObservation& obs : sample) {
     HPCFAIL_EXPECTS(obs.time >= 0.0, "survival times must be non-negative");
     any_event = any_event || obs.observed;
+    any_negative_zero = any_negative_zero || std::signbit(obs.time);
   }
   HPCFAIL_EXPECTS(any_event, "survival estimate needs at least one event");
   std::vector<SurvivalObservation> out(sample.begin(), sample.end());
-  std::sort(out.begin(), out.end(),
-            [](const SurvivalObservation& a, const SurvivalObservation& b) {
-              if (a.time != b.time) return a.time < b.time;
-              return a.observed && !b.observed;
-            });
+  const std::size_t n = out.size();
+  if (n < kRadixSortMinSize || any_negative_zero ||
+      n >= std::numeric_limits<std::uint32_t>::max()) {
+    // -0.0 ties +0.0, and std::sort's arrangement of the two is its own.
+    std::sort(out.begin(), out.end(),
+              [](const SurvivalObservation& a, const SurvivalObservation& b) {
+                if (a.time != b.time) return a.time < b.time;
+                return a.observed && !b.observed;
+              });
+    return out;
+  }
+  // A non-negative time's bits order like the time. Shifted up one bit
+  // they leave bit 0 for "censored", which sorts events first at a tied
+  // time: the comparator's order, and the same sequence, since entries
+  // equal under it are identical.
+  std::vector<std::uint64_t> keys(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    keys[i] = (std::bit_cast<std::uint64_t>(out[i].time) << 1) |
+              (out[i].observed ? 0 : 1);
+  }
+  radix_sort(keys);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i].time = std::bit_cast<double>(keys[i] >> 1);
+    out[i].observed = (keys[i] & 1) == 0;
+  }
   return out;
 }
 

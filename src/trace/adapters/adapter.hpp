@@ -50,7 +50,11 @@ class Adapter {
                            std::string& out) const = 0;
 
   /// Parses one line (a trailing '\r' is tolerated). Exact inverse of
-  /// format_line on its image. Throws per the taxonomy above.
+  /// format_line on its image. Throws per the taxonomy above. Must be a
+  /// pure function of the one line: read_csv parses pieces of a file on
+  /// several threads at once, each from its first line on, so no line may
+  /// depend on the lines before it. A format whose records span lines
+  /// would need the one-LineSource path.
   virtual FailureRecord parse_line(std::string_view line) const = 0;
 };
 

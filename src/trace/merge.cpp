@@ -5,14 +5,14 @@
 #include <cstdint>
 #include <limits>
 
+#include "common/radix.hpp"
+
 namespace hpcfail::trace {
 namespace {
 
 unsigned bits_for(std::uint64_t v) noexcept {
   return static_cast<unsigned>(std::bit_width(v));
 }
-
-constexpr unsigned kRadixDigitBits = 16;
 
 /// Layout of the packed (start, system, node) merge key. The key orders
 /// exactly like the dataset's record comparator, so a stable integer
@@ -111,70 +111,26 @@ ColumnStore merge_sorted_by_comparison(
 }
 
 // The (part << pos_bits | row) reference of every row, in merged order:
-// a stable LSD radix sort of the packed keys. Stability leaves equal keys
-// in (part, row) order, so the result is deterministic and independent
-// of how the rows were partitioned across parts.
+// the library's stable radix sort (common/radix.hpp) of the packed keys.
+// Stability leaves equal keys in (part, row) order, so the result is
+// deterministic and independent of how the rows were partitioned across
+// parts. The keys are freed on return, before the gather.
 std::vector<std::uint32_t> sorted_refs(
     const std::vector<const ColumnStore*>& parts, const MergeKeySpec& spec,
     unsigned pos_bits, std::size_t total) {
-  const unsigned key_bits = std::max(1u, spec.total_bits());
-  const unsigned passes = (key_bits + kRadixDigitBits - 1) / kRadixDigitBits;
-  constexpr std::size_t kBuckets = std::size_t{1} << kRadixDigitBits;
-  constexpr std::uint64_t kDigitMask = kBuckets - 1;
-
-  // Pack the keys and their references in input order, counting every
-  // pass's digit histogram in the same read of the parts.
   std::vector<std::uint64_t> key(total);
   std::vector<std::uint32_t> ref(total);
-  std::vector<std::uint32_t> hist(passes * kBuckets, 0);
   std::size_t at = 0;
   for (std::size_t p = 0; p < parts.size(); ++p) {
     const ColumnStore& c = *parts[p];
     const auto tag = static_cast<std::uint32_t>(
         static_cast<std::uint64_t>(p) << pos_bits);
     for (std::size_t i = 0; i < c.size(); ++i, ++at) {
-      const std::uint64_t k =
-          spec.pack(c.start[i], c.system_id[i], c.node_id[i]);
-      key[at] = k;
+      key[at] = spec.pack(c.start[i], c.system_id[i], c.node_id[i]);
       ref[at] = tag | static_cast<std::uint32_t>(i);
-      for (unsigned pass = 0; pass < passes; ++pass) {
-        ++hist[pass * kBuckets +
-               ((k >> (pass * kRadixDigitBits)) & kDigitMask)];
-      }
     }
   }
-
-  // A pass whose digit is constant across the input is an identity
-  // permutation and is skipped; the last live pass does not need to
-  // forward the keys (only the references survive it).
-  std::vector<unsigned> live;
-  for (unsigned pass = 0; pass < passes; ++pass) {
-    const std::uint32_t* h = hist.data() + pass * kBuckets;
-    const std::uint32_t* first = std::find_if(
-        h, h + kBuckets, [](std::uint32_t count) { return count != 0; });
-    if (*first != total) live.push_back(pass);
-  }
-  std::vector<std::uint64_t> key_tmp(live.size() > 1 ? total : 0);
-  std::vector<std::uint32_t> ref_tmp(live.empty() ? 0 : total);
-  for (std::size_t l = 0; l < live.size(); ++l) {
-    std::uint32_t* h = hist.data() + live[l] * kBuckets;
-    std::uint32_t sum = 0;
-    for (std::size_t d = 0; d < kBuckets; ++d) {
-      const std::uint32_t c = h[d];
-      h[d] = sum;
-      sum += c;
-    }
-    const unsigned shift = live[l] * kRadixDigitBits;
-    const bool forward_keys = l + 1 < live.size();
-    for (std::size_t i = 0; i < total; ++i) {
-      const std::uint64_t k = key[i];
-      const std::uint32_t dst = h[(k >> shift) & kDigitMask]++;
-      if (forward_keys) key_tmp[dst] = k;
-      ref_tmp[dst] = ref[i];
-    }
-    key.swap(key_tmp);
-    ref.swap(ref_tmp);
-  }
+  radix_sort(key, ref);
   return ref;
 }
 

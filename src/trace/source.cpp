@@ -75,9 +75,9 @@ bool LineSource::take(std::string_view line, FailureRecord& out) {
     ++counters_.accepted;
     return true;
   } catch (const ParseError& e) {
-    reject(e, lines_, on_error_, counters_);
+    reject(e, lines_before_ + lines_, on_error_, counters_);
   } catch (const ValidationError& e) {
-    reject(e, lines_, on_error_, counters_);
+    reject(e, lines_before_ + lines_, on_error_, counters_);
   }
   return false;
 }

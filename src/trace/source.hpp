@@ -84,9 +84,13 @@ class LineSource : public Source {
   };
 
   /// Lines are decoded by `format`, which must outlive the source.
+  /// `lines_before` lines of the stream precede the first byte fed, so a
+  /// source fed one piece of a stream numbers its "line N:" messages as
+  /// a source fed the whole stream would.
   explicit LineSource(const Adapter& format = native_format(),
-                      OnError on_error = OnError::reject) noexcept
-      : format_(&format), on_error_(on_error) {}
+                      OnError on_error = OnError::reject,
+                      std::uint64_t lines_before = 0) noexcept
+      : format_(&format), on_error_(on_error), lines_before_(lines_before) {}
 
   /// Appends raw bytes (need not align with line boundaries).
   void feed(std::string_view bytes) { buffer_.append(bytes); }
@@ -109,7 +113,7 @@ class LineSource : public Source {
   SourceStatus next(FailureRecord& out) override;
 
   /// Lines framed so far, blank, header and rejected ones included; an
-  /// over-long line counts once.
+  /// over-long line counts once. `lines_before` is not included.
   std::uint64_t lines() const noexcept { return lines_; }
 
  private:
@@ -118,9 +122,10 @@ class LineSource : public Source {
 
   const Adapter* format_;
   OnError on_error_;
+  std::uint64_t lines_before_;  ///< numbering base of "line N:" messages
   std::string buffer_;
   std::size_t pos_ = 0;       ///< start of the first unconsumed byte
-  std::uint64_t lines_ = 0;   ///< lines consumed, for "line N:" messages
+  std::uint64_t lines_ = 0;   ///< lines consumed
   bool finished_ = false;
   bool skipping_ = false;     ///< dropping the rest of an over-long line
 };

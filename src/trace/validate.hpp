@@ -26,10 +26,12 @@ enum class ValidationIssueKind {
 
 std::string to_string(ValidationIssueKind kind);
 
+/// One flagged record. The issue holds what its message needs beyond the
+/// record and the catalog; issue_message() renders the text.
 struct ValidationIssue {
   ValidationIssueKind kind;
   std::size_t record_index = 0;  ///< index into dataset.records()
-  std::string message;
+  Seconds until = 0;  ///< overlapping_repair: the node's earlier repair end
 };
 
 struct ValidationOptions {
@@ -50,6 +52,12 @@ struct ValidationReport {
 ValidationReport validate(const FailureDataset& dataset,
                           const SystemCatalog& catalog,
                           ValidationOptions options = {});
+
+/// The message of an issue that validate(dataset, catalog) reported, e.g.
+/// "system 99 is not in the catalog".
+std::string issue_message(const ValidationIssue& issue,
+                          const FailureDataset& dataset,
+                          const SystemCatalog& catalog);
 
 /// Copy of the dataset without the records named in `report` (the
 /// standard "drop what validation flagged" ingest step).

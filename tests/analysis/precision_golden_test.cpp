@@ -229,7 +229,9 @@ TEST(AnalyzerPrecisionGolden, RepairHazardInterarrivalAndValidateArePinned) {
   for (const trace::ValidationIssue& issue : validation.issues) {
     const std::string kind = trace::to_string(issue.kind);
     const std::string text = kind + " " + std::to_string(issue.record_index) +
-                             " " + issue.message + "\n";
+                             " " +
+                             trace::issue_message(issue, dirty, catalog) +
+                             "\n";
     digest.bytes(text.data(), text.size());
     if (++per_kind[kind] <= 3) shown += "  " + text;
   }

@@ -114,6 +114,15 @@ TEST(SuffStatsOracle, SumsMatchADirectPassBitForBit) {
     EXPECT_EQ(stats.log_m2, log_m2) << "n=" << n;
     EXPECT_EQ(stats.min, mn) << "n=" << n;
     EXPECT_EQ(stats.max, mx) << "n=" << n;
+
+    // The logs compute() hands out are the ones it accumulated, and
+    // asking for them changes no field.
+    std::vector<double> logs(n);
+    const SuffStats with_logs = SuffStats::compute(xs, kFloor, logs);
+    EXPECT_EQ(logs, floored_logs(xs, kFloor)) << "n=" << n;
+    EXPECT_EQ(with_logs.log_mean_dev, stats.log_mean_dev) << "n=" << n;
+    EXPECT_EQ(with_logs.log_m2, stats.log_m2) << "n=" << n;
+    EXPECT_EQ(with_logs.m2, stats.m2) << "n=" << n;
   }
 }
 

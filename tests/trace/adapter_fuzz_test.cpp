@@ -6,17 +6,22 @@
 //   * mutation fuzz — random byte mutations of valid foreign lines
 //     either throw a typed library Error (which streaming ingest turns
 //     into reject-and-count) or parse into a fully consistent record;
-//     nothing crashes, nothing is silently accepted as garbage.
+//     nothing crashes, nothing is silently accepted as garbage. The same
+//     lines read as a file through a small read_csv window give what one
+//     LineSource fed the whole file gives.
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "testkit/generators.hpp"
 #include "testkit/property.hpp"
 #include "trace/adapters/adapter.hpp"
+#include "trace/io.hpp"
 #include "trace/record.hpp"
 #include "trace/source.hpp"
 
@@ -170,6 +175,119 @@ TEST(AdapterFuzz, StreamingIngestRejectsAndCountsEveryMutatedLine) {
     // At least all the unmutated originals made it through.
     EXPECT_GE(source.counters().accepted, 500u) << adapter->name();
   }
+}
+
+/// What a read of `text` in `format` yields: its records, or the type
+/// and message of the error a strict read throws.
+struct ReadOutcome {
+  std::vector<FailureRecord> records;
+  SourceCounters counters;
+  std::string error;
+};
+
+/// One LineSource fed all of `text`, strict unless `lenient`.
+ReadOutcome one_feed(const Adapter& format, const std::string& text,
+                     bool lenient) {
+  LineSource source(format, lenient ? LineSource::OnError::reject
+                                    : LineSource::OnError::throw_);
+  source.feed(text);
+  source.finish();
+  ReadOutcome out;
+  FailureRecord r;
+  try {
+    while (source.next(r) == SourceStatus::event) out.records.push_back(r);
+  } catch (const ParseError& e) {
+    out.error = std::string("ParseError: ") + e.what();
+  } catch (const ValidationError& e) {
+    out.error = std::string("ValidationError: ") + e.what();
+  }
+  out.records = FailureDataset(out.records).records().to_records();
+  out.counters = source.counters();
+  return out;
+}
+
+/// read_csv of `text` through a window of `window` bytes, strict unless
+/// `lenient`.
+ReadOutcome windowed(const Adapter& format, const std::string& text,
+                     std::size_t window, bool lenient) {
+  std::istringstream in(text);
+  ReadOutcome out;
+  try {
+    out.records = detail::read_csv_windowed(in, format,
+                                            lenient ? &out.counters : nullptr,
+                                            window)
+                      .records()
+                      .to_records();
+  } catch (const ParseError& e) {
+    out.error = std::string("ParseError: ") + e.what();
+  } catch (const ValidationError& e) {
+    out.error = std::string("ValidationError: ") + e.what();
+  }
+  return out;
+}
+
+bool same(const ReadOutcome& a, const ReadOutcome& b, bool lenient) {
+  if (a.error != b.error) return false;
+  if (!a.error.empty()) return true;
+  return a.records == b.records &&
+         (!lenient || (a.counters.accepted == b.counters.accepted &&
+                       a.counters.rejected == b.counters.rejected &&
+                       a.counters.last_error == b.counters.last_error));
+}
+
+TEST(AdapterFuzz, ChunkedReadRejectsAndCountsEveryMutatedLine) {
+  // The lines of StreamingIngestRejectsAndCountsEveryMutatedLine as one
+  // file, read through a 1 KiB window: every line is accepted or
+  // rejected, and the records are the one-feed source's.
+  for (const Adapter* adapter : every_format()) {
+    Rng rng(mix_seed(0xfeed5eedull, 17, 29));
+    const testkit::Gen<MutatedLine> gen = mutated_lines(*adapter);
+    std::string text = std::string(adapter->header()) + "\n";
+    std::uint64_t fed = 0;
+    for (std::size_t i = 0; i < 500; ++i) {
+      const MutatedLine v = gen.sample(rng);
+      text += v.original + "\n";
+      ++fed;
+      if (!v.line.empty()) {
+        text += v.line + "\n";
+        ++fed;
+      }
+    }
+    const ReadOutcome want = one_feed(*adapter, text, true);
+    const ReadOutcome got = windowed(*adapter, text, 1024, true);
+    EXPECT_EQ(got.counters.accepted + got.counters.rejected, fed)
+        << adapter->name();
+    EXPECT_EQ(got.counters.accepted, got.records.size()) << adapter->name();
+    EXPECT_TRUE(same(got, want, true)) << adapter->name();
+  }
+}
+
+TEST(AdapterFuzz, MutatedLinesReadThroughASmallWindowAsOneFeed) {
+  // A mutated line between two originals, read leniently and strictly
+  // through a 128-byte window at two threads: the records, counters and
+  // first error of one LineSource fed the whole file.
+  set_parallelism(2);
+  testkit::PropertyOptions options;
+  options.cases = 2000;
+  for (const Adapter* adapter : every_format()) {
+    const auto result = testkit::check_property(
+        mutated_lines(*adapter),
+        [adapter](const MutatedLine& v) {
+          const std::string text = std::string(adapter->header()) + "\n" +
+                                   v.original + "\n" + v.line + "\n" +
+                                   v.original;
+          for (const bool lenient : {true, false}) {
+            if (!same(windowed(*adapter, text, 128, lenient),
+                      one_feed(*adapter, text, lenient), lenient)) {
+              return false;
+            }
+          }
+          return true;
+        },
+        options);
+    EXPECT_TRUE(result.passed) << adapter->name() << ": " << result.message;
+  }
+  set_parallelism(0);
 }
 
 }  // namespace

@@ -192,13 +192,14 @@ TEST(DatasetIndex, ViewHitsCountedWhenObsEnabledAfterIndexBuild) {
   // build time, so enabling obs after the lazy build silently dropped
   // every hit.
   const FailureDataset ds = small_dataset();
+  const bool was_enabled = obs::enabled();
   obs::disable();
   ds.view();  // builds the index with obs off
   obs::enable();
   const auto before = obs::registry().counter("dataset.view_hits").value();
   ds.view().for_system(1);
   EXPECT_GT(obs::registry().counter("dataset.view_hits").value(), before);
-  obs::disable();
+  if (!was_enabled) obs::disable();  // later tests in this process count
 }
 
 TEST(DatasetIndex, ViewsMatchBruteForceReferencesAtAnyThreadCount) {

@@ -27,8 +27,8 @@ struct SystemAvailability {
 /// hw_type '*'). Downtime that extends past a node's production end is
 /// clipped to the window. Systems without failures still appear (fully
 /// available). Throws InvalidArgument when a record references a system
-/// or node the catalog does not know (run trace::validate first for
-/// dirty data).
+/// the catalog does not know or, every system being known, a node outside
+/// its system (run trace::validate first for dirty data).
 std::vector<SystemAvailability> availability_analysis(
     const trace::FailureDataset& dataset,
     const trace::SystemCatalog& catalog);

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "trace/dataset.hpp"
@@ -48,9 +49,15 @@ struct CorrelationReport {
 std::vector<double> autocorrelation(std::span<const double> sequence,
                                     std::size_t max_lag);
 
+/// The longest span of failure days correlation_analysis counts, first to
+/// last (about 45,900 years): one double per day, 128 MiB at the limit.
+inline constexpr std::uint64_t kMaxCorrelationSpanDays = 1 << 24;
+
 /// Correlation analysis for one system over an optional time window.
 /// Simultaneity is judged at the trace's 1-second resolution. Throws
-/// InvalidArgument when the system has fewer than ~32 failures.
+/// InvalidArgument when the system has fewer than ~32 failures, and
+/// ValidationError when its failures span more than
+/// kMaxCorrelationSpanDays days.
 CorrelationReport correlation_analysis(const trace::FailureDataset& dataset,
                                        int system_id,
                                        std::size_t max_lag = 10);

@@ -29,27 +29,32 @@ void sort(std::vector<std::uint64_t>& keys,
   const std::size_t n = keys.size();
   if (n < 2) return;
 
-  // Every pass's digit histogram in one read of the keys.
-  std::vector<std::uint32_t> hist(kPasses * kBuckets, 0);
-  for (const std::uint64_t k : keys) {
-    for (unsigned pass = 0; pass < kPasses; ++pass) {
-      ++hist[pass * kBuckets + ((k >> (pass * kDigitBits)) & kDigitMask)];
-    }
-  }
-  // A digit that is the same in every key leaves the order as it is.
+  // A digit that is the same in every key leaves the order as it is, and
+  // counting it would only add to one bucket n times over.
+  std::uint64_t varying = 0;
+  for (const std::uint64_t k : keys) varying |= k ^ keys[0];
   unsigned live[kPasses];
   unsigned live_count = 0;
   for (unsigned pass = 0; pass < kPasses; ++pass) {
-    const std::uint64_t digit = (keys[0] >> (pass * kDigitBits)) & kDigitMask;
-    if (hist[pass * kBuckets + digit] != n) live[live_count++] = pass;
+    if (((varying >> (pass * kDigitBits)) & kDigitMask) != 0) {
+      live[live_count++] = pass;
+    }
   }
   if (live_count == 0) return;
+
+  // Every live digit's histogram in one read of the keys.
+  std::vector<std::uint32_t> hist(live_count * kBuckets, 0);
+  for (const std::uint64_t k : keys) {
+    for (unsigned l = 0; l < live_count; ++l) {
+      ++hist[l * kBuckets + ((k >> (live[l] * kDigitBits)) & kDigitMask)];
+    }
+  }
 
   std::vector<std::uint64_t> key_tmp(
       values == nullptr || live_count > 1 ? n : 0);
   std::vector<std::uint32_t> value_tmp(values == nullptr ? 0 : n);
   for (unsigned l = 0; l < live_count; ++l) {
-    std::uint32_t* h = hist.data() + live[l] * kBuckets;
+    std::uint32_t* h = hist.data() + l * kBuckets;
     std::uint32_t sum = 0;
     for (std::size_t d = 0; d < kBuckets; ++d) {
       const std::uint32_t count = h[d];

@@ -1,16 +1,17 @@
 // The library's one integer sort: a stable LSD radix sort over 64-bit
 // keys.
 //
-// Three callers pack what they sort into an order-preserving 64-bit key:
+// Four callers pack what they sort into an order-preserving 64-bit key:
 // trace::merge_sorted packs (start, system, node) next to a (part, row)
 // reference, stats::sort_in_place / sorted_copy map each double to its
-// order key, and the survival estimators put a time's bits above an
-// event-first flag. The sort counts every digit's histogram in one read
-// of the keys and skips each pass whose digit is the same in every key,
-// so a key that uses 45 of its 64 bits, or a sample of whole seconds
-// whose low mantissa bits are all zero, pays only for the digits that
-// vary. Digits are 12 bits wide at every size (radix.cpp has the timings
-// behind that width).
+// order key, the survival estimators put a time's bits above an
+// event-first flag, and trace::DatasetIndex sorts row numbers by system
+// and by node id. One OR over the keys finds the digits that vary; the
+// sort counts only their histograms, in one read of the keys, and runs
+// only their passes. So a key that uses 45 of its 64 bits, a sample of
+// whole seconds whose low mantissa bits are all zero, or a system id,
+// pays only for the digits that vary. Digits are 12 bits wide at every
+// size (radix.cpp has the timings behind that width).
 #pragma once
 
 #include <cstddef>

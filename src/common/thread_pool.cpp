@@ -2,11 +2,46 @@
 
 #include <utility>
 
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
+
 namespace hpcfail {
 
 namespace {
 
 thread_local bool t_inside_worker = false;
+
+/// The CPUs in the calling thread's affinity mask, ascending; empty where
+/// the mask cannot be read.
+std::vector<int> allowed_cpus() {
+  std::vector<int> cpus;
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (pthread_getaffinity_np(pthread_self(), sizeof set, &set) == 0) {
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (CPU_ISSET(cpu, &set)) cpus.push_back(cpu);
+    }
+  }
+#endif
+  return cpus;
+}
+
+/// Restricts `thread` to one CPU. Best effort: a refused request leaves
+/// the thread where the scheduler puts it.
+void pin(std::thread& thread, int cpu) {
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  CPU_SET(cpu, &set);
+  (void)pthread_setaffinity_np(thread.native_handle(), sizeof set, &set);
+#else
+  (void)thread;
+  (void)cpu;
+#endif
+}
 
 // Shared-pool state. Guarded by g_pool_mutex; the pool itself is
 // internally synchronized once created.
@@ -21,9 +56,11 @@ unsigned resolved_target() noexcept {
 }  // namespace
 
 ThreadPool::ThreadPool(unsigned threads) {
+  const std::vector<int> cpus = allowed_cpus();
   workers_.reserve(threads);
   for (unsigned i = 0; i < threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
+    if (cpus.size() > 1) pin(workers_.back(), cpus[i % cpus.size()]);
   }
 }
 

@@ -38,9 +38,17 @@ namespace hpcfail {
 /// result or its exception. A pool constructed with zero threads runs
 /// every task inline in submit() (useful for forcing sequential
 /// execution without special-casing call sites).
+///
+/// Worker i is pinned to the i-th CPU of the creating thread's affinity
+/// mask, cycling when there are more workers than CPUs; a one-CPU mask
+/// pins nothing. Unpinned, the workers a notify wakes start on the
+/// waking thread's CPU and run there one after another: on 4 vCPUs a
+/// parallel_for of four 1 ms tasks took a median 2.0-4.0 ms, and 1.02 ms
+/// pinned.
 class ThreadPool {
  public:
-  /// Starts `threads` workers (0 means run tasks inline).
+  /// Starts `threads` workers (0 means run tasks inline), pinned as
+  /// above.
   explicit ThreadPool(unsigned threads);
 
   /// Drains nothing: outstanding tasks are completed, then workers join.

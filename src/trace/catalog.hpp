@@ -13,6 +13,7 @@
 // unambiguous.
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -66,6 +67,13 @@ class SystemCatalog {
 
   std::span<const SystemInfo> systems() const noexcept { return systems_; }
 
+  /// Returned by position() for an id the catalog does not hold.
+  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+
+  /// Position of system `id` in systems(), or npos: a binary search over
+  /// the ids, for callers that look a system up once per record.
+  std::size_t position(int id) const noexcept;
+
   /// Throws InvalidArgument for ids outside 1..22.
   const SystemInfo& system(int id) const;
 
@@ -86,11 +94,14 @@ class SystemCatalog {
   static Seconds observation_end();
 
   /// Builds a custom catalog (for tests and what-if studies). Validates
-  /// that node categories tile [0, nodes) and processor counts add up.
+  /// that system ids are distinct, node categories tile [0, nodes) and
+  /// processor counts add up.
   explicit SystemCatalog(std::vector<SystemInfo> systems);
 
  private:
   std::vector<SystemInfo> systems_;
+  std::vector<int> ids_;                ///< ascending
+  std::vector<std::size_t> positions_;  ///< into systems_, by ids_
 };
 
 }  // namespace hpcfail::trace

@@ -43,14 +43,7 @@ ValidationReport validate(const FailureDataset& dataset,
   const auto max_repair_seconds =
       static_cast<Seconds>(options.max_repair_days * kSecondsPerDay);
 
-  // The catalog's systems by ascending id, for a binary-search lookup.
   const std::span<const SystemInfo> systems = catalog.systems();
-  std::vector<std::pair<int, std::size_t>> by_id;
-  by_id.reserve(systems.size());
-  for (std::size_t k = 0; k < systems.size(); ++k) {
-    by_id.emplace_back(systems[k].id, k);
-  }
-  std::sort(by_id.begin(), by_id.end());
 
   // Latest repair end seen so far per node, one array per catalog system
   // sized by its node count; records are sorted by start, so an overlap
@@ -68,13 +61,12 @@ ValidationReport validate(const FailureDataset& dataset,
       report.issues.push_back({kind, i, until});
     };
 
-    const std::pair<int, std::size_t> id(r.system_id, 0);
-    const auto found = std::lower_bound(by_id.begin(), by_id.end(), id);
-    if (found == by_id.end() || found->first != r.system_id) {
+    const std::size_t at = catalog.position(r.system_id);
+    if (at == SystemCatalog::npos) {
       flag(ValidationIssueKind::unknown_system);
       continue;  // nothing else is checkable
     }
-    const SystemInfo& sys = systems[found->second];
+    const SystemInfo& sys = systems[at];
     if (r.node_id >= sys.nodes) {
       flag(ValidationIssueKind::node_out_of_range);
       continue;
@@ -93,8 +85,7 @@ ValidationReport validate(const FailureDataset& dataset,
     }
     // Dataset node ids are non-negative and the range check above bounds
     // them by the system's node count.
-    Seconds& until =
-        down_until[found->second][static_cast<std::size_t>(r.node_id)];
+    Seconds& until = down_until[at][static_cast<std::size_t>(r.node_id)];
     if (r.start < until) {
       flag(ValidationIssueKind::overlapping_repair, until);
     }

@@ -173,5 +173,31 @@ TEST(CustomCatalog, ValidatesProductionWindow) {
   EXPECT_THROW(SystemCatalog({bad}), InvalidArgument);
 }
 
+TEST(CustomCatalog, FindsSparseIdsAndRejectsDuplicates) {
+  const auto system = [](int id) {
+    SystemInfo s;
+    s.id = id;
+    s.hw_type = 'A';
+    s.nodes = 1;
+    s.procs = 2;
+    s.categories = {
+        {0, 1, 2, 1.0, 0, to_epoch(2000, 1, 1), to_epoch(2001, 1, 1)},
+    };
+    return s;
+  };
+  const SystemCatalog catalog({system(7), system(2147483647), system(1)});
+  EXPECT_EQ(catalog.position(7), 0u);
+  EXPECT_EQ(catalog.position(2147483647), 1u);
+  EXPECT_EQ(catalog.position(1), 2u);
+  for (const int missing : {-2147483647 - 1, 0, 2, 6, 8, 2147483646}) {
+    EXPECT_EQ(catalog.position(missing), SystemCatalog::npos) << missing;
+    EXPECT_FALSE(catalog.contains(missing));
+    EXPECT_THROW(catalog.system(missing), InvalidArgument);
+  }
+  EXPECT_EQ(catalog.system(2147483647).id, 2147483647);
+  EXPECT_THROW(SystemCatalog({system(3), system(5), system(3)}),
+               InvalidArgument);
+}
+
 }  // namespace
 }  // namespace hpcfail::trace

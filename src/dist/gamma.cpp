@@ -44,14 +44,17 @@ GammaDist GammaDist::fit_mle(const SuffStats& stats) {
   const auto f = [s](double kk) {
     return std::log(kk) - hpcfail::stats::digamma(kk) - s;
   };
-  const auto df = [](double kk) {
-    return 1.0 / kk - hpcfail::stats::trigamma(kk);
+  const auto f_and_slope = [&f](double kk, double& slope) {
+    slope = 1.0 / kk - hpcfail::stats::trigamma(kk);
+    return f(kk);
   };
   double lo = k / 8.0;
   double hi = k * 8.0;
   if (lo <= 0.0) lo = 1e-8;
-  hpcfail::stats::expand_bracket(f, lo, hi, /*positive_only=*/true);
-  k = hpcfail::stats::newton_bracketed(f, df, lo, hi);
+  double f_lo = 0.0;
+  double f_hi = 0.0;
+  hpcfail::stats::expand_bracket(f, lo, hi, f_lo, f_hi);
+  k = hpcfail::stats::newton_bracketed(f_and_slope, lo, hi, f_lo, f_hi);
   return GammaDist(k, mean / k);
 }
 
@@ -78,8 +81,10 @@ double GammaDist::quantile(double p) const {
   double lo = x0 / 2.0;
   double hi = x0 * 2.0;
   if (lo <= 0.0) lo = 1e-300;
-  hpcfail::stats::expand_bracket(f, lo, hi, /*positive_only=*/true);
-  return hpcfail::stats::brent(f, lo, hi);
+  double f_lo = 0.0;
+  double f_hi = 0.0;
+  hpcfail::stats::expand_bracket(f, lo, hi, f_lo, f_hi);
+  return hpcfail::stats::brent(f, lo, hi, f_lo, f_hi);
 }
 
 double GammaDist::sample(hpcfail::Rng& rng) const {

@@ -21,8 +21,14 @@ HyperExp::HyperExp(double p, double rate1, double rate2)
                   "rate2 must be positive and finite");
 }
 
-HyperExp HyperExp::fit_em(std::span<const double> xs, double floor_at,
-                          HyperExpEmOptions options) {
+namespace {
+// EM stops after this many iterations, or once an iteration raises the
+// log-likelihood by less than this much per observation.
+constexpr int kEmMaxIterations = 400;
+constexpr double kEmTolerance = 1e-9;
+}  // namespace
+
+HyperExp HyperExp::fit_em(std::span<const double> xs, double floor_at) {
   HPCFAIL_EXPECTS(xs.size() >= 4, "H2 fit needs at least 4 observations");
   HPCFAIL_EXPECTS(floor_at > 0.0, "H2 fit floor must be positive");
   std::vector<double> data;
@@ -55,7 +61,7 @@ HyperExp HyperExp::fit_em(std::span<const double> xs, double floor_at,
 
   double prev_ll = -std::numeric_limits<double>::infinity();
   std::vector<double> resp(data.size());
-  for (int iter = 0; iter < options.max_iterations; ++iter) {
+  for (int iter = 0; iter < kEmMaxIterations; ++iter) {
     // E-step: responsibility of phase 1 for each observation, computed in
     // log space for numerical safety on second-scale data.
     double ll = 0.0;
@@ -86,7 +92,7 @@ HyperExp HyperExp::fit_em(std::span<const double> xs, double floor_at,
     r1 = sum_r / sum_rx;
     r2 = (n - sum_r) / sum_qx;
 
-    if (ll - prev_ll < options.log_likelihood_tolerance * n && iter > 0) {
+    if (ll - prev_ll < kEmTolerance * n && iter > 0) {
       break;
     }
     prev_ll = ll;
@@ -120,8 +126,11 @@ double HyperExp::quantile(double prob) const {
   double hi = -std::log1p(-prob) / slow_rate + 1.0;
   const auto f = [this, prob](double x) { return cdf(x) - prob; };
   double lo = 0.0;
-  hpcfail::stats::expand_bracket(f, lo, hi, /*positive_only=*/false);
-  return hpcfail::stats::brent(f, lo, hi);
+  double f_lo = 0.0;
+  double f_hi = 0.0;
+  hpcfail::stats::expand_bracket(f, lo, hi, f_lo, f_hi,
+                                 /*positive_only=*/false);
+  return hpcfail::stats::brent(f, lo, hi, f_lo, f_hi);
 }
 
 double HyperExp::mean() const {

@@ -14,12 +14,6 @@
 
 namespace hpcfail::dist {
 
-/// EM fitting knobs for HyperExp::fit_em.
-struct HyperExpEmOptions {
-  int max_iterations = 400;
-  double log_likelihood_tolerance = 1e-9;  ///< per-observation
-};
-
 class HyperExp final : public Distribution {
  public:
   /// Mixture p * Exp(rate1) + (1-p) * Exp(rate2). Requires p in [0, 1]
@@ -27,12 +21,13 @@ class HyperExp final : public Distribution {
   HyperExp(double p, double rate1, double rate2);
 
   /// Maximum-likelihood fit via expectation-maximization, initialized by
-  /// splitting the sample at its median. Values below `floor_at` are
-  /// floored (same rationale as the other positive-support fitters).
-  /// Requires >= 4 observations; a (near-)constant sample throws
-  /// FitError (the two phases cannot be separated).
-  static HyperExp fit_em(std::span<const double> xs, double floor_at = 1e-9,
-                         HyperExpEmOptions options = HyperExpEmOptions{});
+  /// splitting the sample at its median and run for at most 400
+  /// iterations, until one raises the log-likelihood by less than 1e-9
+  /// per observation. Values below `floor_at` are floored (same rationale
+  /// as the other positive-support fitters). Requires >= 4 observations;
+  /// a (near-)constant sample throws FitError (the two phases cannot be
+  /// separated).
+  static HyperExp fit_em(std::span<const double> xs, double floor_at = 1e-9);
 
   double weight() const noexcept { return p_; }
   double rate1() const noexcept { return rate1_; }

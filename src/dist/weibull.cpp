@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <vector>
 
 #include "common/error.hpp"
@@ -41,8 +42,14 @@ Weibull Weibull::fit_mle_from_logs(std::span<const double> logs,
                   [&](double lx) { return lx == logs.front(); })) {
     throw FitError("weibull fit is degenerate on a constant sample");
   }
-  // Profile-likelihood score in the shape k. Work with x scaled by its
-  // geometric mean (subtract mean_log in the exponent) for stability on
+  return solve_shape(logs, mean_log, mean_log, logs.size(), shape_hint);
+}
+
+Weibull Weibull::solve_shape(std::span<const double> logs, double centre,
+                             double offset, std::size_t events,
+                             double shape_hint) {
+  // Profile-likelihood score in the shape k. Work with x scaled by
+  // exp(centre) (subtract centre in the exponent) for stability on
   // second-scale data spanning 7 orders of magnitude. Only the cached
   // logarithms enter the iteration, so each solver step is log()-free.
   const auto score_and_slope = [&](double k, double& slope) {
@@ -50,14 +57,14 @@ Weibull Weibull::fit_mle_from_logs(std::span<const double> logs,
     double swl = 0.0;      // sum x^k ln x
     double swl2 = 0.0;     // sum x^k (ln x)^2
     for (const double lx : logs) {
-      const double w = std::exp(k * (lx - mean_log));
+      const double w = std::exp(k * (lx - centre));
       sw += w;
       swl += w * lx;
       swl2 += w * lx * lx;
     }
     const double ratio = swl / sw;
     slope = (swl2 / sw - ratio * ratio) + 1.0 / (k * k);
-    return ratio - 1.0 / k - mean_log;
+    return ratio - 1.0 / k - offset;
   };
   const auto score = [&](double k) {
     double unused;
@@ -71,23 +78,20 @@ Weibull Weibull::fit_mle_from_logs(std::span<const double> logs,
   double lo = 1e-3;
   double hi = 10.0;
   if (shape_hint > 0.0 && std::isfinite(shape_hint)) {
-    const double centre = std::clamp(shape_hint, 1e-3, 64.0);
-    lo = centre / 1.5;
-    hi = centre * 1.5;
+    const double hint = std::clamp(shape_hint, 1e-3, 64.0);
+    lo = hint / 1.5;
+    hi = hint * 1.5;
   }
   double f_lo = 0.0;
   double f_hi = 0.0;
-  hpcfail::stats::expand_bracket(score, lo, hi, f_lo, f_hi,
-                                 /*positive_only=*/true);
-  const double k = hpcfail::stats::newton_bracketed_fdf(
-      [&](double kk, double& slope) { return score_and_slope(kk, slope); },
-      lo, hi, f_lo, f_hi);
+  hpcfail::stats::expand_bracket(score, lo, hi, f_lo, f_hi);
+  const double k =
+      hpcfail::stats::newton_bracketed(score_and_slope, lo, hi, f_lo, f_hi);
 
   double sw = 0.0;
-  for (const double lx : logs) sw += std::exp(k * (lx - mean_log));
+  for (const double lx : logs) sw += std::exp(k * (lx - centre));
   const double scale =
-      std::exp(mean_log +
-               std::log(sw / static_cast<double>(logs.size())) / k);
+      std::exp(centre + std::log(sw / static_cast<double>(events)) / k);
   return Weibull(k, scale);
 }
 
@@ -97,73 +101,33 @@ Weibull Weibull::fit_mle_censored(std::span<const double> events,
   HPCFAIL_EXPECTS(events.size() >= 2,
                   "censored weibull fit needs at least 2 events");
   HPCFAIL_EXPECTS(floor_at > 0.0, "weibull fit floor must be positive");
-  // Pool events and censored times; keep the event count separate. The
-  // score has the same form as the uncensored one, with the weighted
-  // sums over the pooled data and the log-mean over events only:
+  // Pool the logs of events and censored times, events first. The score
+  // has the uncensored form, with the weighted sums over the pooled data
+  // and the log-mean over events only:
   //   g(k) = sum_all x^k ln x / sum_all x^k - 1/k
   //          - (1/n_events) sum_events ln x.
-  std::vector<double> all;
-  all.reserve(events.size() + censored.size());
-  double mean_event_log = 0.0;
-  for (const double x : events) {
-    HPCFAIL_EXPECTS(x >= 0.0, "weibull fit requires non-negative data");
-    const double v = x < floor_at ? floor_at : x;
-    all.push_back(v);
-    mean_event_log += std::log(v);
-  }
-  mean_event_log /= static_cast<double>(events.size());
-  for (const double x : censored) {
-    HPCFAIL_EXPECTS(x >= 0.0, "weibull fit requires non-negative data");
-    all.push_back(x < floor_at ? floor_at : x);
-  }
-
-  double pooled_log = 0.0;
+  std::vector<double> logs;
+  logs.reserve(events.size() + censored.size());
+  const double first = events.front() < floor_at ? floor_at : events.front();
   bool varies = false;
-  for (const double v : all) {
-    pooled_log += std::log(v);
-    varies = varies || v != all.front();
+  for (const std::span<const double> xs : {events, censored}) {
+    for (const double x : xs) {
+      HPCFAIL_EXPECTS(x >= 0.0, "weibull fit requires non-negative data");
+      const double v = x < floor_at ? floor_at : x;
+      varies = varies || v != first;
+      logs.push_back(std::log(v));
+    }
   }
   if (!varies) {
     throw FitError("censored weibull fit is degenerate on a constant sample");
   }
-  const double center = pooled_log / static_cast<double>(all.size());
-
-  const auto score_and_slope = [&](double k, double& slope) {
-    double sw = 0.0;
-    double swl = 0.0;
-    double swl2 = 0.0;
-    for (const double v : all) {
-      const double lx = std::log(v);
-      const double w = std::exp(k * (lx - center));
-      sw += w;
-      swl += w * lx;
-      swl2 += w * lx * lx;
-    }
-    const double ratio = swl / sw;
-    slope = (swl2 / sw - ratio * ratio) + 1.0 / (k * k);
-    return ratio - 1.0 / k - mean_event_log;
-  };
-  const auto score = [&](double k) {
-    double unused;
-    return score_and_slope(k, unused);
-  };
-
-  double lo = 1e-3;
-  double hi = 10.0;
-  double f_lo = 0.0;
-  double f_hi = 0.0;
-  hpcfail::stats::expand_bracket(score, lo, hi, f_lo, f_hi,
-                                 /*positive_only=*/true);
-  const double k = hpcfail::stats::newton_bracketed_fdf(
-      [&](double kk, double& slope) { return score_and_slope(kk, slope); },
-      lo, hi, f_lo, f_hi);
-
-  double sw = 0.0;
-  for (const double v : all) sw += std::exp(k * (std::log(v) - center));
-  const double scale =
-      std::exp(center +
-               std::log(sw / static_cast<double>(events.size())) / k);
-  return Weibull(k, scale);
+  const auto n_events = static_cast<std::ptrdiff_t>(events.size());
+  const double mean_event_log =
+      std::accumulate(logs.begin(), logs.begin() + n_events, 0.0) /
+      static_cast<double>(events.size());
+  const double centre = std::accumulate(logs.begin(), logs.end(), 0.0) /
+                        static_cast<double>(logs.size());
+  return solve_shape(logs, centre, mean_event_log, events.size(), 0.0);
 }
 
 double Weibull::log_pdf(double x) const {

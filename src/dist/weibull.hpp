@@ -55,8 +55,9 @@ class Weibull final : public Distribution {
   /// observation). Ignoring censoring biases the shape and scale low;
   /// this maximizes the full likelihood
   ///   sum log f(event) + sum log S(censored)
-  /// by Brent search on the profile likelihood in the shape. Requires at
-  /// least 2 events; a constant pooled sample throws FitError.
+  /// with the shape solver of fit_mle_from_logs, run once over the pooled
+  /// sample's logs from the cold [1e-3, 10] bracket. Requires at least 2
+  /// events; a constant pooled sample throws FitError.
   static Weibull fit_mle_censored(std::span<const double> events,
                                   std::span<const double> censored,
                                   double floor_at = 1e-9);
@@ -81,6 +82,14 @@ class Weibull final : public Distribution {
   std::unique_ptr<Distribution> clone() const override;
 
  private:
+  /// The profile-likelihood shape solver under both MLEs: `logs` are the
+  /// pooled sample's logarithms, scaled by exp(centre) for stability,
+  /// `offset` is the mean log the score subtracts and `events` the count
+  /// the scale divides sum x^k by; `shape_hint` as for fit_mle_from_logs.
+  static Weibull solve_shape(std::span<const double> logs, double centre,
+                             double offset, std::size_t events,
+                             double shape_hint);
+
   double shape_;
   double scale_;
 };

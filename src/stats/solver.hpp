@@ -1,8 +1,11 @@
-// One-dimensional root finding used by the MLE fitters.
+// One-dimensional root finding used by the fitters.
 //
 // The Weibull shape and gamma shape likelihood equations have no closed
 // form; both are solved with safeguarded Newton iteration that falls back
-// to bisection whenever a Newton step would leave the current bracket.
+// to bisection whenever a Newton step would leave the current bracket. The
+// gamma and H2 quantiles invert their CDFs with Brent's method. Each
+// caller first grows a bracket with expand_bracket and hands its endpoint
+// values on, so no solver evaluates an endpoint twice.
 #pragma once
 
 #include <cstdint>
@@ -13,56 +16,34 @@ namespace hpcfail::stats {
 /// Scalar function of one variable.
 using Fn = std::function<double(double)>;
 
-struct SolverOptions {
-  double x_tol = 1e-12;      ///< absolute tolerance on the root position
-  double f_tol = 1e-13;      ///< absolute tolerance on |f(root)|
-  int max_iterations = 200;  ///< throw NumericError beyond this
-};
-
-/// Expands [lo, hi] geometrically (keeping lo > `floor` when positive_only)
-/// until f(lo) and f(hi) have opposite signs. Throws NumericError when no
-/// sign change is found within max_expansions doublings.
-void expand_bracket(const Fn& f, double& lo, double& hi,
-                    bool positive_only = true, int max_expansions = 80);
-
-/// expand_bracket that also hands back the endpoint values f(lo), f(hi),
-/// so a caller chaining into newton_bracketed_fdf need not re-evaluate
-/// them. Identical expansion sequence to the overload above.
-void expand_bracket(const Fn& f, double& lo, double& hi, double& f_lo,
-                    double& f_hi, bool positive_only = true,
-                    int max_expansions = 80);
-
-/// Bisection on a bracketing interval [lo, hi] (f(lo)*f(hi) <= 0 required;
-/// throws InvalidArgument otherwise).
-double bisect(const Fn& f, double lo, double hi, SolverOptions opts = {});
-
-/// Safeguarded Newton: uses derivative steps but keeps the iterate inside
-/// a maintained bracket [lo, hi], bisecting whenever Newton misbehaves.
-/// Requires a bracket like bisect().
-double newton_bracketed(const Fn& f, const Fn& df, double lo, double hi,
-                        SolverOptions opts = {});
-
 /// Function and derivative from one evaluation: returns f(x), writes f'(x).
 using FnWithSlope = std::function<double(double, double&)>;
 
-/// newton_bracketed for objectives whose derivative falls out of the same
-/// pass as the value (the Weibull profile score: one sweep over the data
-/// yields both). `f_lo`/`f_hi` are the caller's already-computed endpoint
-/// values (e.g. from the expand_bracket overload above). The iterate
-/// sequence — and therefore the returned root, bit for bit — matches
-/// newton_bracketed(f, df, ...); each step just costs one data pass
-/// instead of two, and the endpoints cost zero instead of two.
-double newton_bracketed_fdf(const FnWithSlope& fdf, double lo, double hi,
-                            double f_lo, double f_hi,
-                            SolverOptions opts = {});
+/// Expands [lo, hi] geometrically (keeping lo > 0 when positive_only)
+/// until f(lo) and f(hi) have opposite signs, and hands back f(lo) and
+/// f(hi) in `f_lo` and `f_hi`. Requires lo < hi; throws NumericError when
+/// no sign change is found within 80 expansions.
+void expand_bracket(const Fn& f, double& lo, double& hi, double& f_lo,
+                    double& f_hi, bool positive_only = true);
 
-/// Brent's method (inverse quadratic interpolation + secant + bisection).
-/// Requires a bracket like bisect().
-double brent(const Fn& f, double lo, double hi, SolverOptions opts = {});
+/// Safeguarded Newton on a bracket [lo, hi] whose endpoint values are
+/// `f_lo` and `f_hi` (as expand_bracket hands them back): it takes
+/// derivative steps but keeps the iterate inside a maintained bracket,
+/// bisecting whenever Newton misbehaves. The value and slope come from one
+/// callback, so an objective that yields both from one pass over its data
+/// (the Weibull profile score) costs one pass per step. Requires lo <= hi
+/// and a sign change (InvalidArgument otherwise); throws NumericError
+/// after 200 steps.
+double newton_bracketed(const FnWithSlope& fdf, double lo, double hi,
+                        double f_lo, double f_hi);
+
+/// Brent's method (inverse quadratic interpolation + secant + bisection)
+/// on a bracket given as for newton_bracketed.
+double brent(const Fn& f, double lo, double hi, double f_lo, double f_hi);
 
 /// Iterations performed by the solvers above *on the calling thread*
-/// since thread start (every bisection/Newton/Brent step and bracket
-/// expansion counts one). Thread-local, so a caller can meter one fit by
+/// since thread start (every Newton/Brent step and bracket expansion
+/// counts one). Thread-local, so a caller can meter one fit by
 /// differencing around it regardless of what other threads solve
 /// concurrently — dist::fit uses this to fill FitResult::iterations.
 std::uint64_t solver_steps() noexcept;

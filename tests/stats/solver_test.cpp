@@ -9,67 +9,103 @@
 namespace hpcfail::stats {
 namespace {
 
-TEST(Bisect, FindsSimpleRoot) {
-  const auto f = [](double x) { return x * x - 2.0; };
-  EXPECT_NEAR(bisect(f, 0.0, 2.0), std::sqrt(2.0), 1e-10);
+// newton_bracketed over f and its derivative df, on [lo, hi] as given.
+template <typename F, typename DF>
+double newton(const F& f, const DF& df, double lo, double hi) {
+  return newton_bracketed(
+      [&](double x, double& slope) {
+        slope = df(x);
+        return f(x);
+      },
+      lo, hi, f(lo), f(hi));
 }
 
-TEST(Bisect, ExactEndpointRoot) {
-  const auto f = [](double x) { return x - 1.0; };
-  EXPECT_DOUBLE_EQ(bisect(f, 1.0, 2.0), 1.0);
-  EXPECT_DOUBLE_EQ(bisect(f, 0.0, 1.0), 1.0);
-}
-
-TEST(Bisect, RejectsNonBracketingInterval) {
-  const auto f = [](double x) { return x * x + 1.0; };
-  EXPECT_THROW(bisect(f, -1.0, 1.0), InvalidArgument);
-}
-
-TEST(Bisect, RejectsReversedInterval) {
-  const auto f = [](double x) { return x; };
-  EXPECT_THROW(bisect(f, 1.0, -1.0), InvalidArgument);
+template <typename F>
+double brent_on(const F& f, double lo, double hi) {
+  return brent(f, lo, hi, f(lo), f(hi));
 }
 
 TEST(NewtonBracketed, ConvergesQuadratically) {
   const auto f = [](double x) { return std::exp(x) - 5.0; };
   const auto df = [](double x) { return std::exp(x); };
-  EXPECT_NEAR(newton_bracketed(f, df, 0.0, 10.0), std::log(5.0), 1e-12);
+  EXPECT_NEAR(newton(f, df, 0.0, 10.0), std::log(5.0), 1e-12);
 }
 
 TEST(NewtonBracketed, SurvivesFlatDerivative) {
   // Derivative vanishes at the left end; safeguard must bisect.
   const auto f = [](double x) { return x * x * x - 8.0; };
   const auto df = [](double x) { return 3.0 * x * x; };
-  EXPECT_NEAR(newton_bracketed(f, df, -1.0, 5.0), 2.0, 1e-10);
+  EXPECT_NEAR(newton(f, df, -1.0, 5.0), 2.0, 1e-10);
 }
 
 TEST(NewtonBracketed, MisleadingDerivativeStillConverges) {
   // A wrong (constant) derivative forces the bisection fallback.
   const auto f = [](double x) { return std::tanh(x) - 0.5; };
   const auto df = [](double) { return 1e-9; };
-  EXPECT_NEAR(newton_bracketed(f, df, -5.0, 5.0), std::atanh(0.5), 1e-9);
+  EXPECT_NEAR(newton(f, df, -5.0, 5.0), std::atanh(0.5), 1e-9);
+}
+
+TEST(NewtonBracketed, ExactEndpointRoot) {
+  const auto f = [](double x) { return x - 1.0; };
+  const auto df = [](double) { return 1.0; };
+  EXPECT_EQ(newton(f, df, 1.0, 2.0), 1.0);
+  EXPECT_EQ(newton(f, df, 0.0, 1.0), 1.0);
+}
+
+TEST(NewtonBracketed, RejectsReversedInterval) {
+  const auto f = [](double x) { return x; };
+  const auto df = [](double) { return 1.0; };
+  EXPECT_THROW(newton(f, df, 1.0, -1.0), InvalidArgument);
+}
+
+TEST(NewtonBracketed, RejectsNonBracketingEndpointValues) {
+  const auto f = [](double x) { return x * x + 1.0; };
+  const auto df = [](double x) { return 2.0 * x; };
+  EXPECT_THROW(newton(f, df, -1.0, 1.0), InvalidArgument);
+}
+
+TEST(NewtonBracketed, TakesTheEndpointValuesFromTheCaller) {
+  // The endpoints' values come from expand_bracket; the solver spends
+  // every evaluation on an interior iterate.
+  int calls = 0;
+  const auto f = [](double x) { return x * x - 2.0; };
+  double lo = 1.0;
+  double hi = 2.0;
+  const double root = newton_bracketed(
+      [&](double x, double& slope) {
+        ++calls;
+        EXPECT_GT(x, lo);
+        EXPECT_LT(x, hi);
+        slope = 2.0 * x;
+        return f(x);
+      },
+      lo, hi, f(lo), f(hi));
+  EXPECT_NEAR(root, std::sqrt(2.0), 1e-12);
+  EXPECT_GT(calls, 0);
 }
 
 TEST(Brent, FindsRootOfOscillatoryFunction) {
   const auto f = [](double x) { return std::cos(x) - x; };
-  EXPECT_NEAR(brent(f, 0.0, 1.0), 0.7390851332151607, 1e-10);
+  EXPECT_NEAR(brent_on(f, 0.0, 1.0), 0.7390851332151607, 1e-10);
 }
 
 TEST(Brent, HandlesSteepFunction) {
   const auto f = [](double x) { return std::expm1(50.0 * (x - 0.3)); };
-  EXPECT_NEAR(brent(f, 0.0, 1.0), 0.3, 1e-9);
+  EXPECT_NEAR(brent_on(f, 0.0, 1.0), 0.3, 1e-9);
 }
 
 TEST(Brent, RejectsNonBracketingInterval) {
   const auto f = [](double x) { return x * x + 0.5; };
-  EXPECT_THROW(brent(f, -1.0, 1.0), InvalidArgument);
+  EXPECT_THROW(brent_on(f, -1.0, 1.0), InvalidArgument);
 }
 
 TEST(ExpandBracket, GrowsUntilSignChange) {
   const auto f = [](double x) { return x - 100.0; };
   double lo = 1.0;
   double hi = 2.0;
-  expand_bracket(f, lo, hi);
+  double f_lo = 0.0;
+  double f_hi = 0.0;
+  expand_bracket(f, lo, hi, f_lo, f_hi);
   EXPECT_LE(lo, 100.0);
   EXPECT_GE(hi, 100.0);
   EXPECT_LE(f(lo) * f(hi), 0.0);
@@ -80,17 +116,21 @@ TEST(ExpandBracket, RespectsPositiveOnlyFloor) {
   const auto f = [](double x) { return std::log(x / 1e-4); };
   double lo = 0.5;
   double hi = 2.0;
-  expand_bracket(f, lo, hi, /*positive_only=*/true);
+  double f_lo = 0.0;
+  double f_hi = 0.0;
+  expand_bracket(f, lo, hi, f_lo, f_hi, /*positive_only=*/true);
   EXPECT_GT(lo, 0.0);
   EXPECT_LE(f(lo) * f(hi), 0.0);
-  EXPECT_NEAR(brent(f, lo, hi), 1e-4, 1e-10);
+  EXPECT_NEAR(brent(f, lo, hi, f_lo, f_hi), 1e-4, 1e-10);
 }
 
 TEST(ExpandBracket, ThrowsWhenNoRootExists) {
   const auto f = [](double) { return 1.0; };
   double lo = 0.1;
   double hi = 1.0;
-  EXPECT_THROW(expand_bracket(f, lo, hi), NumericError);
+  double f_lo = 0.0;
+  double f_hi = 0.0;
+  EXPECT_THROW(expand_bracket(f, lo, hi, f_lo, f_hi), NumericError);
 }
 
 TEST(ExpandBracket, EndpointOverloadReturnsTheEvaluatedValues) {
@@ -103,45 +143,6 @@ TEST(ExpandBracket, EndpointOverloadReturnsTheEvaluatedValues) {
   EXPECT_EQ(f_lo, f(lo));
   EXPECT_EQ(f_hi, f(hi));
   EXPECT_LE(f_lo * f_hi, 0.0);
-}
-
-TEST(NewtonBracketedFdf, BitIdenticalToSeparateValueAndSlope) {
-  // The fused form exists so the Weibull profile score costs one data
-  // pass per iteration instead of two; its contract is that the iterate
-  // sequence — and therefore the root, bit for bit — matches
-  // newton_bracketed with separate f/df callables.
-  const auto cases = {
-      std::pair<double, double>{0.5, 3.0},    // root at sqrt(2)
-      std::pair<double, double>{1e-3, 10.0},  // wide bracket
-  };
-  for (const auto& [lo, hi] : cases) {
-    const auto f = [](double x) { return x * x - 2.0; };
-    const auto df = [](double x) { return 2.0 * x; };
-    const double classic = newton_bracketed(f, df, lo, hi);
-    const double fused = newton_bracketed_fdf(
-        [](double x, double& slope) {
-          slope = 2.0 * x;
-          return x * x - 2.0;
-        },
-        lo, hi, f(lo), f(hi));
-    EXPECT_EQ(fused, classic);
-  }
-
-  // A transcendental objective where Newton occasionally overshoots and
-  // the safeguard bisects: the fallback decisions must match too.
-  const auto g = [](double x) { return std::tanh(4.0 * (x - 1.3)); };
-  const auto dg = [](double x) {
-    const double t = std::tanh(4.0 * (x - 1.3));
-    return 4.0 * (1.0 - t * t);
-  };
-  const double classic = newton_bracketed(g, dg, 0.01, 20.0);
-  const double fused = newton_bracketed_fdf(
-      [&](double x, double& slope) {
-        slope = dg(x);
-        return g(x);
-      },
-      0.01, 20.0, g(0.01), g(20.0));
-  EXPECT_EQ(fused, classic);
 }
 
 }  // namespace

@@ -226,6 +226,9 @@ SystemCatalog::SystemCatalog(std::vector<SystemInfo> systems)
     HPCFAIL_EXPECTS(next == s.nodes, "category node counts do not add up");
     HPCFAIL_EXPECTS(procs == s.procs,
                     "category processor counts do not add up");
+    HPCFAIL_EXPECTS(years_between(s.production_start(), s.production_end()) <=
+                        kMaxProductionYears,
+                    "system production spans more than 1000 years");
   }
   std::vector<std::pair<int, std::size_t>> by_id;
   by_id.reserve(systems_.size());

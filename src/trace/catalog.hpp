@@ -59,6 +59,11 @@ struct SystemInfo {
   Workload workload_of(int node) const;
 };
 
+/// Longest production span, in years, that a catalog system may have. The
+/// lifetime and trend analyses count a system's months in an int and size
+/// vectors by them; a thousand years is 12,000 months.
+inline constexpr double kMaxProductionYears = 1000.0;
+
 /// The immutable site catalog.
 class SystemCatalog {
  public:
@@ -94,8 +99,9 @@ class SystemCatalog {
   static Seconds observation_end();
 
   /// Builds a custom catalog (for tests and what-if studies). Validates
-  /// that system ids are distinct, node categories tile [0, nodes) and
-  /// processor counts add up.
+  /// that system ids are distinct, node categories tile [0, nodes),
+  /// processor counts add up and no system's production spans more than
+  /// kMaxProductionYears.
   explicit SystemCatalog(std::vector<SystemInfo> systems);
 
  private:

@@ -173,6 +173,29 @@ TEST(CustomCatalog, ValidatesProductionWindow) {
   EXPECT_THROW(SystemCatalog({bad}), InvalidArgument);
 }
 
+TEST(CustomCatalog, RejectsAProductionSpanBeyondTheLimit) {
+  // One system whose two categories run from `first` to 2000 and from
+  // 1999 to `last`: its span is the union of theirs.
+  const auto catalog = [](int first, int last) {
+    SystemInfo s;
+    s.id = 1;
+    s.hw_type = 'A';
+    s.nodes = 2;
+    s.procs = 4;
+    s.categories = {
+        {0, 1, 2, 1.0, 0, to_epoch(first, 1, 1), to_epoch(2000, 1, 1)},
+        {1, 1, 2, 1.0, 0, to_epoch(1999, 1, 1), to_epoch(last, 1, 1)},
+    };
+    return SystemCatalog({s});
+  };
+  // Two billion years of months overflow the int month count that the
+  // lifetime and trend analyses size their vectors by.
+  EXPECT_THROW(catalog(-2000000000, 2000), InvalidArgument);
+  // Each category alone is shorter than the limit; the system is not.
+  EXPECT_THROW(catalog(1200, 2300), InvalidArgument);
+  EXPECT_NO_THROW(catalog(1500, 2400));
+}
+
 TEST(CustomCatalog, FindsSparseIdsAndRejectsDuplicates) {
   const auto system = [](int id) {
     SystemInfo s;

@@ -36,12 +36,11 @@ std::size_t ValidationReport::count(ValidationIssueKind kind) const noexcept {
 }
 
 ValidationReport validate(const FailureDataset& dataset,
-                          const SystemCatalog& catalog,
-                          ValidationOptions options) {
+                          const SystemCatalog& catalog) {
   ValidationReport report;
   report.records_checked = dataset.size();
   const auto max_repair_seconds =
-      static_cast<Seconds>(options.max_repair_days * kSecondsPerDay);
+      static_cast<Seconds>(kMaxRepairDays * kSecondsPerDay);
 
   const std::span<const SystemInfo> systems = catalog.systems();
 
@@ -79,8 +78,7 @@ ValidationReport validate(const FailureDataset& dataset,
     if (r.downtime_seconds() > max_repair_seconds) {
       flag(ValidationIssueKind::implausible_duration);
     }
-    if (options.check_workloads &&
-        r.workload != sys.workload_of(r.node_id)) {
+    if (r.workload != sys.workload_of(r.node_id)) {
       flag(ValidationIssueKind::workload_mismatch);
     }
     // Dataset node ids are non-negative and the range check above bounds

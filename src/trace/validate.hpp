@@ -20,7 +20,7 @@ enum class ValidationIssueKind {
   node_out_of_range,     ///< node id outside the system's node count
   outside_production,    ///< failure starts outside the node's window
   overlapping_repair,    ///< starts while the same node is still down
-  implausible_duration,  ///< repair longer than `max_repair_days`
+  implausible_duration,  ///< repair longer than kMaxRepairDays
   workload_mismatch,     ///< workload differs from the catalog's node role
 };
 
@@ -34,10 +34,8 @@ struct ValidationIssue {
   Seconds until = 0;  ///< overlapping_repair: the node's earlier repair end
 };
 
-struct ValidationOptions {
-  double max_repair_days = 60.0;
-  bool check_workloads = true;
-};
+/// Longest plausible repair, in days: a longer one is flagged.
+inline constexpr double kMaxRepairDays = 60.0;
 
 struct ValidationReport {
   std::vector<ValidationIssue> issues;
@@ -50,8 +48,7 @@ struct ValidationReport {
 /// Audits every record against the catalog. Never throws on dirty data --
 /// the report is the result (empty dataset => clean report).
 ValidationReport validate(const FailureDataset& dataset,
-                          const SystemCatalog& catalog,
-                          ValidationOptions options = {});
+                          const SystemCatalog& catalog);
 
 /// The message of an issue that validate(dataset, catalog) reported, e.g.
 /// "system 99 is not in the catalog".

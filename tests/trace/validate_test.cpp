@@ -89,23 +89,16 @@ TEST(Validate, FlagsOverlappingRepair) {
 TEST(Validate, FlagsImplausibleDuration) {
   const FailureDataset ds(
       {rec(22, 0, to_epoch(2004, 12, 1), 90 * kSecondsPerDay)});
-  ValidationOptions options;
-  options.max_repair_days = 60.0;
-  const ValidationReport report =
-      validate(ds, SystemCatalog::lanl(), options);
+  const ValidationReport report = validate(ds, SystemCatalog::lanl());
   EXPECT_EQ(report.count(ValidationIssueKind::implausible_duration), 1u);
 }
 
-TEST(Validate, FlagsWorkloadMismatchOnlyWhenAsked) {
+TEST(Validate, FlagsWorkloadMismatch) {
   // Node 22 of system 20 is a graphics node; label it compute.
   const FailureDataset ds(
       {rec(20, 22, to_epoch(2004, 1, 1), 600, Workload::compute)});
-  ValidationReport report = validate(ds, SystemCatalog::lanl());
+  const ValidationReport report = validate(ds, SystemCatalog::lanl());
   EXPECT_EQ(report.count(ValidationIssueKind::workload_mismatch), 1u);
-  ValidationOptions lax;
-  lax.check_workloads = false;
-  report = validate(ds, SystemCatalog::lanl(), lax);
-  EXPECT_EQ(report.count(ValidationIssueKind::workload_mismatch), 0u);
 }
 
 TEST(Validate, EmptyDatasetIsClean) {
@@ -177,12 +170,11 @@ struct MessageReport {
 // (system, node) in a std::map, systems found by the catalog's linear
 // lookups, and every message formatted as the issue is found.
 MessageReport map_based_validate(const FailureDataset& dataset,
-                                 const SystemCatalog& catalog,
-                                 ValidationOptions options = {}) {
+                                 const SystemCatalog& catalog) {
   MessageReport report;
   report.records_checked = dataset.size();
   const auto max_repair_seconds =
-      static_cast<Seconds>(options.max_repair_days * kSecondsPerDay);
+      static_cast<Seconds>(kMaxRepairDays * kSecondsPerDay);
   std::map<std::pair<int, int>, Seconds> down_until;
   const auto records = dataset.records();
   for (std::size_t i = 0; i < records.size(); ++i) {
@@ -217,8 +209,7 @@ MessageReport map_based_validate(const FailureDataset& dataset,
                                          kSecondsPerDay) +
                " days exceeds the plausibility cap");
     }
-    if (options.check_workloads &&
-        r.workload != sys.workload_of(r.node_id)) {
+    if (r.workload != sys.workload_of(r.node_id)) {
       flag(ValidationIssueKind::workload_mismatch,
            "record says " + to_string(r.workload) + ", catalog says " +
                to_string(sys.workload_of(r.node_id)));
@@ -291,21 +282,15 @@ TEST(Validate, MatchesTheMapBasedLoopOnRandomDatasets) {
   const SystemCatalog& lanl = SystemCatalog::lanl();
   const SystemCatalog reversed(
       std::vector<SystemInfo>(lanl.systems().rbegin(), lanl.systems().rend()));
-  ValidationOptions lax;
-  lax.check_workloads = false;
-  lax.max_repair_days = 10.0;
   std::size_t kinds_seen[6] = {};
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     const FailureDataset ds = random_dataset(seed, 1500);
     for (const SystemCatalog* catalog : {&lanl, &reversed}) {
-      for (const ValidationOptions& options : {ValidationOptions{}, lax}) {
-        const MessageReport want = map_based_validate(ds, *catalog, options);
-        expect_same_report(validate(ds, *catalog, options), want, ds,
-                           *catalog);
-        for (const MessageIssue& issue : want.issues) {
-          ++kinds_seen[static_cast<std::size_t>(issue.kind)];
-        }
+      const MessageReport want = map_based_validate(ds, *catalog);
+      expect_same_report(validate(ds, *catalog), want, ds, *catalog);
+      for (const MessageIssue& issue : want.issues) {
+        ++kinds_seen[static_cast<std::size_t>(issue.kind)];
       }
     }
   }

@@ -167,27 +167,6 @@ double normal_draw(hpcfail::Rng& rng) {
   return u1 * std::sqrt(-2.0 * std::log(s) / s);
 }
 
-RootCause sample_cause(hpcfail::Rng& rng, const HardwareProfile& profile,
-                       double total) {
-  double r = rng.uniform() * total;
-  for (std::size_t i = 0; i < profile.cause_mix.size(); ++i) {
-    r -= profile.cause_mix[i];
-    if (r <= 0.0) return trace::kAllRootCauses[i];
-  }
-  return RootCause::unknown;
-}
-
-DetailCause sample_detail(hpcfail::Rng& rng, const DetailMix& mix,
-                          double total) {
-  HPCFAIL_ASSERT(!mix.empty());
-  double r = rng.uniform() * total;
-  for (const auto& [detail, w] : mix) {
-    r -= w;
-    if (r <= 0.0) return detail;
-  }
-  return mix.back().first;
-}
-
 /// The in-production candidate list a burst picks follower nodes from —
 /// categories in catalog order, node ids ascending, the primary excluded —
 /// resolved index-to-node on demand. Emulating the swap-remove draws on
@@ -282,8 +261,6 @@ struct SystemPlan {
   double weibull_scale = 1.0;  // mean-1 scale for the late-era gaps
   double inv_shape = 1.0;      // 1 / interarrival_weibull_shape
   bool unit_shape = false;     // shape == 1 (gap sampling skips the pow)
-  double cause_total = 0.0;    // sum of the profile's cause mixture
-  std::array<double, 6> detail_total{};  // per-cause detail mixture sums
   // Repair lognormal parameters per cause, resolved eagerly so the hot
   // path samples inline from two doubles. A cause whose moments reject
   // construction stays invalid and reproduces the original throw on
@@ -407,12 +384,7 @@ SystemPlan build_plan(std::uint64_t seed, const SystemInfo& sys,
       1.0 + 1.0 / scen.interarrival_weibull_shape));
   plan.inv_shape = 1.0 / scen.interarrival_weibull_shape;
   plan.unit_shape = scen.interarrival_weibull_shape == 1.0;
-  plan.cause_total = 0.0;
-  for (const double w : plan.profile->cause_mix) plan.cause_total += w;
-  for (std::size_t ci = 0; ci < plan.profile->detail_mix.size(); ++ci) {
-    double total = 0.0;
-    for (const auto& [detail, w] : plan.profile->detail_mix[ci]) total += w;
-    plan.detail_total[ci] = total;
+  for (std::size_t ci = 0; ci < plan.profile->repair.size(); ++ci) {
     const RepairMoments& m = plan.profile->repair[ci];
     try {
       const hpcfail::dist::LogNormal ln =
@@ -428,8 +400,8 @@ SystemPlan build_plan(std::uint64_t seed, const SystemInfo& sys,
   return plan;
 }
 
-// Column write cursors with one capacity check per record instead of one
-// per column. The store is resized up front to the shard's estimated row
+// Row writes with one capacity check per record instead of one per
+// column. The store is resized up front to the shard's estimated row
 // count (doubling when the estimate is exceeded); finish() shrinks it to
 // the rows actually written, which for trivially-destructible columns
 // never touches the written rows.
@@ -437,49 +409,23 @@ class EmitBuffer {
  public:
   EmitBuffer(ColumnStore& out, std::size_t capacity)
       : out_(&out), cap_(capacity > 0 ? capacity : 16) {
-    resize_all();
+    out_->resize(cap_);
   }
 
-  void push(int system, int node, Seconds start, Seconds end, Workload w,
-            RootCause cause, DetailCause detail) {
+  void push(const FailureRecord& r) {
     if (n_ == cap_) {
       cap_ *= 2;
-      resize_all();
+      out_->resize(cap_);
     }
-    system_[n_] = system;
-    node_[n_] = node;
-    start_[n_] = start;
-    end_[n_] = end;
-    workload_[n_] = w;
-    cause_[n_] = cause;
-    detail_[n_] = detail;
-    ++n_;
+    out_->set_row(n_++, r);
   }
 
   void finish() { out_->resize(n_); }
 
  private:
-  void resize_all() {
-    out_->resize(cap_);
-    system_ = out_->system_id.data();
-    node_ = out_->node_id.data();
-    start_ = out_->start.data();
-    end_ = out_->end.data();
-    workload_ = out_->workload.data();
-    cause_ = out_->cause.data();
-    detail_ = out_->detail.data();
-  }
-
   ColumnStore* out_;
   std::size_t cap_ = 0;
   std::size_t n_ = 0;
-  int* system_ = nullptr;
-  int* node_ = nullptr;
-  Seconds* start_ = nullptr;
-  Seconds* end_ = nullptr;
-  Workload* workload_ = nullptr;
-  RootCause* cause_ = nullptr;
-  DetailCause* detail_ = nullptr;
 };
 
 // Generates the records of nodes [node_begin, node_end) of one system —
@@ -502,7 +448,8 @@ ColumnStore generate_node_range(const SystemPlan& plan, std::uint64_t seed,
 
   const auto emit = [&](int node_id, Seconds start, Seconds end, Workload w,
                         RootCause cause, DetailCause detail) {
-    buf.push(sys.id, node_id, start, end, w, cause, detail);
+    buf.push({.system_id = sys.id, .node_id = node_id, .start = start,
+              .end = end, .workload = w, .cause = cause, .detail = detail});
   };
 
   // Past the decay window the unknown-cause boost is exactly zero and
@@ -553,9 +500,8 @@ ColumnStore generate_node_range(const SystemPlan& plan, std::uint64_t seed,
       RootCause cause = RootCause::unknown;
       DetailCause detail = DetailCause::undetermined;
       if (!rng.bernoulli(unknown_boost)) {
-        cause = sample_cause(rng, profile, plan.cause_total);
-        detail = sample_detail(rng, profile.detail_mix[cause_index(cause)],
-                               plan.detail_total[cause_index(cause)]);
+        cause = sample_cause(rng, profile.cause_mix);
+        detail = sample_detail(rng, profile.detail_mix[cause_index(cause)]);
       }
       const Seconds repair = sample_repair_seconds(rng, plan, cause);
       emit(node, now, now + repair, node_workload, cause, detail);
@@ -578,9 +524,8 @@ ColumnStore generate_node_range(const SystemPlan& plan, std::uint64_t seed,
           if (!rng.bernoulli(unknown_boost)) {
             fcause = rng.bernoulli(0.5) ? RootCause::environment
                                         : RootCause::network;
-            fdetail = sample_detail(rng,
-                                    profile.detail_mix[cause_index(fcause)],
-                                    plan.detail_total[cause_index(fcause)]);
+            fdetail =
+                sample_detail(rng, profile.detail_mix[cause_index(fcause)]);
           }
           const Seconds frepair = sample_repair_seconds(rng, plan, fcause);
           emit(other, now, now + frepair, sys.workload_of(other), fcause,

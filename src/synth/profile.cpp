@@ -209,4 +209,27 @@ const HardwareProfile& profile_for(char hw_type) {
   return it->second;
 }
 
+RootCause sample_cause(Rng& rng, const std::array<double, 6>& mix) {
+  double total = 0.0;
+  for (const double w : mix) total += w;
+  double r = rng.uniform() * total;
+  for (std::size_t i = 0; i < mix.size(); ++i) {
+    r -= mix[i];
+    if (r <= 0.0) return trace::kAllRootCauses[i];
+  }
+  return RootCause::unknown;
+}
+
+DetailCause sample_detail(Rng& rng, const DetailMix& mix) {
+  HPCFAIL_ASSERT(!mix.empty());
+  double total = 0.0;
+  for (const auto& [detail, w] : mix) total += w;
+  double r = rng.uniform() * total;
+  for (const auto& [detail, w] : mix) {
+    r -= w;
+    if (r <= 0.0) return detail;
+  }
+  return mix.back().first;
+}
+
 }  // namespace hpcfail::synth

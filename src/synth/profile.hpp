@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "trace/types.hpp"
 
 namespace hpcfail::synth {
@@ -45,5 +46,13 @@ using trace::cause_index;
 /// The profile for hardware type 'A'..'H'. Throws InvalidArgument for an
 /// unknown type. Returned reference is to an immutable singleton.
 const HardwareProfile& profile_for(char hw_type);
+
+/// One categorical draw of a high-level cause from `mix` (kAllRootCauses
+/// order). The weights are summed left to right and one uniform is
+/// consumed, so every generator draws the same cause from one stream.
+trace::RootCause sample_cause(Rng& rng, const std::array<double, 6>& mix);
+
+/// One draw of a detailed cause from a non-empty `mix`, the same way.
+trace::DetailCause sample_detail(Rng& rng, const DetailMix& mix);
 
 }  // namespace hpcfail::synth

@@ -7,6 +7,7 @@
 #include "common/rng.hpp"
 #include "dist/lognormal.hpp"
 #include "dist/weibull.hpp"
+#include "trace/catalog.hpp"
 #include "trace/types.hpp"
 
 namespace hpcfail::synth {
@@ -127,29 +128,6 @@ const SiteProfile& mistral_profile() {
   return kProfile;
 }
 
-RootCause sample_cause(Rng& rng, const std::array<double, 6>& mix) {
-  double total = 0.0;
-  for (const double w : mix) total += w;
-  double r = rng.uniform() * total;
-  for (std::size_t i = 0; i < mix.size(); ++i) {
-    r -= mix[i];
-    if (r <= 0.0) return trace::kAllRootCauses[i];
-  }
-  return RootCause::unknown;
-}
-
-DetailCause sample_detail(Rng& rng, const DetailMix& mix) {
-  HPCFAIL_ASSERT(!mix.empty());
-  double total = 0.0;
-  for (const auto& [detail, w] : mix) total += w;
-  double r = rng.uniform() * total;
-  for (const auto& [detail, w] : mix) {
-    r -= w;
-    if (r <= 0.0) return detail;
-  }
-  return mix.back().first;
-}
-
 }  // namespace
 
 std::span<const SiteProfile* const> all_site_profiles() noexcept {
@@ -178,8 +156,11 @@ const SiteProfile& site_profile(std::string_view name) {
 trace::FailureDataset generate_site_trace(const SiteProfile& profile,
                                           std::uint64_t seed,
                                           double duration_scale) {
-  HPCFAIL_EXPECTS(duration_scale > 0.0 && std::isfinite(duration_scale),
-                  "duration_scale must be positive and finite");
+  HPCFAIL_EXPECTS(duration_scale > 0.0 &&
+                      profile.duration_years * duration_scale <=
+                          trace::kMaxProductionYears,
+                  "duration_scale must be positive and keep the window "
+                  "within 1000 years");
   const double span_seconds =
       profile.duration_years * duration_scale * kSecondsPerYear;
   const Seconds window_end =

@@ -65,7 +65,8 @@ const SiteProfile& site_profile(std::string_view name);
 /// per-node streams via mix_seed. `duration_scale` stretches the
 /// observation window (the calibration oracles use > 1 to tighten
 /// estimator tolerances). Throws InvalidArgument on a non-positive
-/// scale.
+/// scale, or one that stretches the window past
+/// trace::kMaxProductionYears (1000 years).
 trace::FailureDataset generate_site_trace(const SiteProfile& profile,
                                           std::uint64_t seed,
                                           double duration_scale = 1.0);

@@ -18,7 +18,7 @@
 // `records()[i]`) keep compiling unchanged; column-oriented callers use the
 // typed spans (starts(), ends(), causes(), ...) directly. Reconstituting
 // AoS records (to_records()/materialize()) happens only at the edges:
-// CSV I/O, golden snapshots, and the differential test oracles.
+// golden snapshots and the differential test oracles.
 #pragma once
 
 #include <cstddef>
@@ -33,9 +33,9 @@ namespace hpcfail::trace {
 
 /// Owning SoA storage for failure records. The seven vectors always have
 /// equal length; row i of the table is the i-th element of each. Members
-/// are public so bulk writers (the trace generator, the index partition
-/// builder) can fill columns directly; everything else should go through
-/// FailureDataset / ColumnsView.
+/// are public so column scans read them directly; everything else should
+/// go through FailureDataset / ColumnsView. Code that handles every
+/// column walks for_each_column, the one list of them.
 struct ColumnStore {
   std::vector<int> system_id;
   std::vector<int> node_id;
@@ -44,6 +44,21 @@ struct ColumnStore {
   std::vector<Workload> workload;
   std::vector<RootCause> cause;
   std::vector<DetailCause> detail;
+
+  /// Calls f(column, field) for each column in declaration order: a
+  /// pointer to the member vector and one to the FailureRecord field it
+  /// stores. Both are constants, so the calls inline to straight-line
+  /// code over the seven members.
+  template <typename F>
+  static void for_each_column(F&& f) {
+    f(&ColumnStore::system_id, &FailureRecord::system_id);
+    f(&ColumnStore::node_id, &FailureRecord::node_id);
+    f(&ColumnStore::start, &FailureRecord::start);
+    f(&ColumnStore::end, &FailureRecord::end);
+    f(&ColumnStore::workload, &FailureRecord::workload);
+    f(&ColumnStore::cause, &FailureRecord::cause);
+    f(&ColumnStore::detail, &FailureRecord::detail);
+  }
 
   std::size_t size() const noexcept { return start.size(); }
   bool empty() const noexcept { return start.empty(); }
@@ -59,20 +74,19 @@ struct ColumnStore {
   /// Appends one record as a row.
   void push_back(const FailureRecord& r);
 
-  /// Appends row i of `other` (no FailureRecord round trip).
-  void push_row(const ColumnStore& other, std::size_t i);
-
   /// Row i reassembled as an AoS record.
   FailureRecord row(std::size_t i) const noexcept {
     FailureRecord r;
-    r.system_id = system_id[i];
-    r.node_id = node_id[i];
-    r.start = start[i];
-    r.end = end[i];
-    r.workload = workload[i];
-    r.cause = cause[i];
-    r.detail = detail[i];
+    for_each_column(
+        [&](auto column, auto field) { r.*field = (this->*column)[i]; });
     return r;
+  }
+
+  /// Overwrites row i with `r`, the inverse of row(i). Requires
+  /// i < size().
+  void set_row(std::size_t i, const FailureRecord& r) noexcept {
+    for_each_column(
+        [&](auto column, auto field) { (this->*column)[i] = r.*field; });
   }
 
   /// Heap bytes held by the columns (capacity, i.e. the storage
@@ -83,7 +97,7 @@ struct ColumnStore {
   static ColumnStore from_records(std::span<const FailureRecord> records);
 
   /// Reconstitutes rows [first, first + count) as AoS records — the
-  /// edge-only bridge for CSV I/O, golden tests, and reference oracles.
+  /// edge-only bridge for golden tests and reference oracles.
   std::vector<FailureRecord> to_records(std::size_t first,
                                         std::size_t count) const;
   std::vector<FailureRecord> to_records() const {
@@ -121,32 +135,25 @@ class ColumnsView {
   /// surface the fused numeric passes consume. Empty views (including the
   /// default-constructed one, which has no store) yield empty spans.
   std::span<const int> system_ids() const noexcept {
-    return count_ == 0 ? std::span<const int>{}
-                       : std::span{store_->system_id.data() + offset_, count_};
+    return column(&ColumnStore::system_id);
   }
   std::span<const int> node_ids() const noexcept {
-    return count_ == 0 ? std::span<const int>{}
-                       : std::span{store_->node_id.data() + offset_, count_};
+    return column(&ColumnStore::node_id);
   }
   std::span<const Seconds> starts() const noexcept {
-    return count_ == 0 ? std::span<const Seconds>{}
-                       : std::span{store_->start.data() + offset_, count_};
+    return column(&ColumnStore::start);
   }
   std::span<const Seconds> ends() const noexcept {
-    return count_ == 0 ? std::span<const Seconds>{}
-                       : std::span{store_->end.data() + offset_, count_};
+    return column(&ColumnStore::end);
   }
   std::span<const Workload> workloads() const noexcept {
-    return count_ == 0 ? std::span<const Workload>{}
-                       : std::span{store_->workload.data() + offset_, count_};
+    return column(&ColumnStore::workload);
   }
   std::span<const RootCause> causes() const noexcept {
-    return count_ == 0 ? std::span<const RootCause>{}
-                       : std::span{store_->cause.data() + offset_, count_};
+    return column(&ColumnStore::cause);
   }
   std::span<const DetailCause> details() const noexcept {
-    return count_ == 0 ? std::span<const DetailCause>{}
-                       : std::span{store_->detail.data() + offset_, count_};
+    return column(&ColumnStore::detail);
   }
 
   /// Latest end among the viewed rows. Requires a non-empty view.
@@ -236,6 +243,13 @@ class ColumnsView {
   iterator end() const noexcept { return {store_, offset_ + count_}; }
 
  private:
+  template <typename T>
+  std::span<const T> column(
+      std::vector<T> ColumnStore::*member) const noexcept {
+    return count_ == 0 ? std::span<const T>{}
+                       : std::span{(store_->*member).data() + offset_, count_};
+  }
+
   const ColumnStore* store_ = nullptr;
   std::size_t offset_ = 0;
   std::size_t count_ = 0;

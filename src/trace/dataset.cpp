@@ -129,7 +129,8 @@ FailureDataset FailureDataset::filter(
   ColumnStore kept;
   const std::size_t n = columns_.size();
   for (std::size_t i = 0; i < n; ++i) {
-    if (keep(columns_.row(i))) kept.push_row(columns_, i);
+    const FailureRecord r = columns_.row(i);
+    if (keep(r)) kept.push_back(r);
   }
   return from_sorted_columns(std::move(kept));  // already sorted + validated
 }

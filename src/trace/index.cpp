@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 
 #include "common/error.hpp"
 #include "common/radix.hpp"
@@ -83,31 +84,13 @@ DatasetIndex::DatasetIndex(const ColumnStore& columns)
   // one CPU peaked 28-41 MB higher.
   const std::vector<std::uint32_t> rows = rows_by(columns.system_id);
   by_system_.resize(n);
-  parallel_for(7, [&](std::size_t column) {
-    switch (column) {
-      case 0:
-        gather(columns.system_id, rows, by_system_.system_id);
-        break;
-      case 1:
-        gather(columns.node_id, rows, by_system_.node_id);
-        break;
-      case 2:
-        gather(columns.start, rows, by_system_.start);
-        break;
-      case 3:
-        gather(columns.end, rows, by_system_.end);
-        break;
-      case 4:
-        gather(columns.workload, rows, by_system_.workload);
-        break;
-      case 5:
-        gather(columns.cause, rows, by_system_.cause);
-        break;
-      default:
-        gather(columns.detail, rows, by_system_.detail);
-        break;
-    }
+  std::vector<std::function<void()>> gathers;
+  ColumnStore::for_each_column([&](auto column, auto) {
+    gathers.emplace_back([&, column] {
+      gather(columns.*column, rows, by_system_.*column);
+    });
   });
+  parallel_for(gathers.size(), [&gathers](std::size_t k) { gathers[k](); });
   for (std::size_t begin = 0; begin < n;) {
     const int system_id = by_system_.system_id[begin];
     std::size_t end = begin + 1;

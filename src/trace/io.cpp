@@ -168,14 +168,7 @@ struct Reader {
       LineSource source(format, on_error, piece.first_line);
       std::size_t row = piece.first_row;
       const auto put = [this, &row](const FailureRecord& r) {
-        columns.system_id[row] = r.system_id;
-        columns.node_id[row] = r.node_id;
-        columns.start[row] = r.start;
-        columns.end[row] = r.end;
-        columns.workload[row] = r.workload;
-        columns.cause[row] = r.cause;
-        columns.detail[row] = r.detail;
-        ++row;
+        columns.set_row(row++, r);
       };
       try {
         feed_blocks(source, piece.bytes, put);
@@ -200,19 +193,13 @@ struct Reader {
     std::size_t kept = base;
     for (const Piece& piece : pieces) {
       if (piece.first_row != kept) {
-        const auto slide = [&](auto& column) {
-          const auto from = column.begin() +
-                            static_cast<std::ptrdiff_t>(piece.first_row);
+        ColumnStore::for_each_column([&](auto column, auto) {
+          auto& c = columns.*column;
+          const auto from =
+              c.begin() + static_cast<std::ptrdiff_t>(piece.first_row);
           std::copy(from, from + static_cast<std::ptrdiff_t>(piece.rows),
-                    column.begin() + static_cast<std::ptrdiff_t>(kept));
-        };
-        slide(columns.system_id);
-        slide(columns.node_id);
-        slide(columns.start);
-        slide(columns.end);
-        slide(columns.workload);
-        slide(columns.cause);
-        slide(columns.detail);
+                    c.begin() + static_cast<std::ptrdiff_t>(kept));
+        });
       }
       kept += piece.rows;
       add(piece.counters);
@@ -309,13 +296,8 @@ FailureDataset detail::read_csv_windowed(std::istream& in,
   // held.
   ColumnStore& columns = reader.columns;
   if (column_bytes != nullptr) *column_bytes = columns.bytes();
-  columns.system_id.shrink_to_fit();
-  columns.node_id.shrink_to_fit();
-  columns.start.shrink_to_fit();
-  columns.end.shrink_to_fit();
-  columns.workload.shrink_to_fit();
-  columns.cause.shrink_to_fit();
-  columns.detail.shrink_to_fit();
+  ColumnStore::for_each_column(
+      [&columns](auto column, auto) { (columns.*column).shrink_to_fit(); });
   if (counters != nullptr) *counters = reader.counters;
   if (obs::enabled()) {
     obs::registry().counter("csv.rows_read").add(reader.lines);

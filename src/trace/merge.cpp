@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <type_traits>
 
 #include "common/radix.hpp"
 
@@ -97,15 +98,7 @@ ColumnStore merge_sorted_by_comparison(
   ColumnStore out;
   out.resize(total);
   for (std::size_t i = 0; i < total; ++i) {
-    const Ref& r = refs[i];
-    const ColumnStore& c = *parts[r.part];
-    out.system_id[i] = c.system_id[r.pos];
-    out.node_id[i] = c.node_id[r.pos];
-    out.start[i] = c.start[r.pos];
-    out.end[i] = c.end[r.pos];
-    out.workload[i] = c.workload[r.pos];
-    out.cause[i] = c.cause[r.pos];
-    out.detail[i] = c.detail[r.pos];
+    out.set_row(i, parts[refs[i].part]->row(refs[i].pos));
   }
   return out;
 }
@@ -163,41 +156,22 @@ ColumnStore merge_sorted(const std::vector<const ColumnStore*>& parts) {
   // is a single column's per-part streams, which fit in cache.
   ColumnStore out;
   out.resize(total);
-  const std::size_t nparts = parts.size();
-  std::vector<const int*> sys_p(nparts);
-  std::vector<const int*> node_p(nparts);
-  std::vector<const Seconds*> start_p(nparts);
-  std::vector<const Seconds*> end_p(nparts);
-  std::vector<const Workload*> w_p(nparts);
-  std::vector<const RootCause*> cause_p(nparts);
-  std::vector<const DetailCause*> detail_p(nparts);
-  for (std::size_t p = 0; p < nparts; ++p) {
-    const ColumnStore& c = *parts[p];
-    sys_p[p] = c.system_id.data();
-    node_p[p] = c.node_id.data();
-    start_p[p] = c.start.data();
-    end_p[p] = c.end.data();
-    w_p[p] = c.workload.data();
-    cause_p[p] = c.cause.data();
-    detail_p[p] = c.detail.data();
-  }
   const auto pos_mask =
       static_cast<std::uint32_t>((std::uint64_t{1} << pos_bits) - 1);
-  const auto gather = [&](auto* dst, const auto& srcs) {
+  ColumnStore::for_each_column([&](auto column, auto) {
+    using Column = std::remove_reference_t<decltype(out.*column)>;
+    std::vector<const typename Column::value_type*> srcs(parts.size());
+    for (std::size_t p = 0; p < parts.size(); ++p) {
+      srcs[p] = (parts[p]->*column).data();
+    }
+    auto* const dst = (out.*column).data();
     const std::uint32_t* rp = ref.data();
     for (std::size_t i = 0; i < total; ++i) {
       const std::uint32_t r = rp[i];
       dst[i] = srcs[static_cast<std::size_t>(
           static_cast<std::uint64_t>(r) >> pos_bits)][r & pos_mask];
     }
-  };
-  gather(out.system_id.data(), sys_p);
-  gather(out.node_id.data(), node_p);
-  gather(out.start.data(), start_p);
-  gather(out.end.data(), end_p);
-  gather(out.workload.data(), w_p);
-  gather(out.cause.data(), cause_p);
-  gather(out.detail.data(), detail_p);
+  });
   return out;
 }
 

@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <string>
 
 #include "common/error.hpp"
 #include "common/time.hpp"
 #include "trace/adapters/adapter.hpp"
+#include "trace/catalog.hpp"
 #include "trace/io.hpp"
 #include "trace/record.hpp"
 
@@ -93,6 +95,12 @@ TEST(SiteTrace, DurationScaleStretchesTheWindow) {
   EXPECT_GT(two.size(), one.size() * 3 / 2);
   EXPECT_THROW(generate_site_trace(profile, 3, 0.0), InvalidArgument);
   EXPECT_THROW(generate_site_trace(profile, 3, -1.0), InvalidArgument);
+  // The window may span at most the catalog's 1000 years: far past it
+  // the window end overflows and the reserve asks for ~1e302 records.
+  EXPECT_THROW(generate_site_trace(profile, 3, 1e300), InvalidArgument);
+  const double past_cap = std::nextafter(
+      trace::kMaxProductionYears / profile.duration_years, HUGE_VAL);
+  EXPECT_THROW(generate_site_trace(profile, 3, past_cap), InvalidArgument);
 }
 
 TEST(SiteTrace, RoundTripsThroughItsOwnAdapterBitIdentically) {

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <set>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -76,15 +77,43 @@ TEST(ColumnStore, FromRecordsToRecordsIsIdentity) {
   }
 }
 
-TEST(ColumnStore, PushRowCopiesWithoutRoundTrip) {
-  const ColumnStore src =
-      ColumnStore::from_records(random_records(10, 13));
-  ColumnStore dst;
-  dst.push_row(src, 7);
-  dst.push_row(src, 2);
-  ASSERT_EQ(dst.size(), 2u);
-  EXPECT_EQ(dst.row(0), src.row(7));
-  EXPECT_EQ(dst.row(1), src.row(2));
+TEST(ColumnStore, ForEachColumnListsEveryMemberOnce) {
+  // Every member is a std::vector of the same size, so the list names all
+  // of them exactly when its distinct members fill the struct.
+  const ColumnStore cols;
+  const auto* const base = reinterpret_cast<const char*>(&cols);
+  std::set<std::ptrdiff_t> offsets;
+  std::size_t visits = 0;
+  ColumnStore::for_each_column([&](auto column, auto) {
+    offsets.insert(reinterpret_cast<const char*>(&(cols.*column)) - base);
+    ++visits;
+  });
+  EXPECT_EQ(visits, offsets.size());
+  EXPECT_EQ(offsets.size() * sizeof(std::vector<int>), sizeof(ColumnStore));
+}
+
+TEST(ColumnStore, SetRowWritesEachFieldToItsColumn) {
+  // Fields differ from their defaults and, where types are shared, from
+  // each other, so a column bound to another column's field shows.
+  FailureRecord r;
+  r.system_id = 3;
+  r.node_id = 5;
+  r.start = 1'000;
+  r.end = 2'000;
+  r.workload = Workload::graphics;
+  r.cause = RootCause::hardware;
+  r.detail = DetailCause::memory_dimm;
+  ColumnStore cols;
+  cols.resize(1);
+  cols.set_row(0, r);
+  EXPECT_EQ(cols.system_id[0], r.system_id);
+  EXPECT_EQ(cols.node_id[0], r.node_id);
+  EXPECT_EQ(cols.start[0], r.start);
+  EXPECT_EQ(cols.end[0], r.end);
+  EXPECT_EQ(cols.workload[0], r.workload);
+  EXPECT_EQ(cols.cause[0], r.cause);
+  EXPECT_EQ(cols.detail[0], r.detail);
+  EXPECT_EQ(cols.row(0), r);
 }
 
 TEST(ColumnStore, ResizeClearAndBytes) {

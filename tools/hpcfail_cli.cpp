@@ -1026,7 +1026,8 @@ const std::vector<Subcommand>& subcommands() {
            {"seed", ArgType::uint64, "42", false,
             "generator seed for --site traces"},
            {"duration-scale", ArgType::real, "1", false,
-            "scale factor on each profile's observation window"},
+            "scale factor on each profile's observation window "
+            "(at most 1000 years)"},
            {"out", ArgType::string, "", false,
             "also write the text report to FILE"},
            {"csv-out", ArgType::string, "", false,

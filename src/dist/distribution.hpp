@@ -7,6 +7,7 @@
 // the paper reasons about (Weibull shape < 1 => decreasing hazard).
 #pragma once
 
+#include <cmath>
 #include <memory>
 #include <span>
 #include <string>
@@ -57,5 +58,19 @@ class Distribution {
   /// Squared coefficient of variation, variance / mean^2.
   double cv_squared() const;
 };
+
+/// Standard normal by Marsaglia's polar method: the library's one normal
+/// draw, under the normal, lognormal and gamma samplers and the generators.
+inline double standard_normal(hpcfail::Rng& rng) {
+  double u1;
+  double u2;
+  double s;
+  do {
+    u1 = rng.uniform(-1.0, 1.0);
+    u2 = rng.uniform(-1.0, 1.0);
+    s = u1 * u1 + u2 * u2;
+  } while (s >= 1.0 || s == 0.0);
+  return u1 * std::sqrt(-2.0 * std::log(s) / s);
+}
 
 }  // namespace hpcfail::dist

@@ -99,16 +99,7 @@ double GammaDist::sample(hpcfail::Rng& rng) const {
   const double d = k - 1.0 / 3.0;
   const double c = 1.0 / std::sqrt(9.0 * d);
   for (;;) {
-    // Standard normal via Marsaglia polar.
-    double u1;
-    double u2;
-    double s;
-    do {
-      u1 = rng.uniform(-1.0, 1.0);
-      u2 = rng.uniform(-1.0, 1.0);
-      s = u1 * u1 + u2 * u2;
-    } while (s >= 1.0 || s == 0.0);
-    const double z = u1 * std::sqrt(-2.0 * std::log(s) / s);
+    const double z = standard_normal(rng);
     const double v = 1.0 + c * z;
     if (v <= 0.0) continue;
     const double v3 = v * v * v;

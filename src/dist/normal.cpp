@@ -48,15 +48,7 @@ double Normal::quantile(double p) const {
 }
 
 double Normal::sample(hpcfail::Rng& rng) const {
-  double u1;
-  double u2;
-  double s;
-  do {
-    u1 = rng.uniform(-1.0, 1.0);
-    u2 = rng.uniform(-1.0, 1.0);
-    s = u1 * u1 + u2 * u2;
-  } while (s >= 1.0 || s == 0.0);
-  const double z = u1 * std::sqrt(-2.0 * std::log(s) / s);
+  const double z = standard_normal(rng);
   return mu_ + sigma_ * z;
 }
 

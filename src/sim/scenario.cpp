@@ -94,15 +94,7 @@ std::vector<ClusterNodeConfig> heterogeneous_nodes(
   const auto hot_count = static_cast<std::size_t>(
       std::lround(hot_fraction * static_cast<double>(node_count)));
   for (std::size_t i = 0; i < node_count; ++i) {
-    double u1;
-    double u2;
-    double s;
-    do {
-      u1 = rng.uniform(-1.0, 1.0);
-      u2 = rng.uniform(-1.0, 1.0);
-      s = u1 * u1 + u2 * u2;
-    } while (s >= 1.0 || s == 0.0);
-    const double z = u1 * std::sqrt(-2.0 * std::log(s) / s);
+    const double z = dist::standard_normal(rng);
     double mtbf = base_mtbf_seconds * std::exp(jitter_sigma * z);
     if (i < hot_count) mtbf /= hot_factor;
     ClusterNodeConfig n;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/error.hpp"
 #include "trace/index.hpp"
@@ -225,6 +226,25 @@ TEST(Generator, RejectsBadParameters) {
 
   EXPECT_THROW(TraceGenerator(SystemCatalog::lanl(), ScenarioConfig{}),
                hpcfail::InvalidArgument);
+
+  // Positive, but rejected by the gap samplers: the mean-1 lognormal's
+  // mu = -sigma^2/2 overflows, the mean-1 Weibull's scale underflows to
+  // zero, or the Weibull shape is infinite. generate() cannot run on any.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double sigma : {1e200, inf}) {
+    ScenarioConfig c = lanl_scenario();
+    c.systems[0].early_lognormal_sigma = sigma;
+    EXPECT_THROW(TraceGenerator(SystemCatalog::lanl(), c),
+                 hpcfail::InvalidArgument)
+        << "sigma " << sigma;
+  }
+  for (const double shape : {1e-300, inf}) {
+    ScenarioConfig c = lanl_scenario();
+    c.systems[0].interarrival_weibull_shape = shape;
+    EXPECT_THROW(TraceGenerator(SystemCatalog::lanl(), c),
+                 hpcfail::InvalidArgument)
+        << "shape " << shape;
+  }
 }
 
 TEST(Generator, GenerateSystemRejectsUnconfiguredId) {

@@ -61,19 +61,14 @@ void SlidingSuffStats::add(Seconds at, double value) {
   }
 }
 
-SuffStats SlidingSuffStats::evict_before(Seconds horizon) {
-  SuffStats evicted;
-  evicted.floor_at = options_.floor_at;
+void SlidingSuffStats::evict_before(Seconds horizon) {
   const std::int64_t idx = bucket_index(horizon);
   if (idx > floor_index_) floor_index_ = idx;
   while (!buckets_.empty() && buckets_.front().index < idx) {
-    const Bucket& front = buckets_.front();
-    evicted.merge(front.stats);
-    dropped_ += front.stats.n;
-    size_ -= front.stats.n;
+    dropped_ += buckets_.front().stats.n;
+    size_ -= buckets_.front().stats.n;
     buckets_.pop_front();
   }
-  return evicted;
 }
 
 SuffStats SlidingSuffStats::window_stats(Seconds now, Seconds window) const {

@@ -53,14 +53,13 @@ class SlidingSuffStats {
   SuffStats total_stats() const;
 
   /// Evicts every bucket whose quantum lies entirely before `horizon`
-  /// (bucket index < horizon's index) and returns their merged
-  /// statistics; the evicted observations count into dropped(). The
-  /// horizon is remembered as a floor: a late arrival landing on an
-  /// evicted bucket's index — even when no buckets remain — is dropped
-  /// and counted, never resurrected. This is the retention/compaction
-  /// hook: the caller folds the returned stats into its compacted
-  /// aggregate so no observation is lost, only de-windowed.
-  SuffStats evict_before(Seconds horizon);
+  /// (bucket index < horizon's index); the evicted observations are
+  /// discarded and count into dropped(). The horizon is remembered as a
+  /// floor: a late arrival landing on an evicted bucket's index — even
+  /// when no buckets remain — is dropped and counted, never resurrected.
+  /// This is the retention hook: windows stop covering history the
+  /// caller no longer retains.
+  void evict_before(Seconds horizon);
 
   /// Observations lost to eviction or too-old arrival.
   std::uint64_t dropped() const noexcept { return dropped_; }

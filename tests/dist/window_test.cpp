@@ -220,7 +220,7 @@ TEST(SlidingSuffStats, EvictsOldBucketsAndCountsDrops) {
   EXPECT_EQ(sliding.size(), 3u);
 }
 
-TEST(SlidingSuffStats, EvictBeforeMergesExactlyTheBucketsBelowTheHorizon) {
+TEST(SlidingSuffStats, EvictBeforeDropsExactlyTheBucketsBelowTheHorizon) {
   SlidingSuffStats::Options opts;
   opts.bucket_seconds = 60;
   SlidingSuffStats sliding(opts);
@@ -228,17 +228,19 @@ TEST(SlidingSuffStats, EvictBeforeMergesExactlyTheBucketsBelowTheHorizon) {
     sliding.add(static_cast<Seconds>(i) * 60, static_cast<double>(i + 1));
   }
   ASSERT_EQ(sliding.size(), 10u);
+  const SuffStats before = sliding.total_stats();
+  const std::uint64_t dropped_before = sliding.dropped();
 
   // Horizon lands mid-bucket 4: buckets 0..3 go, bucket 4 onward stays.
-  const SuffStats evicted = sliding.evict_before(4 * 60 + 30);
-  EXPECT_EQ(evicted.n, 4u);
-  EXPECT_DOUBLE_EQ(evicted.sum_raw, 1.0 + 2.0 + 3.0 + 4.0);
+  sliding.evict_before(4 * 60 + 30);
+  const SuffStats rest = sliding.total_stats();
+  EXPECT_EQ(sliding.dropped() - dropped_before, 4u);
+  EXPECT_EQ(before.n - rest.n, 4u);
+  EXPECT_DOUBLE_EQ(before.sum_raw - rest.sum_raw, 1.0 + 2.0 + 3.0 + 4.0);
   EXPECT_EQ(sliding.size(), 6u);
   EXPECT_EQ(sliding.bucket_count(), 6u);
-  EXPECT_EQ(sliding.dropped(), 4u);
 
   // The remaining window still answers queries over the surviving buckets.
-  const SuffStats rest = sliding.total_stats();
   EXPECT_EQ(rest.n, 6u);
   EXPECT_DOUBLE_EQ(rest.sum_raw, 5.0 + 6.0 + 7.0 + 8.0 + 9.0 + 10.0);
 }
@@ -249,8 +251,10 @@ TEST(SlidingSuffStats, EventOnTheEvictionBoundaryIsDroppedNotResurrected) {
   SlidingSuffStats sliding(opts);
   sliding.add(0, 1.0);
   sliding.add(500, 1.0);
-  const SuffStats evicted = sliding.evict_before(500);  // bucket 0..4 go
-  EXPECT_EQ(evicted.n, 1u);
+  const std::uint64_t n_before = sliding.total_stats().n;
+  sliding.evict_before(500);  // bucket 0..4 go
+  EXPECT_EQ(n_before - sliding.total_stats().n, 1u);
+  EXPECT_EQ(sliding.dropped(), 1u);
   ASSERT_EQ(sliding.size(), 1u);
 
   // A late arrival landing on an evicted bucket's index must be counted in
@@ -272,8 +276,9 @@ TEST(SlidingSuffStats, EvictionFloorSurvivesAnEmptiedWindow) {
   SlidingSuffStats sliding(opts);
   sliding.add(0, 1.0);
   sliding.add(60, 1.0);
-  const SuffStats evicted = sliding.evict_before(10'000);  // evicts everything
-  EXPECT_EQ(evicted.n, 2u);
+  sliding.evict_before(10'000);  // evicts everything
+  EXPECT_EQ(sliding.dropped(), 2u);
+  EXPECT_EQ(sliding.total_stats().n, 0u);
   EXPECT_EQ(sliding.size(), 0u);
   EXPECT_EQ(sliding.bucket_count(), 0u);
 
@@ -324,7 +329,9 @@ TEST(SlidingSuffStats, EvictBeforeMatchesAnEventListModel) {
 
     if (roll == 19) {
       const Seconds horizon = events[pick(rng)].at;
-      const SuffStats evicted = sliding.evict_before(horizon);
+      const std::uint64_t dropped_before = sliding.dropped();
+      const std::uint64_t n_before = sliding.total_stats().n;
+      sliding.evict_before(horizon);
       model_floor = std::max(model_floor, bucket_index(horizon));
       std::vector<Event> survivors;
       std::uint64_t cut = 0;
@@ -337,7 +344,10 @@ TEST(SlidingSuffStats, EvictBeforeMatchesAnEventListModel) {
       }
       live.swap(survivors);
       model_evicted += cut;
-      ASSERT_EQ(evicted.n, cut) << "evict at step " << i;
+      ASSERT_EQ(sliding.dropped() - dropped_before, cut)
+          << "evict at step " << i;
+      ASSERT_EQ(n_before - sliding.total_stats().n, cut)
+          << "evict at step " << i;
     }
     ASSERT_EQ(sliding.size(), live.size()) << "after step " << i;
     ASSERT_EQ(sliding.dropped(), model_dropped + model_evicted)

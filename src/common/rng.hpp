@@ -3,8 +3,10 @@
 // The synthetic trace must regenerate bit-identically across runs and
 // platforms, so we hand-roll xoshiro256++ (seeded through splitmix64)
 // instead of relying on implementation-defined std:: distributions.
-// Rng satisfies UniformRandomBitGenerator, but all samplers used by the
-// library live in hpcfail::dist and use only next_u64()/uniform().
+// Rng satisfies UniformRandomBitGenerator, but the library's continuous
+// samplers live in hpcfail::dist and draw only through next_u64() and
+// uniform(); dist::standard_normal is their one normal draw. Categorical
+// draws (synth's cause mixes) and the test kit read uniforms directly.
 #pragma once
 
 #include <cstdint>

@@ -72,6 +72,25 @@ double GammaDist::cdf(double x) const {
 
 double GammaDist::quantile(double p) const {
   HPCFAIL_EXPECTS(p > 0.0 && p < 1.0, "quantile requires p in (0,1)");
+  constexpr double kBracketFloor = 1e-12;  // expand_bracket's lowest lo
+  if (cdf(kBracketFloor) > p) {
+    // The quantile lies below what the x-space bracket reaches, so solve
+    // cdf(e^u) = p for u = log x, between log(kBracketFloor) and the
+    // small-x limit cdf(x) ~ (x / scale)^shape / Gamma(shape + 1). The
+    // residual is relative, as p may lie far below Brent's absolute
+    // tolerance. A quantile too small for a double comes back at the edge
+    // where the cdf leaves 0, or as 0.
+    const auto g = [this, p](double u) { return cdf(std::exp(u)) / p - 1.0; };
+    double hi = std::log(kBracketFloor);
+    double lo = std::min(hi, std::log(scale_) + (std::log(p) +
+                                                 std::lgamma(shape_ + 1.0)) /
+                                                    shape_) -
+                1.0;
+    double g_lo = 0.0;
+    double g_hi = 0.0;
+    hpcfail::stats::expand_bracket(g, lo, hi, g_lo, g_hi, false);
+    return std::exp(hpcfail::stats::brent(g, lo, hi, g_lo, g_hi));
+  }
   // Wilson-Hilferty starting point, then bracketed Newton on the CDF.
   const double z = hpcfail::stats::normal_quantile(p);
   const double c = 1.0 - 1.0 / (9.0 * shape_) + z / (3.0 * std::sqrt(shape_));

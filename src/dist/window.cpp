@@ -20,68 +20,62 @@ std::int64_t SlidingSuffStats::bucket_index(Seconds at) const noexcept {
   return q;
 }
 
-void SlidingSuffStats::add(Seconds at, double value) {
-  const std::int64_t idx = bucket_index(at);
-  if (idx < floor_index_ ||
-      (!buckets_.empty() && idx < buckets_.front().index)) {
-    ++dropped_;  // older than everything retained (or already evicted)
-    return;
-  }
-  if (at > latest_at_ || size_ == 0) latest_at_ = at;
+std::int64_t SlidingSuffStats::index_behind(Seconds at,
+                                            Seconds span) const noexcept {
+  // A span reaching past the lowest Seconds stops there.
+  constexpr Seconds kLowest = std::numeric_limits<Seconds>::min();
+  return bucket_index(at < kLowest + span ? kLowest : at - span);
+}
 
-  if (buckets_.empty() || idx > buckets_.back().index) {
-    Bucket b;
-    b.index = idx;
-    b.stats.floor_at = options_.floor_at;
-    buckets_.push_back(std::move(b));
-    buckets_.back().stats.add(value);
-  } else {
-    // In a retained bucket: usually the newest, occasionally an
-    // out-of-order arrival further back.
-    const auto it = std::lower_bound(
-        buckets_.begin(), buckets_.end(), idx,
-        [](const Bucket& b, std::int64_t i) { return b.index < i; });
-    if (it != buckets_.end() && it->index == idx) {
-      it->stats.add(value);
-    } else {
-      Bucket b;
-      b.index = idx;
-      b.stats.floor_at = options_.floor_at;
-      b.stats.add(value);
-      buckets_.insert(it, std::move(b));
-    }
-  }
-  ++size_;
-
-  while (buckets_.size() > options_.max_buckets) {
-    dropped_ += buckets_.front().stats.n;
-    size_ -= buckets_.front().stats.n;
-    floor_index_ = buckets_.front().index + 1;
+void SlidingSuffStats::raise_floor(std::int64_t index) {
+  floor_index_ = std::max(floor_index_, index);
+  while (!buckets_.empty() && buckets_.front().index < floor_index_) {
+    size_ -= buckets_.front().entries.size();
     buckets_.pop_front();
   }
+}
+
+bool SlidingSuffStats::add(Seconds at, double value, int node) {
+  const std::int64_t idx = bucket_index(at);
+  if (idx < floor_index_) return false;
+  HPCFAIL_EXPECTS(value >= 0.0,
+                  "sufficient statistics require non-negative data");
+  auto it = std::lower_bound(
+      buckets_.begin(), buckets_.end(), idx,
+      [](const Bucket& b, std::int64_t i) { return b.index < i; });
+  if (it == buckets_.end() || it->index != idx) {
+    it = buckets_.insert(it, Bucket{idx, {}, {.floor_at = options_.floor_at}});
+  }
+  const Entry entry{at, node, value};
+  std::vector<Entry>& entries = it->entries;
+  // The bucket's stats are the fold of its entries in order: an entry that
+  // sorts last extends the fold, any other refolds the bucket.
+  const auto pos = std::upper_bound(entries.begin(), entries.end(), entry);
+  if (pos == entries.end()) {
+    entries.push_back(entry);
+    it->stats.add(value);
+  } else {
+    entries.insert(pos, entry);
+    it->stats = SuffStats{.floor_at = options_.floor_at};
+    for (const Entry& e : entries) it->stats.add(e.value);
+  }
+  if (size_++ == 0 || at > latest_at_) {
+    latest_at_ = at;
+    raise_floor(index_behind(at, options_.span()));
+  }
+  return true;
 }
 
 void SlidingSuffStats::evict_before(Seconds horizon) {
-  const std::int64_t idx = bucket_index(horizon);
-  if (idx > floor_index_) floor_index_ = idx;
-  while (!buckets_.empty() && buckets_.front().index < idx) {
-    dropped_ += buckets_.front().stats.n;
-    size_ -= buckets_.front().stats.n;
-    buckets_.pop_front();
-  }
+  raise_floor(bucket_index(horizon));
 }
 
 SuffStats SlidingSuffStats::window_stats(Seconds now, Seconds window) const {
-  SuffStats merged;
-  merged.floor_at = options_.floor_at;
+  SuffStats merged{.floor_at = options_.floor_at};
   if (window <= 0) return merged;
-  // A window reaching past the lowest Seconds covers everything.
-  constexpr Seconds kLowest = std::numeric_limits<Seconds>::min();
-  const std::int64_t min_idx =
-      bucket_index(now < kLowest + window ? kLowest : now - window);
   const std::int64_t max_idx = bucket_index(now);
   const auto first = std::lower_bound(
-      buckets_.begin(), buckets_.end(), min_idx,
+      buckets_.begin(), buckets_.end(), index_behind(now, window),
       [](const Bucket& b, std::int64_t i) { return b.index < i; });
   for (auto it = first; it != buckets_.end() && it->index <= max_idx; ++it) {
     merged.merge(it->stats);
@@ -90,8 +84,7 @@ SuffStats SlidingSuffStats::window_stats(Seconds now, Seconds window) const {
 }
 
 SuffStats SlidingSuffStats::total_stats() const {
-  SuffStats merged;
-  merged.floor_at = options_.floor_at;
+  SuffStats merged{.floor_at = options_.floor_at};
   for (const Bucket& b : buckets_) merged.merge(b.stats);
   return merged;
 }

@@ -1,6 +1,6 @@
 #include "serve/analytics.hpp"
 
-#include <map>
+#include <algorithm>
 #include <utility>
 
 #include "common/error.hpp"
@@ -19,20 +19,19 @@ constexpr double kGapFloorSeconds = 1.0;
 
 /// Adds the gap from `last` to `at` and advances `last` — unless the
 /// gap is negative (an out-of-order arrival), which is skipped.
-void add_gap(dist::SlidingSuffStats& gaps, Seconds& last, Seconds at) {
+void add_gap(dist::SlidingSuffStats& gaps, Seconds& last, Seconds at,
+             int node) {
   if (at < last) return;
-  gaps.add(at, seconds_between(last, at));
+  gaps.add(at, seconds_between(last, at), node);
   last = at;
 }
 
 }  // namespace
 
-LiveAnalytics::LiveAnalytics(Options options) {
-  repair_opts_.bucket_seconds = options.bucket_seconds;
-  repair_opts_.max_buckets = options.max_buckets;
-  gap_opts_ = repair_opts_;
-  gap_opts_.floor_at = kGapFloorSeconds;
-}
+LiveAnalytics::LiveAnalytics(Options options)
+    : repair_window_({options.bucket_seconds, options.max_buckets}),
+      gap_window_(
+          {options.bucket_seconds, options.max_buckets, kGapFloorSeconds}) {}
 
 void LiveAnalytics::observe(const trace::FailureRecord& r) {
   // The first event sets the clock, which may lie before the epoch.
@@ -41,43 +40,40 @@ void LiveAnalytics::observe(const trace::FailureRecord& r) {
   auto sit = systems_.find(r.system_id);
   if (sit == systems_.end()) {
     SystemRow fresh;
-    fresh.system_gaps = dist::SlidingSuffStats(gap_opts_);
+    fresh.system_gaps = gap_window_;
     sit = systems_.emplace(r.system_id, std::move(fresh)).first;
   }
   SystemRow& sys = sit->second;
   if (sys.events++ == 0) {
     sys.last_start = r.start;
   } else {
-    add_gap(sys.system_gaps, sys.last_start, r.start);
+    add_gap(sys.system_gaps, sys.last_start, r.start, r.node_id);
   }
 
-  const auto [nit, first_node_event] = sys.nodes.try_emplace(r.node_id);
-  NodeRow& node = nit->second;
-  auto cit = node.cells.find(r.cause);
-  if (cit == node.cells.end()) {
-    Cell fresh{dist::SlidingSuffStats(repair_opts_),
-               dist::SlidingSuffStats(gap_opts_)};
-    cit = node.cells.emplace(r.cause, std::move(fresh)).first;
+  auto cit = sys.causes.find(r.cause);
+  if (cit == sys.causes.end()) {
+    cit = sys.causes.emplace(r.cause, CauseRow{repair_window_, gap_window_})
+              .first;
   }
-  Cell& c = cit->second;
-  c.repair_minutes.add(r.start, r.downtime_minutes());
+  CauseRow& c = cit->second;
+  if (!c.repair_minutes.add(r.start, r.downtime_minutes(), r.node_id)) {
+    ++dropped_;
+  }
   // Per-node gap: consecutive failures of the same node, attributed at
   // (and to the cause of) the later event.
-  if (first_node_event) {
-    node.last_start = r.start;
-  } else {
-    add_gap(c.node_gaps, node.last_start, r.start);
-  }
+  const auto [nit, first_node_event] =
+      sys.node_last_start.try_emplace(r.node_id, r.start);
+  if (!first_node_event) add_gap(c.node_gaps, nit->second, r.start, r.node_id);
 }
 
 void LiveAnalytics::compact_before(Seconds horizon) {
+  repair_window_.evict_before(horizon);
+  gap_window_.evict_before(horizon);
   for (auto& [system_id, sys] : systems_) {
     sys.system_gaps.evict_before(horizon);
-    for (auto& [node_id, node] : sys.nodes) {
-      for (auto& [cause, c] : node.cells) {
-        c.repair_minutes.evict_before(horizon);
-        c.node_gaps.evict_before(horizon);
-      }
+    for (auto& [cause, c] : sys.causes) {
+      c.repair_minutes.evict_before(horizon);
+      c.node_gaps.evict_before(horizon);
     }
   }
 }
@@ -86,7 +82,8 @@ WindowReport LiveAnalytics::report(int system_id, Seconds window) const {
   WindowReport out;
   out.system_id = system_id;
   out.now = latest_at_;
-  out.window = window > 0 ? window : 24 * kSecondsPerHour;
+  out.window = std::min(window > 0 ? window : 24 * kSecondsPerHour,
+                        repair_window_.options().span());
 
   out.node_gaps_seconds.floor_at = kGapFloorSeconds;
   out.system_gaps_seconds.floor_at = kGapFloorSeconds;
@@ -96,19 +93,13 @@ WindowReport LiveAnalytics::report(int system_id, Seconds window) const {
     out.events_total = sys->second.events;
     out.system_gaps_seconds =
         sys->second.system_gaps.window_stats(out.now, out.window);
-    std::map<trace::RootCause, dist::SuffStats> by_cause;
-    for (const auto& [node_id, node] : sys->second.nodes) {
-      for (const auto& [cause, c] : node.cells) {
-        const dist::SuffStats repair =
-            c.repair_minutes.window_stats(out.now, out.window);
-        out.repair_minutes.merge(repair);
-        out.node_gaps_seconds.merge(
-            c.node_gaps.window_stats(out.now, out.window));
-        if (repair.n > 0) by_cause[cause].merge(repair);
-      }
-    }
-    for (const auto& [cause, stats] : by_cause) {
-      out.by_cause.push_back(CauseWindow{cause, stats});
+    for (const auto& [cause, c] : sys->second.causes) {
+      const dist::SuffStats repair =
+          c.repair_minutes.window_stats(out.now, out.window);
+      out.repair_minutes.merge(repair);
+      out.node_gaps_seconds.merge(
+          c.node_gaps.window_stats(out.now, out.window));
+      if (repair.n > 0) out.by_cause.push_back(CauseWindow{cause, repair});
     }
   }
 

@@ -243,7 +243,7 @@ Server::Server(ServerOptions options, trace::FailureDataset seed)
       format_(&ingest_format(options_)),
       live_(std::move(seed), options_.epoch),
       analytics_(analytics_options(options_)) {
-  // Replay the seed into the analytics cells; snapshot records are
+  // Replay the seed into the analytics windows; snapshot records are
   // start-sorted, so gap extraction sees them chronologically.
   const std::shared_ptr<const trace::FailureDataset> snap = live_.snapshot();
   for (const trace::FailureRecord& r : snap->records()) {
@@ -346,7 +346,7 @@ void Server::wait() {
 void Server::drain_source(IngestShard& shard, trace::Source& source,
                           std::uint64_t& rejected_seen) {
   // live_ appends run lock-free for readers (the seal publishes behind
-  // its own pointer swap), so only the analytics cells need the mutex —
+  // its own pointer swap), so only the analytics windows need the mutex —
   // taken per small batch, never across a seal.
   trace::FailureRecord r;
   std::vector<trace::FailureRecord> batch;
@@ -603,8 +603,10 @@ std::string Server::stats_json() const {
       if (i != 0) out += ',';
       out += std::to_string(ids[i]);
     }
+    out += "],\"analytics_dropped_events\":" +
+           std::to_string(analytics_.dropped_events());
   }
-  out += "]}";
+  out += "}";
   return out;
 }
 

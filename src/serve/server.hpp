@@ -8,11 +8,12 @@
 //     trace/source.hpp), fed through per-connection trace::LineSources
 //     into that shard's tail of the shared trace::LiveDataset (sealed
 //     snapshot + per-shard tails, see trace/ingest.hpp) and the shared
-//     serve::LiveAnalytics (windowed moment cells, short mutex per
-//     small batch). Shard 0 additionally owns the accept loop — new
-//     connections are handed round-robin to the shards over per-shard
-//     notify pipes — plus the optional appended-file tail
-//     (trace::TailSource) and the once-per-second gauge refresh.
+//     serve::LiveAnalytics (one repair and one node-gap window per
+//     (system, cause), short mutex per small batch). Shard 0
+//     additionally owns the accept loop — new connections are handed
+//     round-robin to the shards over per-shard notify pipes — plus the
+//     optional appended-file tail (trace::TailSource) and the
+//     once-per-second gauge refresh.
 //     Malformed lines are rejected and counted (serve.rejected_events,
 //     and per shard in /stats) — one bad producer cannot take the
 //     daemon down. The per-shard counts are the daemon's only ingest
@@ -22,12 +23,15 @@
 //     --ingest-threads count (the LiveDataset determinism contract).
 //
 //   * the HTTP thread serves many concurrent readers a minimal HTTP/1.0
-//     GET surface: /healthz, /stats (ingest accounting JSON), /report?
-//     system=N&window_hours=H (windowed moments + streaming FitReport
-//     JSON), /metrics (the src/obs Prometheus exporter over the live
-//     registry) and /shutdown. Reports are computed from the analytics
-//     cells under a short mutex — never from a dataset rebuild, so
-//     readers do not block on ingest. Every request is bounded by an
+//     GET surface: /healthz, /stats (ingest accounting JSON, with
+//     analytics_dropped_events: events no analytics window took),
+//     /report?system=N&window_hours=H (windowed moments + streaming
+//     FitReport JSON; a window longer than the analytics span,
+//     max_buckets x bucket_seconds, is clamped to it), /metrics (the
+//     src/obs Prometheus exporter over the live registry) and
+//     /shutdown. Reports are computed from the analytics windows under
+//     a short mutex — never from a dataset rebuild, so readers do not
+//     block on ingest. Every request is bounded by an
 //     overall deadline (http_request_deadline_ms), not just a per-read
 //     timeout — a client trickling one byte per 1.9s cannot hold the
 //     thread and starve /healthz — and response writes retry
@@ -86,6 +90,7 @@ struct ServerOptions {
   int http_port = 0;    ///< 0 = ephemeral
   Seconds window_seconds = 24 * kSecondsPerHour;  ///< default /report window
   Seconds bucket_seconds = kSecondsPerHour;
+  /// Span each analytics window keeps behind its newest event, in buckets.
   std::size_t max_buckets = 24 * 14;
   /// Ingest shard count. Mirrored into epoch.shards (the LiveDataset
   /// partition count) by the Server constructor.

@@ -11,9 +11,9 @@
 //   * the *tails*: recent appends, kept columnar in arrival order in one
 //     tail per ingest shard.
 //
-// The live per-node view of unsealed events is serve::LiveAnalytics'
-// per-node table; per-node posting lists over sealed events come from
-// a snapshot's index, on demand.
+// The live view of unsealed events is serve::LiveAnalytics' per-(system,
+// cause) windows, which keep each node's last start; per-node posting
+// lists over sealed events come from a snapshot's index, on demand.
 //
 // When the combined tails outgrow the rebuild policy
 // (max(min_rebuild_tail, rebuild_fraction x sealed size) — geometric

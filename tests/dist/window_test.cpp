@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <compare>
 #include <limits>
 #include <random>
 #include <string>
@@ -204,20 +206,25 @@ TEST(SlidingSuffStats, MidStreamWindowsMatchTotalUpToNow) {
 }
 
 TEST(SlidingSuffStats, EvictsOldBucketsAndCountsDrops) {
+  // A window keeps the max_buckets buckets behind its newest entry's, plus
+  // that bucket; add() refuses (returns false for) anything older.
   SlidingSuffStats::Options opts;
   opts.bucket_seconds = 60;
   opts.max_buckets = 3;
   SlidingSuffStats sliding(opts);
   for (int i = 0; i < 10; ++i) {
-    sliding.add(static_cast<Seconds>(i) * 60, 1.0);
+    EXPECT_TRUE(sliding.add(static_cast<Seconds>(i) * 60, 1.0));
   }
-  EXPECT_EQ(sliding.bucket_count(), 3u);
-  EXPECT_EQ(sliding.dropped(), 7u);
-  EXPECT_EQ(sliding.size(), 3u);
-  // A stale arrival older than the retained range is dropped, not added.
-  sliding.add(0, 1.0);
-  EXPECT_EQ(sliding.dropped(), 8u);
-  EXPECT_EQ(sliding.size(), 3u);
+  EXPECT_EQ(sliding.bucket_count(), 4u);  // buckets 6..9
+  EXPECT_EQ(sliding.size(), 4u);
+  // A stale arrival older than the retained span is refused, not added.
+  int refused = 0;
+  for (const Seconds at : {Seconds{0}, Seconds{359}, Seconds{360}}) {
+    if (!sliding.add(at, 1.0)) ++refused;
+  }
+  EXPECT_EQ(refused, 2);
+  EXPECT_EQ(sliding.size(), 5u);
+  EXPECT_EQ(sliding.total_stats().n, 5u);
 }
 
 TEST(SlidingSuffStats, EvictBeforeDropsExactlyTheBucketsBelowTheHorizon) {
@@ -229,12 +236,10 @@ TEST(SlidingSuffStats, EvictBeforeDropsExactlyTheBucketsBelowTheHorizon) {
   }
   ASSERT_EQ(sliding.size(), 10u);
   const SuffStats before = sliding.total_stats();
-  const std::uint64_t dropped_before = sliding.dropped();
 
   // Horizon lands mid-bucket 4: buckets 0..3 go, bucket 4 onward stays.
   sliding.evict_before(4 * 60 + 30);
   const SuffStats rest = sliding.total_stats();
-  EXPECT_EQ(sliding.dropped() - dropped_before, 4u);
   EXPECT_EQ(before.n - rest.n, 4u);
   EXPECT_DOUBLE_EQ(before.sum_raw - rest.sum_raw, 1.0 + 2.0 + 3.0 + 4.0);
   EXPECT_EQ(sliding.size(), 6u);
@@ -254,19 +259,16 @@ TEST(SlidingSuffStats, EventOnTheEvictionBoundaryIsDroppedNotResurrected) {
   const std::uint64_t n_before = sliding.total_stats().n;
   sliding.evict_before(500);  // bucket 0..4 go
   EXPECT_EQ(n_before - sliding.total_stats().n, 1u);
-  EXPECT_EQ(sliding.dropped(), 1u);
   ASSERT_EQ(sliding.size(), 1u);
 
-  // A late arrival landing on an evicted bucket's index must be counted in
-  // dropped() and must never reopen that bucket.
-  const std::uint64_t dropped_before = sliding.dropped();
-  sliding.add(499, 7.0);  // bucket 4: strictly below the horizon bucket
-  EXPECT_EQ(sliding.dropped(), dropped_before + 1);
+  // A late arrival landing on an evicted bucket's index must be refused
+  // and must never reopen that bucket.
+  EXPECT_FALSE(sliding.add(499, 7.0));  // bucket 4: below the horizon's
   EXPECT_EQ(sliding.size(), 1u);
   EXPECT_EQ(sliding.total_stats().n, 1u);
 
   // Exactly at the horizon bucket is still live.
-  sliding.add(501, 2.0);
+  EXPECT_TRUE(sliding.add(501, 2.0));
   EXPECT_EQ(sliding.size(), 2u);
 }
 
@@ -277,85 +279,178 @@ TEST(SlidingSuffStats, EvictionFloorSurvivesAnEmptiedWindow) {
   sliding.add(0, 1.0);
   sliding.add(60, 1.0);
   sliding.evict_before(10'000);  // evicts everything
-  EXPECT_EQ(sliding.dropped(), 2u);
   EXPECT_EQ(sliding.total_stats().n, 0u);
   EXPECT_EQ(sliding.size(), 0u);
   EXPECT_EQ(sliding.bucket_count(), 0u);
 
-  // With no buckets left there is no front-index guard: only the remembered
-  // floor can block resurrection of the evicted range.
-  sliding.add(120, 5.0);
+  // With no buckets left only the remembered floor can block resurrection
+  // of the evicted range.
+  EXPECT_FALSE(sliding.add(120, 5.0));
   EXPECT_EQ(sliding.size(), 0u);
-  EXPECT_EQ(sliding.dropped(), 3u);
-  sliding.add(10'020, 5.0);  // at/after the horizon bucket: accepted
+  EXPECT_TRUE(sliding.add(10'020, 5.0));  // at/after the horizon bucket
   EXPECT_EQ(sliding.size(), 1u);
 }
 
+/// Brute-force model of a window's contents: the fold of its entries,
+/// each bucket's sorted by (at, node, value), buckets merged oldest first.
+struct ModelEntry {
+  Seconds at;
+  int node;
+  double value;
+  auto operator<=>(const ModelEntry&) const = default;
+};
+
+SuffStats model_fold(std::vector<ModelEntry> entries, Seconds bucket,
+                     double floor_at) {
+  std::sort(entries.begin(), entries.end());
+  SuffStats merged;
+  merged.floor_at = floor_at;
+  for (std::size_t i = 0; i < entries.size();) {
+    SuffStats one;
+    one.floor_at = floor_at;
+    const Seconds idx = entries[i].at / bucket;
+    for (; i < entries.size() && entries[i].at / bucket == idx; ++i) {
+      one.add(entries[i].value);
+    }
+    merged.merge(one);
+  }
+  return merged;
+}
+
+void expect_same_bits(const SuffStats& got, const SuffStats& want) {
+  EXPECT_EQ(got.n, want.n);
+  EXPECT_EQ(got.sum_raw, want.sum_raw);
+  EXPECT_EQ(got.shift, want.shift);
+  EXPECT_EQ(got.mean_dev, want.mean_dev);
+  EXPECT_EQ(got.m2, want.m2);
+  EXPECT_EQ(got.log_shift, want.log_shift);
+  EXPECT_EQ(got.log_mean_dev, want.log_mean_dev);
+  EXPECT_EQ(got.log_m2, want.log_m2);
+  EXPECT_EQ(got.min, want.min);
+  EXPECT_EQ(got.max, want.max);
+}
+
 TEST(SlidingSuffStats, EvictBeforeMatchesAnEventListModel) {
+  // The model keeps every entry whose bucket is at or above the floor:
+  // the evict_before horizon's bucket, or max_buckets behind the newest
+  // entry's bucket, whichever is higher. add() refuses what lies below
+  // the floor when it arrives.
   SlidingSuffStats::Options opts;
   opts.bucket_seconds = kSecondsPerHour;
+  opts.max_buckets = 24;
   SlidingSuffStats sliding(opts);
   const auto bucket_index = [&](Seconds at) { return at / opts.bucket_seconds; };
 
   std::mt19937 rng(99);
-  std::vector<Event> events = event_stream(600, 23);
-  std::vector<Event> live;  // the model: events not yet evicted/dropped
-  std::uint64_t model_dropped = 0;
-  std::uint64_t model_evicted = 0;
-  std::int64_t model_floor = std::numeric_limits<std::int64_t>::min();
-  const auto front_index = [&] {
-    std::int64_t front = std::numeric_limits<std::int64_t>::max();
-    for (const Event& ev : live) front = std::min(front, bucket_index(ev.at));
-    return front;
+  const std::vector<Event> events = event_stream(600, 23);
+  std::vector<ModelEntry> kept;
+  std::int64_t floor = std::numeric_limits<std::int64_t>::min();
+  std::uint64_t refused = 0;
+  std::uint64_t span_evicted = 0;
+  std::uint64_t horizon_evicted = 0;
+  const auto raise_floor = [&](std::int64_t to, std::uint64_t& evicted) {
+    floor = std::max(floor, to);
+    const auto below = [&](const ModelEntry& e) {
+      return bucket_index(e.at) < floor;
+    };
+    evicted += static_cast<std::uint64_t>(std::count_if(
+        kept.begin(), kept.end(), below));
+    std::erase_if(kept, below);
   };
 
   std::uniform_int_distribution<int> action(0, 19);
-  std::uniform_int_distribution<std::size_t> pick(0, events.size() - 1);
+  std::uniform_int_distribution<int> node(0, 3);
+  std::uniform_int_distribution<std::size_t> lag(0, 40);
+  Seconds newest = 0;
   for (std::size_t i = 0; i < events.size(); ++i) {
-    // Mostly in-order arrivals, occasionally a random (possibly stale) event,
-    // occasionally a compaction cut at a previously seen timestamp.
+    // Mostly in-order arrivals, occasionally a repeat of an earlier (maybe
+    // stale) event, occasionally a compaction cut at an earlier timestamp.
     Event e = events[i];
     const int roll = action(rng);
-    if (roll < 3) e = events[pick(rng)];
-    const std::int64_t idx = bucket_index(e.at);
-    sliding.add(e.at, e.value);
-    // The documented drop rule: below the eviction floor, or staler than
-    // every retained bucket.
-    if (idx < model_floor || (!live.empty() && idx < front_index())) {
-      ++model_dropped;
-    } else {
-      live.push_back(e);
-    }
-
-    if (roll == 19) {
-      const Seconds horizon = events[pick(rng)].at;
-      const std::uint64_t dropped_before = sliding.dropped();
-      const std::uint64_t n_before = sliding.total_stats().n;
-      sliding.evict_before(horizon);
-      model_floor = std::max(model_floor, bucket_index(horizon));
-      std::vector<Event> survivors;
-      std::uint64_t cut = 0;
-      for (const Event& ev : live) {
-        if (bucket_index(ev.at) < bucket_index(horizon)) {
-          ++cut;
-        } else {
-          survivors.push_back(ev);
-        }
+    if (roll < 4) e = events[i - std::min(i, lag(rng))];
+    const ModelEntry entry{e.at, node(rng), e.value};
+    const bool taken = bucket_index(e.at) >= floor;
+    ASSERT_EQ(sliding.add(entry.at, entry.value, entry.node), taken)
+        << "step " << i;
+    if (taken) {
+      kept.push_back(entry);
+      if (kept.size() == 1 || e.at > newest) {
+        newest = e.at;
+        raise_floor(bucket_index(newest) -
+                        static_cast<std::int64_t>(opts.max_buckets),
+                    span_evicted);
       }
-      live.swap(survivors);
-      model_evicted += cut;
-      ASSERT_EQ(sliding.dropped() - dropped_before, cut)
-          << "evict at step " << i;
-      ASSERT_EQ(n_before - sliding.total_stats().n, cut)
-          << "evict at step " << i;
+    } else {
+      ++refused;
     }
-    ASSERT_EQ(sliding.size(), live.size()) << "after step " << i;
-    ASSERT_EQ(sliding.dropped(), model_dropped + model_evicted)
-        << "after step " << i;
-    ASSERT_EQ(sliding.total_stats().n, live.size()) << "after step " << i;
+    if (roll == 19) {
+      const Seconds horizon = events[i - std::min(i, lag(rng))].at;
+      sliding.evict_before(horizon);
+      raise_floor(bucket_index(horizon), horizon_evicted);
+    }
+    ASSERT_LE(sliding.bucket_count(), opts.max_buckets + 1) << "step " << i;
+    ASSERT_EQ(sliding.size(), kept.size()) << "after step " << i;
   }
-  EXPECT_GT(model_evicted, 0u);
-  EXPECT_GT(model_dropped, 0u);
+  expect_same_bits(sliding.total_stats(),
+                   model_fold(kept, opts.bucket_seconds, opts.floor_at));
+  EXPECT_GT(refused, 0u);
+  EXPECT_GT(span_evicted, 0u);
+  EXPECT_GT(horizon_evicted, 0u);
+}
+
+TEST(SlidingSuffStats, BucketFoldDoesNotDependOnArrivalOrder) {
+  // Dense entries, many per bucket and some tied on (at, node), in three
+  // arrival orders: every bucket folds them in (at, node, value) order.
+  std::mt19937 rng(7);
+  std::uniform_int_distribution<Seconds> at(0, 6 * kSecondsPerHour);
+  std::uniform_int_distribution<int> node(0, 2);
+  std::lognormal_distribution<double> value(2.0, 1.0);
+  std::vector<ModelEntry> entries;
+  for (int i = 0; i < 400; ++i) {
+    entries.push_back({at(rng) / 60 * 60, node(rng), value(rng)});
+  }
+  const SuffStats want = model_fold(entries, kSecondsPerHour, 1e-9);
+  for (int order = 0; order < 3; ++order) {
+    SCOPED_TRACE("order " + std::to_string(order));
+    std::shuffle(entries.begin(), entries.end(), rng);
+    SlidingSuffStats sliding;
+    for (const ModelEntry& e : entries) sliding.add(e.at, e.value, e.node);
+    expect_same_bits(sliding.total_stats(), want);
+    expect_same_bits(sliding.window_stats(sliding.latest_at(),
+                                          sliding.options().span()),
+                     want);
+  }
+}
+
+TEST(SlidingSuffStats, MaxBucketsAtTheSizeLimitSaturatesTheSpan) {
+  constexpr Seconds kLowest = std::numeric_limits<Seconds>::min();
+  constexpr Seconds kHighest = std::numeric_limits<Seconds>::max();
+  SlidingSuffStats::Options opts;
+  opts.max_buckets = std::numeric_limits<std::size_t>::max();
+  EXPECT_EQ(opts.span(), kHighest - kHighest % opts.bucket_seconds);
+  opts.bucket_seconds = 1;
+  ASSERT_EQ(opts.span(), kHighest);
+
+  // The span reaches from the newest entry down past the lowest Seconds,
+  // so nothing is evicted until an entry lands more than kHighest above
+  // the oldest.
+  SlidingSuffStats sliding(opts);
+  EXPECT_TRUE(sliding.add(kLowest, 1.0));
+  EXPECT_TRUE(sliding.add(-1, 2.0));
+  EXPECT_EQ(sliding.bucket_count(), 2u);
+  EXPECT_EQ(sliding.window_stats(-1, kHighest).n, 2u);
+  EXPECT_TRUE(sliding.add(kHighest, 3.0));
+  EXPECT_EQ(sliding.bucket_count(), 1u);
+  EXPECT_FALSE(sliding.add(-1, 4.0));
+  EXPECT_TRUE(sliding.add(0, 5.0));
+  EXPECT_EQ(sliding.window_stats(kHighest, kHighest).n, 2u);
+
+  // Hourly buckets: the span stops at the largest whole number of hours.
+  SlidingSuffStats hourly({.max_buckets = opts.max_buckets});
+  EXPECT_TRUE(hourly.add(kLowest, 1.0));
+  EXPECT_TRUE(hourly.add(kHighest, 1.0));
+  EXPECT_EQ(hourly.size(), 1u);
+  EXPECT_EQ(hourly.window_stats(kHighest, kHighest).n, 1u);
 }
 
 TEST(StreamingFits, MatchRescanningFitReport) {

@@ -179,13 +179,193 @@ void expect_same_bits(const dist::SuffStats& got,
   EXPECT_EQ(got.max, want.max);
 }
 
-// report() must equal, bit for bit, a replay that feeds each
-// (system, node, cause) cell only its own events: gaps per node in
-// arrival order attributed to the later event's cause, the same
-// mid-stream compaction, window stats merged in ascending (node, cause)
-// order. Late arrivals make some node gaps negative (skipped), and a
-// small max_buckets makes the bucket bound evict.
-TEST(LiveAnalytics, ReportMatchesPerCellReplayBitForBit) {
+void expect_same_fits(const dist::FitReport& got,
+                      const dist::FitReport& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].family, want[i].family);
+    EXPECT_EQ(got[i].nll, want[i].nll);
+    EXPECT_EQ(got[i].aic, want[i].aic);
+    EXPECT_EQ(got[i].model->describe(), want[i].model->describe());
+  }
+}
+
+/// The fields a report takes from repair windows: they depend only on
+/// which events arrived.
+void expect_same_repair_fields(const WindowReport& got,
+                               const WindowReport& want) {
+  EXPECT_EQ(got.events_total, want.events_total);
+  EXPECT_EQ(got.now, want.now);
+  expect_same_bits(got.repair_minutes, want.repair_minutes);
+  ASSERT_EQ(got.by_cause.size(), want.by_cause.size());
+  for (std::size_t i = 0; i < got.by_cause.size(); ++i) {
+    EXPECT_EQ(got.by_cause[i].cause, want.by_cause[i].cause);
+    expect_same_bits(got.by_cause[i].repair_minutes,
+                     want.by_cause[i].repair_minutes);
+  }
+  expect_same_fits(got.repair_fits, want.repair_fits);
+}
+
+/// expect_same_repair_fields plus the node-gap fields, which also depend
+/// on each node's own arrival order.
+void expect_same_node_fields(const WindowReport& got,
+                             const WindowReport& want) {
+  expect_same_repair_fields(got, want);
+  expect_same_bits(got.node_gaps_seconds, want.node_gaps_seconds);
+  expect_same_fits(got.node_gap_fits, want.node_gap_fits);
+}
+
+/// /report recomputed from the raw events, in the order they arrived.
+/// Node gaps follow each node's arrivals and system gaps each system's.
+/// A window keeps the entries whose bucket lies at or above the compaction
+/// horizon's and at most max_buckets below its newest entry's; its
+/// statistics fold each bucket's entries sorted by (start, node, value)
+/// and merge the buckets oldest first, and a report merges causes in
+/// ascending order.
+class ReportOracle {
+ public:
+  /// `arrivals` observed in order, with compact_before(horizon) called
+  /// before arrival `compact_at` (after the last when it equals their
+  /// count; never when it exceeds it).
+  ReportOracle(const std::vector<trace::FailureRecord>& arrivals,
+               std::size_t compact_at, Seconds horizon,
+               std::size_t max_buckets)
+      : horizon_index_(index(horizon)),
+        max_buckets_(static_cast<Seconds>(max_buckets)),
+        compacted_(compact_at <= arrivals.size()) {
+    std::map<std::pair<int, int>, Seconds> last_node;
+    std::map<int, Seconds> last_system;
+    std::map<std::pair<int, trace::RootCause>, Seconds> newest_repair;
+    for (std::size_t i = 0; i < arrivals.size(); ++i) {
+      const trace::FailureRecord& r = arrivals[i];
+      now_ = i == 0 ? r.start : std::max(now_, r.start);
+      ++events_[r.system_id];
+      const std::pair key{r.system_id, r.cause};
+      repair_[key].push_back({r.start, r.node_id, r.downtime_minutes()});
+      // A repair entry is refused below its window's floor at arrival.
+      Seconds floor = i >= compact_at ? horizon_index_
+                                      : std::numeric_limits<Seconds>::min();
+      const auto newest = newest_repair.find(key);
+      if (newest != newest_repair.end()) {
+        floor = std::max(floor, newest->second - max_buckets_);
+      }
+      if (index(r.start) < floor) {
+        ++dropped_;
+      } else if (newest == newest_repair.end()) {
+        newest_repair.emplace(key, index(r.start));
+      } else {
+        newest->second = std::max(newest->second, index(r.start));
+      }
+      const auto gap = [&](auto& last, const auto& last_key, Entries& into) {
+        const auto [it, first] = last.try_emplace(last_key, r.start);
+        if (first || r.start < it->second) return;
+        into.push_back(
+            {r.start, r.node_id, static_cast<double>(r.start - it->second)});
+        it->second = r.start;
+      };
+      gap(last_node, std::pair{r.system_id, r.node_id}, node_gaps_[key]);
+      gap(last_system, r.system_id, system_gaps_[r.system_id]);
+    }
+  }
+
+  WindowReport report(int system, Seconds window) const {
+    WindowReport out;
+    out.system_id = system;
+    out.now = now_;
+    out.window = std::min(window > 0 ? window : 24 * kSecondsPerHour,
+                          max_buckets_ * kSecondsPerHour);
+    out.events_total = events_.count(system) ? events_.at(system) : 0;
+    out.node_gaps_seconds.floor_at = 1.0;
+    out.system_gaps_seconds = fold(system_gaps_, system, out.window, 1.0);
+    for (const trace::RootCause cause : trace::kAllRootCauses) {
+      const std::pair key{system, cause};
+      const dist::SuffStats repair = fold(repair_, key, out.window, 1e-9);
+      out.repair_minutes.merge(repair);
+      out.node_gaps_seconds.merge(fold(node_gaps_, key, out.window, 1.0));
+      if (repair.n > 0) out.by_cause.push_back({cause, repair});
+    }
+    try {
+      out.repair_fits = dist::fit_report_from_stats(out.repair_minutes);
+    } catch (const Error&) {
+    }
+    try {
+      out.node_gap_fits = dist::fit_report_from_stats(out.node_gaps_seconds);
+    } catch (const Error&) {
+    }
+    return out;
+  }
+
+  std::uint64_t dropped() const { return dropped_; }
+
+ private:
+  using Entries = std::vector<std::tuple<Seconds, int, double>>;
+
+  static Seconds index(Seconds at) { return at / kSecondsPerHour; }
+
+  template <typename Key>
+  dist::SuffStats fold(const std::map<Key, Entries>& windows, const Key& key,
+                       Seconds window, double floor_at) const {
+    dist::SuffStats merged;
+    merged.floor_at = floor_at;
+    const auto it = windows.find(key);
+    if (it == windows.end() || it->second.empty()) return merged;
+    Entries entries = it->second;
+    std::sort(entries.begin(), entries.end());
+    Seconds floor = index(std::get<0>(entries.back())) - max_buckets_;
+    if (compacted_) floor = std::max(floor, horizon_index_);
+    floor = std::max(floor, index(now_ - window));
+    for (std::size_t i = 0; i < entries.size();) {
+      const Seconds bucket = index(std::get<0>(entries[i]));
+      dist::SuffStats one;
+      one.floor_at = floor_at;
+      for (; i < entries.size() && index(std::get<0>(entries[i])) == bucket;
+           ++i) {
+        one.add(std::get<2>(entries[i]));
+      }
+      if (bucket >= floor && bucket <= index(now_)) merged.merge(one);
+    }
+    return merged;
+  }
+
+  Seconds horizon_index_;
+  Seconds max_buckets_;
+  bool compacted_;
+  Seconds now_ = 0;
+  std::uint64_t dropped_ = 0;
+  std::map<int, std::uint64_t> events_;
+  std::map<std::pair<int, trace::RootCause>, Entries> repair_;
+  std::map<std::pair<int, trace::RootCause>, Entries> node_gaps_;
+  std::map<int, Entries> system_gaps_;
+};
+
+/// A random interleaving of `stream` that keeps each (system, node)'s
+/// events in their order: shuffle whose turn each slot is, then fill each
+/// slot with that node's next event.
+std::vector<trace::FailureRecord> interleave(
+    const std::vector<trace::FailureRecord>& stream, std::mt19937& rng) {
+  std::map<std::pair<int, int>, std::vector<trace::FailureRecord>> queues;
+  std::vector<std::pair<int, int>> turns;
+  for (const trace::FailureRecord& r : stream) {
+    queues[{r.system_id, r.node_id}].push_back(r);
+    turns.push_back({r.system_id, r.node_id});
+  }
+  std::shuffle(turns.begin(), turns.end(), rng);
+  std::map<std::pair<int, int>, std::size_t> next;
+  std::vector<trace::FailureRecord> out;
+  for (const auto& turn : turns) out.push_back(queues[turn][next[turn]++]);
+  return out;
+}
+
+// report() must equal, bit for bit, ReportOracle's recomputation from the
+// raw events, taken right after a mid-stream compaction and after the last
+// event, over 9 arrival orders of one stream: the stream's own (with late
+// arrivals), 8 cross-node interleavings that keep each node's order, and a
+// full shuffle. After the last event, the node-scoped fields agree across
+// the interleavings and the repair fields across all 10 orders. Starts
+// are 1-60 s apart, so each (system, cause, hour) bucket holds several
+// entries whose arrival order differs between the orders; max_buckets
+// spans 6 of the stream's ~34 hours.
+TEST(LiveAnalytics, ReportMatchesARecomputationFromTheRawEvents) {
   constexpr trace::DetailCause kDetailOf[] = {
       trace::DetailCause::memory_dimm, trace::DetailCause::operating_system,
       trace::DetailCause::network_switch, trace::DetailCause::power_outage,
@@ -195,13 +375,13 @@ TEST(LiveAnalytics, ReportMatchesPerCellReplayBitForBit) {
   std::uniform_int_distribution<std::size_t> pick_system(0, 2);
   std::uniform_int_distribution<int> pick_node(0, 3);
   std::uniform_int_distribution<std::size_t> pick_cause(0, 5);
-  std::uniform_int_distribution<Seconds> step(1, 1200);
+  std::uniform_int_distribution<Seconds> step(1, 60);
   std::uniform_int_distribution<Seconds> repair(0, 6 * kSecondsPerHour);
   std::uniform_int_distribution<Seconds> lateness(1, 8 * kSecondsPerHour);
   std::uniform_int_distribution<int> late(0, 19);
   std::vector<trace::FailureRecord> stream;
   Seconds at = t0;
-  for (int i = 0; i < 3000; ++i) {
+  for (int i = 0; i < 4000; ++i) {
     at += step(rng);
     trace::FailureRecord r;
     r.system_id = systems[pick_system(rng)];
@@ -218,147 +398,94 @@ TEST(LiveAnalytics, ReportMatchesPerCellReplayBitForBit) {
   for (std::size_t i = 0; i < compact_at; ++i) {
     horizon = std::max(horizon, stream[i].start);
   }
-  horizon -= 48 * kSecondsPerHour;
+  horizon -= 3 * kSecondsPerHour;  // inside the span at the compaction
 
   LiveAnalytics::Options options;
-  options.max_buckets = 12;
-  LiveAnalytics analytics(options);
-  for (std::size_t i = 0; i < stream.size(); ++i) {
-    if (i == compact_at) analytics.compact_before(horizon);
-    analytics.observe(stream[i]);
-  }
+  options.max_buckets = 6;
+  const Seconds span = 6 * kSecondsPerHour;
+  ASSERT_GT(stream.back().start - stream.front().start, 5 * span);
 
-  // Reference: per-node and per-system gaps in arrival order.
-  std::vector<std::optional<double>> node_gap(stream.size());
-  std::vector<std::optional<double>> system_gap(stream.size());
-  std::map<std::pair<int, int>, Seconds> last_node;
-  std::map<int, Seconds> last_system;
-  std::map<int, std::uint64_t> events;
-  std::size_t skipped_node_gaps = 0;
-  Seconds now = 0;
-  for (std::size_t i = 0; i < stream.size(); ++i) {
-    const trace::FailureRecord& r = stream[i];
-    now = std::max(now, r.start);
-    ++events[r.system_id];
-    const auto gap_of = [&](auto& last, const auto& key,
-                            std::optional<double>& gap) {
-      const auto [it, first] = last.try_emplace(key, r.start);
-      if (first) return false;
-      if (r.start < it->second) return true;
-      gap = static_cast<double>(r.start - it->second);
-      it->second = r.start;
-      return false;
-    };
-    if (gap_of(last_node, std::make_pair(r.system_id, r.node_id),
-               node_gap[i])) {
-      ++skipped_node_gaps;
-    }
-    gap_of(last_system, r.system_id, system_gap[i]);
-  }
-  ASSERT_GT(skipped_node_gaps, 0u);
+  std::vector<std::vector<trace::FailureRecord>> orders = {stream};
+  for (int k = 0; k < 8; ++k) orders.push_back(interleave(stream, rng));
+  orders.push_back(stream);
+  std::shuffle(orders.back().begin(), orders.back().end(), rng);
 
-  // Each cell and each system window replays only its own events, with
-  // the compaction applied where the stream crossed it, and only to
-  // windows that existed by then.
-  dist::SlidingSuffStats::Options repair_opts;
-  repair_opts.max_buckets = options.max_buckets;
-  dist::SlidingSuffStats::Options gap_opts = repair_opts;
-  gap_opts.floor_at = 1.0;
-  struct Cell {
-    dist::SlidingSuffStats repair;
-    dist::SlidingSuffStats gaps;
-  };
-  std::map<std::tuple<int, int, trace::RootCause>, std::vector<std::size_t>>
-      cell_events;
-  std::map<int, std::vector<std::size_t>> system_events;
-  for (std::size_t i = 0; i < stream.size(); ++i) {
-    const trace::FailureRecord& r = stream[i];
-    cell_events[{r.system_id, r.node_id, r.cause}].push_back(i);
-    system_events[r.system_id].push_back(i);
-  }
-  std::map<std::tuple<int, int, trace::RootCause>, Cell> cells;
-  std::size_t widest_cell = 0;  // distinct buckets at/after the horizon
-  for (const auto& [key, indices] : cell_events) {
-    Cell cell{dist::SlidingSuffStats(repair_opts),
-              dist::SlidingSuffStats(gap_opts)};
-    std::set<Seconds> buckets;
-    bool compacted = indices.front() >= compact_at;
-    for (const std::size_t i : indices) {
-      if (i >= compact_at && !compacted) {
-        cell.repair.evict_before(horizon);
-        cell.gaps.evict_before(horizon);
-        compacted = true;
-      }
-      cell.repair.add(stream[i].start, stream[i].downtime_minutes());
-      if (node_gap[i]) cell.gaps.add(stream[i].start, *node_gap[i]);
-      if (stream[i].start >= horizon) {
-        buckets.insert(stream[i].start / kSecondsPerHour);
-      }
-    }
-    if (!compacted) {
-      cell.repair.evict_before(horizon);
-      cell.gaps.evict_before(horizon);
-    }
-    cells.emplace(key, std::move(cell));
-    widest_cell = std::max(widest_cell, buckets.size());
-  }
-  ASSERT_GT(widest_cell, options.max_buckets);  // the bucket bound evicts
-  std::map<int, dist::SlidingSuffStats> system_windows;
-  for (const auto& [system, indices] : system_events) {
-    dist::SlidingSuffStats window(gap_opts);
-    bool compacted = indices.front() >= compact_at;
-    for (const std::size_t i : indices) {
-      if (i >= compact_at && !compacted) {
-        window.evict_before(horizon);
-        compacted = true;
-      }
-      if (system_gap[i]) window.add(stream[i].start, *system_gap[i]);
-    }
-    if (!compacted) window.evict_before(horizon);
-    system_windows.emplace(system, std::move(window));
-  }
-
-  EXPECT_EQ(analytics.system_ids(), systems);
+  const std::vector<Seconds> windows = {0, 2 * kSecondsPerHour, span,
+                                        100000 * kSecondsPerHour};
+  std::map<std::pair<int, Seconds>, WindowReport> first_order;
+  std::uint64_t most_dropped = 0;
   std::set<trace::RootCause> causes_seen;
-  for (const int system : systems) {
-    for (const Seconds window :
-         {Seconds{0}, 6 * kSecondsPerHour, 72 * kSecondsPerHour,
-          100000 * kSecondsPerHour}) {
-      SCOPED_TRACE("system " + std::to_string(system) + " window " +
-                   std::to_string(window));
-      const Seconds span = window > 0 ? window : 24 * kSecondsPerHour;
-      dist::SuffStats repair;
-      dist::SuffStats node_gaps;
-      node_gaps.floor_at = 1.0;
-      std::map<trace::RootCause, dist::SuffStats> by_cause;
-      for (const auto& [key, cell] : cells) {
-        if (std::get<0>(key) != system) continue;
-        const dist::SuffStats r = cell.repair.window_stats(now, span);
-        repair.merge(r);
-        node_gaps.merge(cell.gaps.window_stats(now, span));
-        if (r.n > 0) by_cause[std::get<2>(key)].merge(r);
+  for (std::size_t o = 0; o < orders.size(); ++o) {
+    const std::vector<trace::FailureRecord>& arrivals = orders[o];
+    LiveAnalytics analytics(options);
+    std::size_t observed = 0;
+    // A report right after the compaction, and one after the last event.
+    for (const std::size_t checkpoint : {compact_at, arrivals.size()}) {
+      for (; observed < checkpoint; ++observed) {
+        analytics.observe(arrivals[observed]);
       }
-
-      const WindowReport got = analytics.report(system, window);
-      EXPECT_EQ(got.system_id, system);
-      EXPECT_EQ(got.now, now);
-      EXPECT_EQ(got.window, span);
-      EXPECT_EQ(got.events_total, events[system]);
-      expect_same_bits(got.repair_minutes, repair);
-      expect_same_bits(got.node_gaps_seconds, node_gaps);
-      expect_same_bits(got.system_gaps_seconds,
-                       system_windows.at(system).window_stats(now, span));
-      ASSERT_EQ(got.by_cause.size(), by_cause.size());
-      auto want = by_cause.begin();
-      for (const CauseWindow& slice : got.by_cause) {
-        EXPECT_EQ(slice.cause, want->first);
-        expect_same_bits(slice.repair_minutes, want->second);
-        causes_seen.insert(slice.cause);
-        ++want;
+      if (checkpoint == compact_at) analytics.compact_before(horizon);
+      const bool last = checkpoint == arrivals.size();
+      const ReportOracle oracle(
+          std::vector<trace::FailureRecord>(arrivals.begin(),
+                                            arrivals.begin() + checkpoint),
+          compact_at, horizon, options.max_buckets);
+      EXPECT_EQ(analytics.dropped_events(), oracle.dropped());
+      for (const int system : systems) {
+        for (const Seconds window : windows) {
+          SCOPED_TRACE("order " + std::to_string(o) + " after " +
+                       std::to_string(checkpoint) + " events, system " +
+                       std::to_string(system) + " window " +
+                       std::to_string(window));
+          const WindowReport got = analytics.report(system, window);
+          const WindowReport want = oracle.report(system, window);
+          EXPECT_EQ(got.system_id, system);
+          EXPECT_EQ(got.window, want.window);
+          expect_same_node_fields(got, want);
+          expect_same_bits(got.system_gaps_seconds, want.system_gaps_seconds);
+          if (!last) continue;
+          const auto [first, inserted] =
+              first_order.try_emplace({system, window}, got);
+          if (o + 1 == orders.size()) {
+            expect_same_repair_fields(got, first->second);
+          } else if (!inserted) {
+            expect_same_node_fields(got, first->second);
+          }
+          for (const CauseWindow& slice : got.by_cause) {
+            causes_seen.insert(slice.cause);
+          }
+        }
       }
     }
+    most_dropped = std::max(most_dropped, analytics.dropped_events());
   }
+  EXPECT_GT(most_dropped, 0u);  // some late arrivals fell below a floor
   EXPECT_EQ(causes_seen.size(), trace::kAllRootCauses.size());
+}
+
+TEST(LiveAnalytics, CountsTheEventsNoRepairWindowTook) {
+  LiveAnalytics::Options options;
+  options.max_buckets = 24;
+  LiveAnalytics analytics(options);
+  for (int i = 0; i < 100; ++i) {
+    analytics.observe(rec(3, i % 4, t0 + i * 1800, 600));
+  }
+  EXPECT_EQ(analytics.dropped_events(), 0u);  // in order: nothing refused
+  // Older than the span behind the window's newest entry.
+  analytics.observe(rec(3, 9, t0, 600));
+  EXPECT_EQ(analytics.dropped_events(), 1u);
+  // Below the retention horizon, in a (system, cause) first seen after it.
+  analytics.compact_before(t0 + 40 * kSecondsPerHour);
+  trace::FailureRecord software = rec(4, 0, t0 + 39 * kSecondsPerHour, 60);
+  software.cause = trace::RootCause::software;
+  software.detail = trace::DetailCause::operating_system;
+  analytics.observe(software);
+  EXPECT_EQ(analytics.dropped_events(), 2u);
+  EXPECT_EQ(analytics.report(4, 0).repair_minutes.n, 0u);
+  EXPECT_EQ(analytics.report(4, 0).events_total, 1u);
+  // The window a report covers is clamped to the span.
+  EXPECT_EQ(analytics.report(3, 1000 * kSecondsPerHour).window,
+            24 * kSecondsPerHour);
 }
 
 // --- socket helpers -------------------------------------------------------
@@ -1033,6 +1160,38 @@ TEST(Server, ReportAccountsForCompactedPreHorizonEvents) {
   server.wait();
 }
 
+// /stats counts the events whose repair entry no analytics window took:
+// none for an in-order stream, one for an event older than the span behind
+// its window's newest entry. /report clamps a longer window to the span.
+TEST(Server, StatsCountTheEventsNoAnalyticsWindowTook) {
+  Server server(ServerOptions{});
+  server.start();
+  const int client = connect_to(server.ingest_port());
+  std::string payload;
+  for (int i = 0; i < 400; ++i) {
+    payload += csv_line(rec(8, i % 4, t0 + i * kSecondsPerHour, 300));
+  }
+  send_all(client, payload);
+  wait_until_ingested(server, 400);
+  EXPECT_NE(http_get(server.http_port(), "/stats")
+                .body.find("\"analytics_dropped_events\":0"),
+            std::string::npos);
+  const HttpResponse report =
+      http_get(server.http_port(), "/report?system=8&window_hours=87600");
+  EXPECT_NE(report.body.find("\"window_seconds\":1209600"), std::string::npos)
+      << report.body;
+
+  send_all(client, csv_line(rec(8, 1, t0, 300)));  // 399 hours behind
+  wait_until_ingested(server, 401);
+  const HttpResponse stats = http_get(server.http_port(), "/stats");
+  EXPECT_NE(stats.body.find("\"analytics_dropped_events\":1"),
+            std::string::npos)
+      << stats.body;
+  ::close(client);
+  server.stop();
+  server.wait();
+}
+
 // --- replay client ---------------------------------------------------------
 
 TEST(Replay, RejectsInvalidOptions) {
@@ -1207,7 +1366,7 @@ TEST(Replay, ShardCountLeavesNodeScopedReportFieldsByteIdentical) {
   std::uniform_int_distribution<Seconds> repair(0, 8 * kSecondsPerHour);
   // Large enough that replay flushes each connection's 64 KiB buffer
   // several times, so different nodes' events interleave differently at
-  // 1 and 4 ingest threads.
+  // 1, 2, 4 and 8 ingest threads.
   std::vector<trace::FailureRecord> records;
   for (int i = 0; i < 24000; ++i) {
     trace::FailureRecord r;
@@ -1229,7 +1388,7 @@ TEST(Replay, ShardCountLeavesNodeScopedReportFieldsByteIdentical) {
     }
   }
   std::vector<std::vector<std::string>> bodies;
-  for (const std::size_t threads : {1u, 4u}) {
+  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
     ServerOptions sopts;
     sopts.ingest_threads = threads;
     Server server(sopts);
@@ -1255,8 +1414,10 @@ TEST(Replay, ShardCountLeavesNodeScopedReportFieldsByteIdentical) {
           "by_cause", "repair_fits", "node_gap_fits"}) {
       const std::string one_shard = json_field(bodies[0][t], field);
       EXPECT_FALSE(one_shard.empty()) << targets[t] << " " << field;
-      EXPECT_EQ(one_shard, json_field(bodies[1][t], field))
-          << targets[t] << " " << field;
+      for (std::size_t run = 1; run < bodies.size(); ++run) {
+        EXPECT_EQ(one_shard, json_field(bodies[run][t], field))
+            << targets[t] << " " << field << " run " << run;
+      }
     }
   }
 }

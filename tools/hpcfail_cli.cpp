@@ -978,7 +978,7 @@ const std::vector<Subcommand>& subcommands() {
            {"bucket-seconds", ArgType::uint64, "3600", false,
             "analytics bucket width"},
            {"max-buckets", ArgType::uint64, "336", false,
-            "retained buckets per analytics cell"},
+            "span each analytics window keeps, in buckets"},
            {"tail", ArgType::string, "", false,
             "also follow an appended trace file"},
            {"trace", ArgType::string, "", false,
